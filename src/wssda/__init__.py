@@ -31,7 +31,6 @@ from .evaluation import (
     IdentificationReport,
     KFoldReport,
     RocReport,
-    cosine_distance,
     identification_sweep,
     kfold_pairwise,
     nn_classify,
@@ -55,7 +54,6 @@ from .pipeline import (
     TrainConfig,
     TrainingDetails,
     WhitenedData,
-    extract,
     load_model,
     save_model,
     train,
@@ -65,6 +63,7 @@ from .scatter import (
     ScatterMatrix,
     between_subclass_scatter,
     class_means,
+    group_means,
     mean_of_class_means,
     total_subclass_scatter,
     within_class_scatter,
@@ -84,66 +83,3 @@ from .spectrum import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "LabeledDataset",
-    "SplitSpec",
-    "SynthSpec",
-    "generate_synthetic",
-    "load_csv",
-    "load_pgm_dir",
-    "make_gallery_probe_splits",
-    "save_csv",
-    "subset",
-    "WSSDAError",
-    "ConfigError",
-    "DataFormatError",
-    "ModelFormatError",
-    "PartitionError",
-    "ProtocolError",
-    "SpectrumError",
-    "TrainingError",
-    "STRATEGIES",
-    "SubclassPartition",
-    "TreeParams",
-    "cluster_kmeans",
-    "partition_class",
-    "partition_dataset",
-    "split_kd",
-    "split_pca",
-    "split_rp",
-    "ScatterMatrix",
-    "between_subclass_scatter",
-    "class_means",
-    "mean_of_class_means",
-    "total_subclass_scatter",
-    "within_class_scatter",
-    "within_subclass_scatter",
-    "Eigenspectrum",
-    "SpectrumModel",
-    "eig_symmetric_full",
-    "find_pivot",
-    "fit_model",
-    "flat_model",
-    "regularize",
-    "short_tail_model",
-    "truncated_weights",
-    "FeatureExtractor",
-    "ModelMeta",
-    "TrainConfig",
-    "TrainingDetails",
-    "WhitenedData",
-    "extract",
-    "load_model",
-    "save_model",
-    "train",
-    "train_detailed",
-    "cosine_distance",
-    "pair_similarity",
-    "nn_classify",
-    "identification_sweep",
-    "verification_roc",
-    "kfold_pairwise",
-    "IdentificationReport",
-    "RocReport",
-    "KFoldReport",
-]

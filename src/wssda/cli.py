@@ -219,6 +219,15 @@ def _partition_csv(part) -> str:
     return _csv_text("sample_index,class,subclass", rows)
 
 
+def _warn_deficient(part, h: int) -> None:
+    if part.deficient_classes:
+        print(
+            f"warning: classes {list(part.deficient_classes)} have fewer samples than "
+            f"h={h}; they fall back to singleton subclasses",
+            file=sys.stderr,
+        )
+
+
 # ---------------------------------------------------------------- commands
 
 
@@ -251,12 +260,7 @@ def cmd_partition(s: Settings, out: OutputSet) -> None:
     ds = _load_dataset(s, seed)
     s.check_unknown()
     part = partition_dataset(ds, params, strategy)
-    if part.deficient_classes:
-        print(
-            f"warning: classes {list(part.deficient_classes)} have fewer samples than "
-            f"h={params.h}; they fall back to singleton subclasses",
-            file=sys.stderr,
-        )
+    _warn_deficient(part, params.h)
     path = os.path.join(out_dir, "partition.csv")
     out.write_text(path, _partition_csv(part))
     print(f"wrote {path}: strategy={strategy} h={params.h}")
@@ -277,12 +281,7 @@ def cmd_train(s: Settings, out: OutputSet) -> None:
     s.check_unknown()
 
     part = partition_dataset(ds, params, strategy)
-    if part.deficient_classes:
-        print(
-            f"warning: classes {list(part.deficient_classes)} have fewer samples than "
-            f"h={params.h}; they fall back to singleton subclasses",
-            file=sys.stderr,
-        )
+    _warn_deficient(part, params.h)
     fx, details = train_detailed(ds, part, config)
 
     model_path = os.path.join(out_dir, "model.wssda")

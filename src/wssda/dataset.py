@@ -5,9 +5,9 @@ labels remapped to a dense range [0, C).  Subclass labels are optional: they
 are carried by synthetic data (ground truth) and by CSV files written with a
 subclass column, and are consumed by the "provided" partition strategy.
 
-The full-eigenbasis training path decomposes a dim x dim matrix, so the
-supported vector dimension is documented as at most 4096; downsample larger
-images at ingestion time.
+The full-eigenbasis training path decomposes a dim x dim matrix, so keep
+the vector dimension to a few thousand; downsample larger images at
+ingestion time.
 """
 
 from __future__ import annotations
@@ -20,9 +20,21 @@ import numpy as np
 
 from .errors import DataFormatError, ProtocolError
 
-MAX_DIM = 4096
-
 FLOAT_FMT = "%.17g"
+
+
+def _non_finite_cell(samples: np.ndarray) -> tuple[int, int] | None:
+    """(row, column) of the first nan or inf in a matrix, or None.
+
+    A non-finite entry makes the sum non-finite, so a finite sum clears the
+    matrix in one cheap pass; only a non-finite sum (or overflow) pays for
+    the elementwise search.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(samples.sum()):
+            return None
+    bad = np.argwhere(~np.isfinite(samples))
+    return (int(bad[0, 0]), int(bad[0, 1])) if bad.size else None
 
 
 @dataclass(eq=False)
@@ -47,6 +59,9 @@ class LabeledDataset:
             raise ValueError("class_labels length must match sample count")
         if self.samples.shape[0] == 0:
             raise ValueError("dataset must contain at least one sample")
+        bad = _non_finite_cell(self.samples)
+        if bad is not None:
+            raise ValueError(f"non-finite sample value at row {bad[0]}, column {bad[1]}")
         present = np.unique(self.class_labels)
         if not np.array_equal(present, np.arange(len(present))):
             raise ValueError("class labels must be dense in [0, C)")
@@ -81,12 +96,10 @@ class LabeledDataset:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Disjoint gallery/probe index sets over a dataset, or one fold of a pairwise protocol."""
+    """Disjoint gallery/probe index sets over a dataset."""
 
     gallery: np.ndarray
     probe: np.ndarray
-    fold_id: int | None = None
-    fold_count: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "gallery", np.asarray(self.gallery, dtype=np.int64))
@@ -139,6 +152,7 @@ def load_csv(path: str | os.PathLike, with_subclasses: bool = False) -> LabeledD
     raw_class: list[int] = []
     raw_sub: list[int] = []
     rows: list[list[float]] = []
+    linenos: list[int] = []
     width: int | None = None
     with open(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh)):
@@ -167,15 +181,22 @@ def load_csv(path: str | os.PathLike, with_subclasses: bool = False) -> LabeledD
                         f"{path}: non-numeric value at row {lineno}, column {col}"
                     ) from exc
             rows.append(vals)
+            linenos.append(lineno)
     if not rows:
         raise DataFormatError(f"{path}: empty dataset file")
+    samples = np.asarray(rows, dtype=np.float64)
+    bad = _non_finite_cell(samples)
+    if bad is not None:
+        raise DataFormatError(
+            f"{path}: non-finite value at row {linenos[bad[0]]}, column {bad[1] + lead}"
+        )
 
     classes = np.asarray(raw_class, dtype=np.int64)
     _, dense = np.unique(classes, return_inverse=True)
     sub = None
     if with_subclasses:
         sub = _dense_subclasses(dense, np.asarray(raw_sub, dtype=np.int64))
-    return LabeledDataset(np.asarray(rows, dtype=np.float64), dense, sub)
+    return LabeledDataset(samples, dense, sub)
 
 
 def _int_label(cell: str) -> int:

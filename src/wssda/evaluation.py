@@ -25,22 +25,19 @@ from .pipeline import FeatureExtractor
 Pair = tuple[float, bool]
 
 
-def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """1 - cos(a, b), in [0, 2].  Zero vectors have no direction: ValueError."""
+def pair_similarity(a: np.ndarray, b: np.ndarray) -> float:
+    """Verification score cos(a, b), higher means more alike, computed as one
+    minus the cosine distance clipped to [0, 2].  Zero vectors have no
+    direction: ValueError."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
-        raise ValueError("cosine_distance expects two vectors of equal dimension")
+        raise ValueError("pair_similarity expects two vectors of equal dimension")
     na = np.linalg.norm(a)
     nb = np.linalg.norm(b)
     if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine distance is undefined for zero vectors")
-    return float(np.clip(1.0 - float(a @ b) / (na * nb), 0.0, 2.0))
-
-
-def pair_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Verification score: 1 - cosine_distance, higher means more alike."""
-    return 1.0 - cosine_distance(a, b)
+        raise ValueError("cosine similarity is undefined for zero vectors")
+    return 1.0 - float(np.clip(1.0 - float(a @ b) / (na * nb), 0.0, 2.0))
 
 
 def _normalize_rows(x: np.ndarray, what: str) -> np.ndarray:
@@ -51,34 +48,23 @@ def _normalize_rows(x: np.ndarray, what: str) -> np.ndarray:
 
 
 def nn_classify(
-    gallery: np.ndarray, gallery_labels: np.ndarray, probe: np.ndarray
-) -> int:
-    """Label of the gallery row nearest in cosine distance; ties go to the
-    lowest gallery index."""
+    gallery: np.ndarray, gallery_labels: np.ndarray, probes: np.ndarray
+) -> np.ndarray:
+    """Label of the gallery row nearest in cosine distance to each probe row;
+    ties go to the lowest gallery index."""
     gallery = np.asarray(gallery, dtype=np.float64)
-    probe = np.asarray(probe, dtype=np.float64)
-    if gallery.ndim != 2 or probe.ndim != 1 or gallery.shape[1] != probe.shape[0]:
-        raise ValueError("gallery must be rows of the probe's dimension")
+    probes = np.asarray(probes, dtype=np.float64)
+    if gallery.ndim != 2 or probes.ndim != 2 or gallery.shape[1] != probes.shape[1]:
+        raise ValueError("gallery and probes must be matrices of rows of equal dimension")
     gallery_labels = np.asarray(gallery_labels)
     if gallery_labels.shape != (gallery.shape[0],):
         raise ValueError("one label per gallery row required")
     if gallery.shape[0] == 0:
         raise ValueError("empty gallery")
     gn = _normalize_rows(gallery, "gallery")
-    pnorm = np.linalg.norm(probe)
-    if pnorm == 0.0:
-        raise ValueError("probe is a zero vector")
-    dists = 1.0 - gn @ (probe / pnorm)
-    return int(gallery_labels[int(np.argmin(dists))])
-
-
-def _classify_batch(gallery: np.ndarray, labels: np.ndarray, probes: np.ndarray) -> np.ndarray:
-    gn = _normalize_rows(gallery, "gallery")
     pn = _normalize_rows(probes, "probe set")
-    # argmin over 1 - sims == argmax over sims; first hit wins, so ties
-    # resolve to the lowest gallery index either way
-    dists = 1.0 - pn @ gn.T
-    return labels[np.argmin(dists, axis=1)]
+    # argmin takes the first hit, so exact ties go to the lowest gallery index
+    return gallery_labels[np.argmin(1.0 - pn @ gn.T, axis=1)]
 
 
 @dataclass
@@ -123,7 +109,7 @@ def identification_sweep(
             if split.probe.size == 0:
                 errors[s, k] = 0.0
                 continue
-            pred = _classify_batch(
+            pred = nn_classify(
                 feats[split.gallery, :d], ds.class_labels[split.gallery], feats[split.probe, :d]
             )
             errors[s, k] = float(np.mean(pred != truth))

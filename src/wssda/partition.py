@@ -51,30 +51,37 @@ class TreeParams:
 
 @dataclass
 class SubclassPartition:
-    """Per-sample (class, subclass) assignment with per-group counts."""
+    """Per-sample (class, subclass) assignment with per-group counts.
+
+    Groups are numbered densely class by class: group_ids[r] is the number of
+    subclasses in the classes before row r's class plus its subclass label.
+    """
 
     class_labels: np.ndarray
     subclass_labels: np.ndarray
     strategy: str
     deficient_classes: tuple[int, ...] = ()
     subclass_counts: list[np.ndarray] = field(init=False)
+    group_ids: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.class_labels = np.asarray(self.class_labels, dtype=np.int64)
         self.subclass_labels = np.asarray(self.subclass_labels, dtype=np.int64)
         if self.class_labels.shape != self.subclass_labels.shape:
             raise PartitionError("class and subclass label arrays must have equal length")
-        counts = []
-        for i in range(int(self.class_labels.max()) + 1):
-            sub = self.subclass_labels[self.class_labels == i]
-            if sub.size == 0:
-                raise PartitionError(f"class {i} has no samples")
-            h_i = int(sub.max()) + 1
-            g = np.bincount(sub, minlength=h_i)
-            if (g == 0).any():
-                raise PartitionError(f"class {i} has an empty subclass")
-            counts.append(g)
-        self.subclass_counts = counts
+        if self.class_labels.min() < 0 or self.subclass_labels.min() < 0:
+            raise PartitionError("class and subclass labels must be non-negative")
+        h = np.zeros(int(self.class_labels.max()) + 1, dtype=np.int64)
+        np.maximum.at(h, self.class_labels, self.subclass_labels + 1)
+        if (h == 0).any():
+            raise PartitionError(f"class {int(np.argmin(h))} has no samples")
+        ends = np.cumsum(h)
+        self.group_ids = (ends - h)[self.class_labels] + self.subclass_labels
+        sizes = np.bincount(self.group_ids, minlength=int(ends[-1]))
+        if (sizes == 0).any():
+            empty = int(np.searchsorted(ends, np.argmin(sizes), side="right"))
+            raise PartitionError(f"class {empty} has an empty subclass")
+        self.subclass_counts = np.split(sizes, ends[:-1])
 
     @property
     def class_count(self) -> int:

@@ -26,6 +26,7 @@ from .partition import STRATEGIES, SubclassPartition
 from .scatter import (
     between_subclass_scatter,
     class_means,
+    group_means,
     total_subclass_scatter,
     within_subclass_scatter,
 )
@@ -144,10 +145,6 @@ class TrainingDetails:
     second_stage_eigenvalues: np.ndarray
 
 
-def extract(fx: FeatureExtractor, x: np.ndarray) -> np.ndarray:
-    return fx.extract(x)
-
-
 def _spectrum_model(es: Eigenspectrum, config: TrainConfig) -> SpectrumModel:
     if config.mode == TRUNCATED:
         model = truncated_weights(es)
@@ -186,13 +183,8 @@ def train_detailed(
 
     cmeans = class_means(whitened, ds.class_labels)
     global_mean = cmeans.mean(axis=0)
-    sub_means = []
-    for i in range(ds.class_count):
-        h_i = len(part.subclass_counts[i])
-        means = np.empty((h_i, ds.dim))
-        for j in range(h_i):
-            means[j] = whitened[part.group_indices(i, j)].mean(axis=0)
-        sub_means.append(means)
+    ends = np.cumsum(part.subclasses_per_class)
+    sub_means = np.split(group_means(whitened, part.group_ids, int(ends[-1])), ends[:-1])
 
     if config.second_stage == "ts":
         second = total_subclass_scatter(whitened, ds.class_labels, global_mean)

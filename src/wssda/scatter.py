@@ -1,8 +1,13 @@
 """Scatter matrix construction with equal class and subclass priors.
 
-All builders return symmetric positive semidefinite matrices; exact symmetry
-is enforced by averaging the accumulated matrix with its transpose.  Class
-priors are fixed at 1/C and subclass priors at 1/H_i throughout.
+Every scatter here is a weighted sum of outer products of centred rows,
+S = sum_r w_r x_r x_r^T, which is one GEMM: scale each centred row by
+sqrt(w_r) into B and form B^T B.  The builders differ only in the rows they
+centre, the centre they subtract and the row weights; group means come from
+one stable sort by group id.  Class priors are fixed at 1/C and subclass
+priors at 1/H_i throughout.  All builders return symmetric positive
+semidefinite matrices; exact symmetry is enforced by averaging the product
+with its transpose.
 """
 
 from __future__ import annotations
@@ -32,13 +37,26 @@ def _symmetrize(acc: np.ndarray) -> np.ndarray:
     return (acc + acc.T) / 2.0
 
 
+def _scatter(dev: np.ndarray, weights: np.ndarray, kind: str, rank_bound: int) -> ScatterMatrix:
+    """sum_r weights[r] * outer(dev[r], dev[r]); scales dev in place."""
+    dev *= np.sqrt(weights)[:, None]
+    return ScatterMatrix(_symmetrize(dev.T @ dev), kind, int(rank_bound))
+
+
+def group_means(samples: np.ndarray, ids: np.ndarray, count: int) -> np.ndarray:
+    """(count, dim) means of the rows sharing each group id; every id in
+    [0, count) must occur."""
+    sizes = np.bincount(ids, minlength=count)
+    if sizes.size != count or (sizes == 0).any():
+        raise ValueError(f"group ids must cover [0, {count}) with no empty group")
+    order = np.argsort(ids, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    return np.add.reduceat(samples[order], starts, axis=0) / sizes[:, None]
+
+
 def class_means(samples: np.ndarray, class_labels: np.ndarray) -> np.ndarray:
     """(C, dim) matrix of per-class sample means."""
-    c = int(class_labels.max()) + 1
-    out = np.empty((c, samples.shape[1]))
-    for i in range(c):
-        out[i] = samples[class_labels == i].mean(axis=0)
-    return out
+    return group_means(samples, class_labels, int(class_labels.max()) + 1)
 
 
 def mean_of_class_means(samples: np.ndarray, class_labels: np.ndarray) -> np.ndarray:
@@ -51,39 +69,26 @@ def mean_of_class_means(samples: np.ndarray, class_labels: np.ndarray) -> np.nda
 
 def within_class_scatter(ds: LabeledDataset) -> ScatterMatrix:
     """Average outer product of deviations from class means, weighted 1/n."""
-    acc = np.zeros((ds.dim, ds.dim))
-    for i in range(ds.class_count):
-        block = ds.samples[ds.class_labels == i]
-        centered = block - block.mean(axis=0)
-        acc += centered.T @ centered
-    acc /= ds.n
-    return ScatterMatrix(_symmetrize(acc), WITHIN_CLASS, min(ds.dim, ds.n - ds.class_count))
+    dev = ds.samples - class_means(ds.samples, ds.class_labels)[ds.class_labels]
+    rank_bound = min(ds.dim, ds.n - ds.class_count)
+    return _scatter(dev, np.full(ds.n, 1.0 / ds.n), WITHIN_CLASS, rank_bound)
 
 
 def within_subclass_scatter(ds: LabeledDataset, part: SubclassPartition) -> ScatterMatrix:
     """Prior-weighted scatter of deviations from subclass means.
 
-    Each subclass contributes its centered Gram matrix scaled by
-    1/(C * H_i * G_ij); singleton subclasses contribute zero.
+    Each row of subclass (i, j) is weighted 1/(C * H_i * G_ij); singleton
+    subclasses contribute zero.
     """
     if part.class_labels.shape != ds.class_labels.shape or not np.array_equal(
         part.class_labels, ds.class_labels
     ):
         raise PartitionError("partition does not match the dataset's class labels")
-    c = ds.class_count
-    acc = np.zeros((ds.dim, ds.dim))
-    rank_bound = 0
-    for i in range(c):
-        h_i = len(part.subclass_counts[i])
-        for j in range(h_i):
-            idx = part.group_indices(i, j)
-            if idx.size == 0:
-                raise PartitionError(f"subclass ({i}, {j}) is empty")
-            block = ds.samples[idx]
-            centered = block - block.mean(axis=0)
-            acc += (centered.T @ centered) / (c * h_i * idx.size)
-            rank_bound += idx.size - 1
-    return ScatterMatrix(_symmetrize(acc), WITHIN_SUBCLASS, min(ds.dim, rank_bound))
+    ids = part.group_ids
+    sizes = np.concatenate(part.subclass_counts)
+    dev = ds.samples - group_means(ds.samples, ids, sizes.size)[ids]
+    weights = 1.0 / (part.class_count * part.subclasses_per_class[ds.class_labels] * sizes[ids])
+    return _scatter(dev, weights, WITHIN_SUBCLASS, min(ds.dim, ds.n - sizes.size))
 
 
 def between_subclass_scatter(
@@ -93,25 +98,16 @@ def between_subclass_scatter(
 
     subclass_means holds one (H_i, dim) array per class.
     """
-    c = len(subclass_means)
-    dim = global_mean.shape[0]
-    acc = np.zeros((dim, dim))
-    total_subclasses = 0
-    for means in subclass_means:
-        dev = means - global_mean
-        acc += (dev.T @ dev) / (c * means.shape[0])
-        total_subclasses += means.shape[0]
-    return ScatterMatrix(_symmetrize(acc), BETWEEN_SUBCLASS, min(dim, total_subclasses - 1))
+    h = np.asarray([means.shape[0] for means in subclass_means])
+    dev = np.concatenate(subclass_means) - global_mean
+    weights = np.repeat(1.0 / (len(subclass_means) * h), h)
+    return _scatter(dev, weights, BETWEEN_SUBCLASS, min(dev.shape[1], h.sum() - 1))
 
 
 def total_subclass_scatter(
     samples: np.ndarray, class_labels: np.ndarray, global_mean: np.ndarray
 ) -> ScatterMatrix:
     """Scatter of all samples about the global center, weighted 1/(C * n_i)."""
-    c = int(class_labels.max()) + 1
-    dim = samples.shape[1]
-    acc = np.zeros((dim, dim))
-    for i in range(c):
-        dev = samples[class_labels == i] - global_mean
-        acc += (dev.T @ dev) / (c * dev.shape[0])
-    return ScatterMatrix(_symmetrize(acc), TOTAL_SUBCLASS, min(dim, samples.shape[0]))
+    sizes = np.bincount(class_labels)
+    weights = 1.0 / (sizes.size * sizes[class_labels])
+    return _scatter(samples - global_mean, weights, TOTAL_SUBCLASS, min(samples.shape))

@@ -14,6 +14,7 @@ import sys
 import numpy as np
 import pytest
 
+import wssda
 from wssda.cli import ENV_OUT_DIR, _subseed, load_config, main
 from wssda.dataset import load_csv, make_gallery_probe_splits
 from wssda.evaluation import identification_sweep
@@ -490,6 +491,14 @@ def test_missing_file_is_reported_not_raised(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_train_non_finite_csv_rejected_at_load(tmp_path, capsys):
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text("".join(f"{i % 2},{i},{i * i}\n" for i in range(7)) + "1,nan,2\n")
+    code, _, err = run_cli(["train", "--csv", csv_path, "--d", 1, "--out-dir", tmp_path], capsys)
+    assert code == 1
+    assert "non-finite value at row 7, column 1" in err
+
+
 def test_failed_run_rolls_back_outputs(tmp_path, capsys):
     csv_path = make_dataset_csv(tmp_path, capsys)
     out_dir = tmp_path / "run"
@@ -510,6 +519,9 @@ def test_failed_run_rolls_back_outputs(tmp_path, capsys):
 
 def test_module_entry_point(tmp_path):
     out_path = tmp_path / "data.csv"
+    # the child imports the same wssda as this suite, installed or not
+    src = os.path.dirname(os.path.dirname(wssda.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [
             sys.executable, "-m", "wssda.cli", "synth",
@@ -518,6 +530,7 @@ def test_module_entry_point(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
     assert out_path.exists()

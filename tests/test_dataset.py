@@ -66,6 +66,14 @@ def test_load_csv_empty_file(tmp_path):
         load_csv(p)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_load_csv_non_finite_value_names_row_and_column(tmp_path, cell):
+    # the blank line keeps the reported row the file's own line index
+    p = write(tmp_path / "d.csv", f"0,0,1,2\n\n0,1,{cell},3\n")
+    with pytest.raises(DataFormatError, match="non-finite value at row 2, column 2"):
+        load_csv(p, with_subclasses=True)
+
+
 def test_save_load_round_trip_exact(tmp_path):
     ds = generate_synthetic(SynthSpec(3, 2, 4, 7, seed=11))
     out = tmp_path / "rt.csv"
@@ -97,6 +105,15 @@ def test_dataset_rejects_sparse_class_labels():
 def test_dataset_rejects_sparse_subclass_labels():
     with pytest.raises(ValueError, match="subclass"):
         LabeledDataset(np.zeros((2, 2)), np.array([0, 0]), np.array([0, 2]))
+
+
+def test_dataset_rejects_non_finite_samples():
+    samples = np.zeros((3, 4))
+    samples[2, 1] = np.inf
+    with pytest.raises(ValueError, match="row 2, column 1"):
+        LabeledDataset(samples, np.array([0, 0, 1]))
+    # finite entries whose sum overflows are still accepted
+    assert LabeledDataset(np.full((2, 2), 1e308), np.array([0, 1])).n == 2
 
 
 def test_split_spec_disjoint():

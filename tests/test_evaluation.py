@@ -10,7 +10,6 @@ from wssda import (
     SynthSpec,
     TrainConfig,
     TreeParams,
-    cosine_distance,
     generate_synthetic,
     identification_sweep,
     kfold_pairwise,
@@ -37,25 +36,25 @@ def brute_force_roc(pairs):
     return pts
 
 
-# ------------------------------------------------------------------ cosine distance
+# ------------------------------------------------------------------ cosine similarity
 
 
 def test_cosine_identical():
     v = np.array([2.0, -1.0, 0.5])
-    assert cosine_distance(v, v) == pytest.approx(0.0, abs=1e-15)
+    assert pair_similarity(v, v) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_cosine_orthogonal():
-    assert cosine_distance(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(1.0)
+    assert pair_similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(0.0)
 
 
 def test_cosine_antipodal():
-    assert cosine_distance(np.array([1.0, 0.0]), np.array([-1.0, 0.0])) == pytest.approx(2.0)
+    assert pair_similarity(np.array([1.0, 0.0]), np.array([-1.0, 0.0])) == pytest.approx(-1.0)
 
 
 def test_cosine_zero_vector_rejected():
     with pytest.raises(ValueError, match="zero"):
-        cosine_distance(np.zeros(3), np.ones(3))
+        pair_similarity(np.zeros(3), np.ones(3))
 
 
 @given(st.integers(0, 2**31))
@@ -64,7 +63,8 @@ def test_cosine_scale_invariance(seed):
     rng = np.random.default_rng(seed)
     a, b = rng.normal(size=(2, 5))
     c = float(rng.uniform(0.1, 100.0))
-    assert cosine_distance(a, b) == pytest.approx(cosine_distance(c * a, b), abs=1e-12)
+    assert pair_similarity(a, b) == pytest.approx(pair_similarity(c * a, b), abs=1e-12)
+    assert -1.0 <= pair_similarity(a, b) <= 1.0
 
 
 # ------------------------------------------------------------------ nearest neighbor
@@ -73,14 +73,27 @@ def test_cosine_scale_invariance(seed):
 def test_nn_exact_match_wins():
     gallery = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     labels = np.array([5, 6, 7])
-    assert nn_classify(gallery, labels, np.array([0.0, 1.0])) == 6
+    assert nn_classify(gallery, labels, np.array([[0.0, 1.0], [2.0, 2.0]])).tolist() == [6, 7]
 
 
 def test_nn_tie_takes_lowest_index():
     gallery = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     labels = np.array([3, 1, 2])
     # first two rows tie exactly; the earlier row's label wins
-    assert nn_classify(gallery, labels, np.array([2.0, 0.0])) == 3
+    assert nn_classify(gallery, labels, np.array([[2.0, 0.0]])).tolist() == [3]
+
+
+def test_nn_rejects_bad_input():
+    gallery = np.array([[1.0, 0.0], [0.0, 1.0]])
+    labels = np.array([0, 1])
+    with pytest.raises(ValueError, match="equal dimension"):
+        nn_classify(gallery, labels, np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="one label"):
+        nn_classify(gallery, labels[:1], np.array([[1.0, 0.0]]))
+    with pytest.raises(ValueError, match="empty gallery"):
+        nn_classify(np.empty((0, 2)), np.empty(0), np.array([[1.0, 0.0]]))
+    with pytest.raises(ValueError, match="zero vector"):
+        nn_classify(gallery, labels, np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
 @given(st.integers(0, 2**31))
@@ -89,9 +102,10 @@ def test_nn_probe_scale_invariance(seed):
     rng = np.random.default_rng(seed)
     gallery = rng.normal(size=(6, 4))
     labels = np.arange(6)
-    probe = rng.normal(size=4)
-    c = float(rng.uniform(0.01, 50.0))
-    assert nn_classify(gallery, labels, probe) == nn_classify(gallery, labels, c * probe)
+    probes = rng.normal(size=(3, 4))
+    c = rng.uniform(0.01, 50.0, size=(3, 1))
+    expect = nn_classify(gallery, labels, probes)
+    assert np.array_equal(nn_classify(gallery, labels, c * probes), expect)
 
 
 # ------------------------------------------------------------------ identification
@@ -250,4 +264,5 @@ def test_kfold_too_few_pairs():
 
 def test_pair_similarity_complements_distance():
     a, b = np.array([1.0, 2.0]), np.array([2.0, 1.0])
-    assert pair_similarity(a, b) == pytest.approx(1.0 - cosine_distance(a, b))
+    cosine_distance = 1.0 - float(a @ b) / (np.linalg.norm(a) * np.linalg.norm(b))
+    assert pair_similarity(a, b) == pytest.approx(1.0 - cosine_distance)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from wssda import (
     LabeledDataset,
     PartitionError,
+    SubclassPartition,
     SynthSpec,
     TreeParams,
     cluster_kmeans,
@@ -217,3 +218,15 @@ def test_partition_dataset_flags_deficient_classes():
     part = partition_dataset(ds_small, TreeParams(h=2, seed=0), "kd")
     assert part.deficient_classes == (1,)
     assert part.subclasses_per_class.tolist() == [2, 1]
+
+
+def test_partition_group_ids_and_typed_errors():
+    part = SubclassPartition(np.array([1, 0, 1, 1, 0]), np.array([0, 0, 2, 1, 0]), "provided")
+    assert part.group_ids.tolist() == [1, 0, 3, 2, 0]
+    assert [g.tolist() for g in part.subclass_counts] == [[2], [1, 1, 1]]
+    with pytest.raises(PartitionError, match="class 1 has no samples"):
+        SubclassPartition(np.array([0, 2]), np.array([0, 0]), "provided")
+    with pytest.raises(PartitionError, match="class 1 has an empty subclass"):
+        SubclassPartition(np.array([0, 1, 1]), np.array([0, 0, 2]), "provided")
+    with pytest.raises(PartitionError, match="non-negative"):
+        SubclassPartition(np.array([0, -1]), np.array([0, 0]), "provided")

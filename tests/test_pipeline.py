@@ -12,7 +12,6 @@ from wssda import (
     TrainConfig,
     TrainingError,
     TreeParams,
-    extract,
     generate_synthetic,
     load_model,
     nn_classify,
@@ -42,12 +41,9 @@ def test_train_separable_sanity_zero_error():
     ds = LabeledDataset(np.vstack([a, b]), np.repeat([0, 1], 6))
     part = partition_dataset(ds, TreeParams(h=1), "kd")
     fx = train(ds, part, TrainConfig(d=1))
-    gallery = extract(fx, ds.samples[[0, 6]])
-    errs = 0
-    for i in range(ds.n):
-        z = extract(fx, ds.samples[i])
-        errs += nn_classify(gallery, np.array([0, 1]), z) != ds.class_labels[i]
-    assert errs == 0
+    gallery = fx.extract(ds.samples[[0, 6]])
+    pred = nn_classify(gallery, np.array([0, 1]), fx.extract(ds.samples))
+    assert np.array_equal(pred, ds.class_labels)
 
 
 def test_train_deterministic_bitwise():
@@ -138,13 +134,13 @@ def test_train_short_rank_fallback():
 
 def test_extract_zero_maps_to_zero():
     _, _, fx, _ = trained(seed=0)
-    assert np.array_equal(extract(fx, np.zeros(fx.dim)), np.zeros(fx.d))
+    assert np.array_equal(fx.extract(np.zeros(fx.dim)), np.zeros(fx.d))
 
 
 def test_extract_identity_prefix():
     meta = ModelMeta("regularized", "kd", 1, 1.0, "ts", 4, 2, 8)
     fx = FeatureExtractor(np.eye(4)[:, :2], meta)
-    z = extract(fx, np.array([1.0, 0.0, 0.0, 0.0]))
+    z = fx.extract(np.array([1.0, 0.0, 0.0, 0.0]))
     assert z.tolist() == [1.0, 0.0]
 
 
@@ -153,21 +149,21 @@ def test_extract_matches_dot_product_oracle():
     rng = np.random.default_rng(0)
     x = rng.normal(size=fx.dim)
     naive = np.array([float(fx.projection[:, k] @ x) for k in range(fx.d)])
-    assert np.max(np.abs(extract(fx, x) - naive)) <= 1e-12
+    assert np.max(np.abs(fx.extract(x) - naive)) <= 1e-12
 
 
 def test_extract_batch_matches_single():
     _, _, fx, _ = trained(seed=8)
     xs = np.random.default_rng(1).normal(size=(5, fx.dim))
-    batch = extract(fx, xs)
+    batch = fx.extract(xs)
     for i in range(5):
-        assert np.allclose(batch[i], extract(fx, xs[i]), atol=1e-12)
+        assert np.allclose(batch[i], fx.extract(xs[i]), atol=1e-12)
 
 
 def test_extract_dimension_mismatch():
     _, _, fx, _ = trained(seed=0)
     with pytest.raises(ValueError):
-        extract(fx, np.zeros(fx.dim + 1))
+        fx.extract(np.zeros(fx.dim + 1))
 
 
 # ------------------------------------------------------------------ model files

@@ -8,7 +8,9 @@ from wssda import (
     SynthSpec,
     TreeParams,
     between_subclass_scatter,
+    class_means,
     generate_synthetic,
+    group_means,
     mean_of_class_means,
     partition_dataset,
     total_subclass_scatter,
@@ -19,6 +21,89 @@ from wssda import (
 
 def balanced_ds(seed=0, c=4, h=2, g=5, dim=6):
     return generate_synthetic(SynthSpec(c, h, g, dim, seed=seed))
+
+
+def unbalanced_ds(seed, group_sizes, dim):
+    """Dataset with subclass labels: group_sizes[i][j] rows in subclass j of class i,
+    with rows shuffled so no group is contiguous."""
+    rng = np.random.default_rng(seed)
+    flat = [g for per_class in group_sizes for g in per_class]
+    group = np.repeat(np.arange(len(flat)), flat)
+    classes = np.repeat(np.arange(len(group_sizes)), [sum(g) for g in group_sizes])
+    subs = np.concatenate([np.repeat(np.arange(len(g)), g) for g in group_sizes])
+    samples = 5.0 * rng.normal(size=(len(flat), dim))[group] + rng.normal(size=(group.size, dim))
+    order = rng.permutation(group.size)
+    return LabeledDataset(samples[order], classes[order], subs[order])
+
+
+# ------------------------------------------------------------------ loop oracles
+# One group at a time, as the builders were first written; the shared one-GEMM
+# core must reproduce them.
+
+
+def loop_group_means(samples, ids, count):
+    return np.stack([samples[ids == k].mean(axis=0) for k in range(count)])
+
+
+def loop_within_class(ds):
+    acc = np.zeros((ds.dim, ds.dim))
+    for i in range(ds.class_count):
+        block = ds.samples[ds.class_labels == i]
+        centered = block - block.mean(axis=0)
+        acc += centered.T @ centered
+    return acc / ds.n, min(ds.dim, ds.n - ds.class_count)
+
+
+def subclasses_of(part, i):
+    return int(part.subclass_labels[part.class_labels == i].max()) + 1
+
+
+def loop_within_subclass(ds, part):
+    c = ds.class_count
+    acc = np.zeros((ds.dim, ds.dim))
+    rank_bound = 0
+    for i in range(c):
+        h_i = subclasses_of(part, i)
+        for j in range(h_i):
+            idx = part.group_indices(i, j)
+            centered = ds.samples[idx] - ds.samples[idx].mean(axis=0)
+            acc += (centered.T @ centered) / (c * h_i * idx.size)
+            rank_bound += idx.size - 1
+    return acc, min(ds.dim, rank_bound)
+
+
+def loop_subclass_means(ds, part):
+    means = []
+    for i in range(ds.class_count):
+        groups = [part.group_indices(i, j) for j in range(subclasses_of(part, i))]
+        means.append(np.stack([ds.samples[idx].mean(axis=0) for idx in groups]))
+    return means
+
+
+def loop_between_subclass(subclass_means, global_mean):
+    c = len(subclass_means)
+    acc = np.zeros((global_mean.size, global_mean.size))
+    for means in subclass_means:
+        dev = means - global_mean
+        acc += (dev.T @ dev) / (c * means.shape[0])
+    total = sum(m.shape[0] for m in subclass_means)
+    return acc, min(global_mean.size, total - 1)
+
+
+def loop_total_subclass(samples, class_labels, global_mean):
+    c = int(class_labels.max()) + 1
+    acc = np.zeros((samples.shape[1], samples.shape[1]))
+    for i in range(c):
+        dev = samples[class_labels == i] - global_mean
+        acc += (dev.T @ dev) / (c * dev.shape[0])
+    return acc, min(samples.shape[1], samples.shape[0])
+
+
+def assert_matches_oracle(got, oracle):
+    expect, rank_bound = oracle
+    scale = max(float(np.abs(expect).max()), 1.0)
+    np.testing.assert_allclose(got.matrix, expect, rtol=1e-12, atol=1e-12 * scale)
+    assert got.rank_bound == rank_bound
 
 
 # ------------------------------------------------------------------ within-class
@@ -159,7 +244,43 @@ def test_scatter_quadratic_scaling(seed, c):
 @settings(max_examples=30, deadline=None)
 def test_scatter_psd_and_symmetric(seed):
     ds = balanced_ds(seed=seed)
-    part = partition_dataset(ds, TreeParams(h=2, seed=seed), "rp")
-    m = within_subclass_scatter(ds, part).matrix
-    assert np.array_equal(m, m.T)
-    assert np.linalg.eigvalsh(m).min() >= -1e-10
+    # unequal H_i, a singleton subclass and unequal class sizes
+    odd = unbalanced_ds(seed, [[3, 1, 4], [2], [1, 5]], dim=6)
+    for data, part in (
+        (ds, partition_dataset(ds, TreeParams(h=2, seed=seed), "rp")),
+        (odd, partition_dataset(odd, TreeParams(h=1), "provided")),
+    ):
+        m = within_subclass_scatter(data, part).matrix
+        assert np.array_equal(m, m.T)
+        assert np.linalg.eigvalsh(m).min() >= -1e-10
+
+
+group_sizes = st.lists(
+    st.lists(st.integers(1, 5), min_size=1, max_size=4), min_size=1, max_size=5
+)
+
+
+@given(st.integers(0, 2**31), group_sizes, st.integers(1, 8))
+@settings(max_examples=60, deadline=None)
+def test_builders_match_loop_oracle(seed, sizes, dim):
+    ds = unbalanced_ds(seed, sizes, dim)
+    part = partition_dataset(ds, TreeParams(h=1), "provided")
+    count = sum(len(g) for g in sizes)
+    cmeans = class_means(ds.samples, ds.class_labels)
+    for got, ids, n_ids in (
+        (group_means(ds.samples, part.group_ids, count), part.group_ids, count),
+        (cmeans, ds.class_labels, ds.class_count),
+    ):
+        expect = loop_group_means(ds.samples, ids, n_ids)
+        np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-12)
+    center = cmeans.mean(axis=0)
+    sub_means = loop_subclass_means(ds, part)
+    assert_matches_oracle(within_class_scatter(ds), loop_within_class(ds))
+    assert_matches_oracle(within_subclass_scatter(ds, part), loop_within_subclass(ds, part))
+    assert_matches_oracle(
+        between_subclass_scatter(sub_means, center), loop_between_subclass(sub_means, center)
+    )
+    assert_matches_oracle(
+        total_subclass_scatter(ds.samples, ds.class_labels, center),
+        loop_total_subclass(ds.samples, ds.class_labels, center),
+    )
