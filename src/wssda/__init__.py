@@ -53,7 +53,6 @@ from .pipeline import (
     ModelMeta,
     TrainConfig,
     TrainingDetails,
-    WhitenedData,
     load_model,
     save_model,
     train,

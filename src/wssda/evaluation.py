@@ -7,7 +7,10 @@ extractor's columns are ordered by the second-stage eigenvalues.
 
 Verification: threshold sweep over all observed pair scores (higher score
 means more likely same), exact ROC staircase, equal error rate by linear
-interpolation between the two operating points where FAR crosses FRR.
+interpolation between the two operating points where FAR crosses FRR.  The
+staircase comes from one descending sort of the scores plus cumulative
+same/different counts, O(P log P) in the pair count; resampling onto a
+uniform FAR grid lives in kfold_pairwise.
 """
 
 from __future__ import annotations
@@ -103,12 +106,11 @@ def identification_sweep(
     errors = np.zeros((len(splits), len(d_values)))
     for s, split in enumerate(splits):
         if split.gallery.size == 0:
-            raise ProtocolError("split has an empty gallery")
+            raise ProtocolError(f"split {s} has an empty gallery")
+        if split.probe.size == 0:
+            raise ProtocolError(f"split {s} has no probes; its error rate is undefined")
         truth = ds.class_labels[split.probe]
         for k, d in enumerate(d_values):
-            if split.probe.size == 0:
-                errors[s, k] = 0.0
-                continue
             pred = nn_classify(
                 feats[split.gallery, :d], ds.class_labels[split.gallery], feats[split.probe, :d]
             )
@@ -129,23 +131,32 @@ class RocReport:
     points: list[tuple[float, float]]  # (far, tar), far non-decreasing
     eer: float
     threshold_at_eer: float
-    thresholds: list[float] | None = None  # per point when exact, None when resampled
+    thresholds: list[float]  # one per point, descending from a sentinel above the top score
 
 
-def _roc_staircase(pairs: Sequence[Pair]):
-    same = np.array([s for s, flag in pairs if flag], dtype=np.float64)
-    diff = np.array([s for s, flag in pairs if not flag], dtype=np.float64)
-    if same.size == 0 or diff.size == 0:
+def _pair_arrays(pairs: Sequence[Pair]) -> tuple[np.ndarray, np.ndarray]:
+    """Scores and same-class flags of a pair list as a float and a bool array."""
+    scores = np.array([score for score, _ in pairs], dtype=np.float64)
+    return scores, np.array([flag for _, flag in pairs], dtype=bool)
+
+
+def _roc_staircase(scores: np.ndarray, same: np.ndarray):
+    n_same = np.count_nonzero(same)
+    n_diff = same.size - n_same
+    if n_same == 0 or n_diff == 0:
         raise ProtocolError("verification needs at least one same pair and one different pair")
-    scores = np.concatenate([same, diff])
     if not np.isfinite(scores).all():
         raise ValueError("pair scores must be finite")
-    # accept when score >= threshold; sentinel above the maximum pins (0, 0)
-    thresholds = np.unique(scores)[::-1]
-    thresholds = np.concatenate([[thresholds[0] + 1.0], thresholds])
-    fars = np.array([np.mean(diff >= t) for t in thresholds])
-    tars = np.array([np.mean(same >= t) for t in thresholds])
-    return thresholds, fars, tars
+    # accept when score >= threshold: in descending order, the last row of each
+    # run of equal scores closes its threshold's step; a sentinel above the
+    # maximum pins (0, 0), and integer count / total is the mean of booleans
+    order = np.argsort(-scores, kind="stable")
+    ranked = scores[order]
+    last = np.append(ranked[1:] != ranked[:-1], True)
+    accepted = np.concatenate([[0], np.flatnonzero(last) + 1])
+    hits = np.concatenate([[0], np.cumsum(same[order])[last]])
+    thresholds = np.concatenate([[ranked[0] + 1.0], ranked[last]])
+    return thresholds, (accepted - hits) / n_diff, hits / n_same
 
 
 def _eer_from_staircase(thresholds, fars, tars):
@@ -166,20 +177,14 @@ def _grid_readout(fars, tars, grid):
     return tars[np.maximum(idx, 0)]
 
 
-def verification_roc(pairs: Sequence[Pair], resolution: int | None = None) -> RocReport:
-    """Exact ROC over the observed scores; optional resampling onto a uniform
-    FAR grid for plotting or cross-fold averaging.  The EER always comes from
-    the exact staircase."""
-    thresholds, fars, tars = _roc_staircase(pairs)
+def verification_roc(pairs: Sequence[Pair]) -> RocReport:
+    """Exact ROC over the observed scores, one point per distinct score plus
+    the (0, 0) sentinel, from one sort in O(P log P).  Resampling onto a
+    uniform FAR grid is kfold_pairwise's job (folds=1 for a single ROC)."""
+    thresholds, fars, tars = _roc_staircase(*_pair_arrays(pairs))
     eer, thr = _eer_from_staircase(thresholds, fars, tars)
-    if resolution is None:
-        points = list(zip(fars.tolist(), tars.tolist()))
-        return RocReport(points=points, eer=eer, threshold_at_eer=thr, thresholds=thresholds.tolist())
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
-    grid = np.linspace(0.0, 1.0, resolution)
-    tg = _grid_readout(fars, tars, grid)
-    return RocReport(points=list(zip(grid.tolist(), tg.tolist())), eer=eer, threshold_at_eer=thr)
+    points = list(zip(fars.tolist(), tars.tolist()))
+    return RocReport(points=points, eer=eer, threshold_at_eer=thr, thresholds=thresholds.tolist())
 
 
 @dataclass
@@ -203,13 +208,13 @@ def kfold_pairwise(
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     grid = np.linspace(0.0, 1.0, resolution)
-    chunk_bounds = np.array_split(np.arange(len(pairs)), folds)
+    scores, same = _pair_arrays(pairs)
+    chunks = zip(np.array_split(scores, folds), np.array_split(same, folds))
     eers = []
     tar_rows = []
-    for f, idx in enumerate(chunk_bounds):
-        chunk = [pairs[i] for i in idx]
+    for f, (fold_scores, fold_same) in enumerate(chunks):
         try:
-            thresholds, fars, tars = _roc_staircase(chunk)
+            thresholds, fars, tars = _roc_staircase(fold_scores, fold_same)
         except ProtocolError as exc:
             raise ProtocolError(f"fold {f}: {exc}") from exc
         eer, _ = _eer_from_staircase(thresholds, fars, tars)

@@ -128,20 +128,9 @@ class FeatureExtractor:
 
 
 @dataclass
-class WhitenedData:
-    """Training data after spectrum-weighted projection, with its group means."""
-
-    samples: np.ndarray
-    subclass_means: list[np.ndarray]
-    class_means: np.ndarray
-    global_mean: np.ndarray
-
-
-@dataclass
 class TrainingDetails:
     spectrum: Eigenspectrum
     model: SpectrumModel
-    whitened: WhitenedData
     second_stage_eigenvalues: np.ndarray
 
 
@@ -181,14 +170,12 @@ def train_detailed(
     whitener = es.eigenvectors * model.weights
     whitened = ds.samples @ whitener
 
-    cmeans = class_means(whitened, ds.class_labels)
-    global_mean = cmeans.mean(axis=0)
-    ends = np.cumsum(part.subclasses_per_class)
-    sub_means = np.split(group_means(whitened, part.group_ids, int(ends[-1])), ends[:-1])
-
+    global_mean = class_means(whitened, ds.class_labels).mean(axis=0)
     if config.second_stage == "ts":
         second = total_subclass_scatter(whitened, ds.class_labels, global_mean)
     else:
+        ends = np.cumsum(part.subclasses_per_class)
+        sub_means = np.split(group_means(whitened, part.group_ids, int(ends[-1])), ends[:-1])
         second = between_subclass_scatter(sub_means, global_mean)
     es2 = eig_symmetric_full(second)
     # full product first, then slice: training at a smaller d must reproduce
@@ -206,12 +193,7 @@ def train_detailed(
         sample_count=ds.n,
     )
     fx = FeatureExtractor(projection, meta)
-    details = TrainingDetails(
-        spectrum=es,
-        model=model,
-        whitened=WhitenedData(whitened, sub_means, cmeans, global_mean),
-        second_stage_eigenvalues=es2.eigenvalues,
-    )
+    details = TrainingDetails(spectrum=es, model=model, second_stage_eigenvalues=es2.eigenvalues)
     return fx, details
 
 

@@ -16,7 +16,7 @@ import pytest
 
 import wssda
 from wssda.cli import ENV_OUT_DIR, _subseed, load_config, main
-from wssda.dataset import load_csv, make_gallery_probe_splits
+from wssda.dataset import FLOAT_FMT, load_csv, make_gallery_probe_splits, save_csv, subset
 from wssda.evaluation import identification_sweep
 from wssda.pipeline import load_model
 
@@ -349,6 +349,26 @@ def test_eval_id_sweep_beyond_model_rejected(tmp_path, capsys):
     assert "d=8 exceeds" in err
 
 
+def test_eval_id_without_probes_rejected(tmp_path, capsys):
+    csv_path = make_dataset_csv(tmp_path, capsys)
+    out_dir, _ = train_small(tmp_path, capsys, csv_path, d=4)
+    ds = load_csv(csv_path, with_subclasses=True)
+    firsts = [int(np.flatnonzero(ds.class_labels == i)[0]) for i in range(ds.class_count)]
+    one_per_class = str(tmp_path / "one_per_class.csv")
+    save_csv(subset(ds, firsts), one_per_class)
+    code, out, err = run_cli(
+        [
+            "eval-id", "--csv", one_per_class, "--with-subclasses",
+            "--model", os.path.join(out_dir, "model.wssda"), "--out-dir", out_dir,
+        ],
+        capsys,
+    )
+    assert code == 1
+    assert "split 0 has no probes" in err
+    assert "error=" not in out
+    assert not os.path.exists(os.path.join(out_dir, "identification.csv"))
+
+
 def test_eval_dimension_mismatch_rejected(tmp_path, capsys):
     csv_path = make_dataset_csv(tmp_path, capsys)
     out_dir, _ = train_small(tmp_path, capsys, csv_path, d=4)
@@ -429,6 +449,45 @@ def test_eval_verify_kfold_rows(tmp_path, capsys):
     with open(os.path.join(out_dir, "eer.csv")) as fh:
         lines = fh.read().splitlines()
     assert [l.split(",")[0] for l in lines[1:]] == ["0", "1", "mean", "std"]
+
+
+@pytest.mark.parametrize("folds", [1, 2])
+def test_eval_verify_rerun_identical_and_matches_library(tmp_path, capsys, folds):
+    csv_path = make_dataset_csv(tmp_path, capsys)
+    out_dir, _ = train_small(tmp_path, capsys, csv_path, d=6)
+    model_path = os.path.join(out_dir, "model.wssda")
+    ds = load_csv(csv_path, with_subclasses=True)
+    # every pair of rows: overlapping classes give a staircase with many steps
+    index_pairs = [(a, b) for a in range(ds.n) for b in range(a + 1, ds.n)]
+    pairs_path = tmp_path / "pairs.csv"
+    same = ds.class_labels[:, None] == ds.class_labels[None, :]
+    pairs_path.write_text(
+        "".join(f"{a},{b},{'same' if same[a, b] else 'diff'}\n" for a, b in index_pairs)
+    )
+
+    outputs = []
+    for rerun in ("a", "b"):
+        rerun_dir = str(tmp_path / rerun)
+        code, _, err = run_cli(
+            [
+                "eval-verify", "--csv", csv_path, "--with-subclasses", "--model", model_path,
+                "--pairs", pairs_path, "--folds", folds, "--out-dir", rerun_dir,
+            ],
+            capsys,
+        )
+        assert code == 0, err
+        outputs.append([(tmp_path / rerun / name).read_bytes() for name in ("roc.csv", "eer.csv")])
+    assert outputs[0] == outputs[1]
+
+    if folds == 1:
+        feats = load_model(model_path).extract(ds.samples)
+        scored = [(wssda.pair_similarity(feats[a], feats[b]), same[a, b]) for a, b in index_pairs]
+        rep = wssda.verification_roc(scored)
+        expect = "far,tar\n" + "".join(
+            f"{FLOAT_FMT % far},{FLOAT_FMT % tar}\n" for far, tar in rep.points
+        )
+        assert outputs[0][0].decode() == expect
+        assert len(rep.points) > 10
 
 
 def test_pairs_file_errors_name_the_line(tmp_path, capsys):

@@ -7,6 +7,7 @@ from wssda import (
     ConfigError,
     LabeledDataset,
     ProtocolError,
+    SplitSpec,
     SynthSpec,
     TrainConfig,
     TreeParams,
@@ -23,7 +24,8 @@ from wssda import (
 
 
 def brute_force_roc(pairs):
-    """Independent O(n^2) threshold counter for cross-checking the ROC."""
+    """Independent O(n^2) threshold counter for cross-checking the ROC:
+    (thresholds, points)."""
     same = [s for s, f in pairs if f]
     diff = [s for s, f in pairs if not f]
     scores = sorted({s for s, _ in pairs}, reverse=True)
@@ -33,7 +35,7 @@ def brute_force_roc(pairs):
         far = sum(1 for s in diff if s >= t) / len(diff)
         tar = sum(1 for s in same if s >= t) / len(same)
         pts.append((far, tar))
-    return pts
+    return thresholds, pts
 
 
 # ------------------------------------------------------------------ cosine similarity
@@ -151,6 +153,15 @@ def test_identification_curve_averages_splits():
         assert mean_err == pytest.approx(rep.per_split[:, k].mean())
 
 
+def test_identification_rejects_split_without_probes():
+    ds = generate_synthetic(SynthSpec(4, 2, 4, 8, seed=0))
+    splits = make_gallery_probe_splits(ds, 2)
+    everyone = np.arange(ds.n)
+    splits[1] = SplitSpec(gallery=everyone, probe=everyone[:0])
+    with pytest.raises(ProtocolError, match="split 1 has no probes"):
+        identification_sweep(train_factory(ds), ds, splits, [2])
+
+
 def test_identification_rejects_short_extractor():
     ds = generate_synthetic(SynthSpec(4, 2, 4, 8, seed=0))
     splits = make_gallery_probe_splits(ds, 1)
@@ -174,9 +185,20 @@ def test_roc_hand_case_eer_zero():
 
 def test_roc_matches_brute_force():
     rng = np.random.default_rng(13)
-    pairs = [(float(rng.normal(1.0 if f else 0.0, 0.7)), bool(f)) for f in rng.integers(0, 2, 100)]
-    rep = verification_roc(pairs)
-    assert rep.points == brute_force_roc(pairs)
+    flags = [bool(f) for f in rng.integers(0, 2, 100)]
+    scores = [float(rng.normal(1.0 if f else 0.0, 0.7)) for f in flags]
+    cases = {
+        "distinct": list(zip(scores, flags)),
+        "tied": [(float(np.round(s, 1)), f) for s, f in zip(scores, flags)],
+        "all equal": [(0.25, f) for f in flags],
+        "one same pair": [(s, i == 17) for i, s in enumerate(scores)],
+        "one different pair": [(s, i != 17) for i, s in enumerate(scores)],
+    }
+    for name, pairs in cases.items():
+        rep = verification_roc(pairs)
+        thresholds, pts = brute_force_roc(pairs)
+        assert rep.points == pts, name
+        assert rep.thresholds == thresholds, name
 
 
 def test_roc_identical_distributions_eer_half():
@@ -195,7 +217,7 @@ def test_roc_needs_both_kinds():
 
 def test_roc_resampled_grid():
     pairs = [(0.9, True), (0.8, True), (0.7, False), (0.1, False)]
-    rep = verification_roc(pairs, resolution=11)
+    rep = kfold_pairwise(pairs, folds=1, resolution=11)
     fars = [p[0] for p in rep.points]
     assert fars == pytest.approx(np.linspace(0, 1, 11).tolist())
     assert rep.points[0][1] == 1.0  # all same-pairs accepted before any diff
@@ -242,6 +264,10 @@ def test_kfold_single_fold_reduces_to_roc():
     rep = verification_roc(pairs)
     assert krep.fold_eers == [rep.eer]
     assert krep.eer_mean == pytest.approx(rep.eer)
+    # with several folds, each fold is the ROC of its contiguous slice
+    krep = kfold_pairwise(pairs, folds=3)
+    slices = np.array_split(np.arange(len(pairs)), 3)
+    assert krep.fold_eers == [verification_roc(pairs[s[0] : s[-1] + 1]).eer for s in slices]
 
 
 def test_kfold_mean_within_fold_range():
