@@ -376,7 +376,12 @@ def cmd_eval_verify(s: Settings, out: OutputSet) -> None:
     out_dir = _out_dir(s)
     pairs_path = s.require("pairs", str)
     folds = s.get("folds", int, 1)
-    resolution = s.get("resolution", int, 101)
+    resolution = s.get("resolution", int)
+    if resolution is not None and folds == 1:
+        raise ConfigError(
+            "--resolution sets the FAR grid of fold averaging and needs --folds above 1; "
+            "one fold writes the exact ROC"
+        )
     fx, ds = _load_eval_common(s, seed)
     s.check_unknown()
 
@@ -389,7 +394,8 @@ def cmd_eval_verify(s: Settings, out: OutputSet) -> None:
         points = rep.points
         fold_eers = [rep.eer]
     else:
-        krep = kfold_pairwise(scored, folds=folds, resolution=resolution)
+        grid = 101 if resolution is None else resolution
+        krep = kfold_pairwise(scored, folds=folds, resolution=grid)
         points = krep.points
         fold_eers = krep.fold_eers
 

@@ -5,9 +5,10 @@ labels remapped to a dense range [0, C).  Subclass labels are optional: they
 are carried by synthetic data (ground truth) and by CSV files written with a
 subclass column, and are consumed by the "provided" partition strategy.
 
-The full-eigenbasis training path decomposes a dim x dim matrix, so keep
-the vector dimension to a few thousand; downsample larger images at
-ingestion time.
+With at least as many samples as dimensions, training decomposes dim x dim
+matrices, so there keep the vector dimension to a few thousand; with fewer
+samples than dimensions it works on n x n Gram matrices instead, and
+full-resolution images are practical.
 """
 
 from __future__ import annotations

@@ -43,11 +43,37 @@ def pair_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return 1.0 - float(np.clip(1.0 - float(a @ b) / (na * nb), 0.0, 2.0))
 
 
-def _normalize_rows(x: np.ndarray, what: str) -> np.ndarray:
-    norms = np.linalg.norm(x, axis=1)
+def _scratch(gallery_rows: int, probe_rows: int, dim: int) -> tuple[np.ndarray, ...]:
+    """Flat buffers for _nearest: normalised gallery, normalised probes, distances."""
+    return (
+        np.empty(gallery_rows * dim),
+        np.empty(probe_rows * dim),
+        np.empty(probe_rows * gallery_rows),
+    )
+
+
+def _unit_rows(x: np.ndarray, buf: np.ndarray, what: str) -> np.ndarray:
+    """x divided by its row norms, written to the front of buf as a contiguous matrix."""
+    out = buf[: x.size].reshape(x.shape)
+    np.multiply(x, x, out=out)
+    norms = np.sqrt(np.add.reduce(out, axis=1))
     if (norms == 0.0).any():
         raise ValueError(f"{what} contains a zero vector; cosine matching is undefined")
-    return x / norms[:, None]
+    return np.divide(x, norms[:, None], out=out)
+
+
+def _nearest(
+    gallery: np.ndarray, probes: np.ndarray, scratch: tuple[np.ndarray, ...]
+) -> np.ndarray:
+    """Index of the gallery row nearest in cosine distance to each probe row,
+    computed in the buffers of _scratch; ties go to the lowest gallery index."""
+    gn = _unit_rows(gallery, scratch[0], "gallery")
+    pn = _unit_rows(probes, scratch[1], "probe set")
+    dist = scratch[2][: pn.shape[0] * gn.shape[0]].reshape(pn.shape[0], gn.shape[0])
+    np.matmul(pn, gn.T, out=dist)
+    np.subtract(1.0, dist, out=dist)
+    # argmin takes the first hit, so exact ties go to the lowest gallery index
+    return np.argmin(dist, axis=1)
 
 
 def nn_classify(
@@ -64,10 +90,8 @@ def nn_classify(
         raise ValueError("one label per gallery row required")
     if gallery.shape[0] == 0:
         raise ValueError("empty gallery")
-    gn = _normalize_rows(gallery, "gallery")
-    pn = _normalize_rows(probes, "probe set")
-    # argmin takes the first hit, so exact ties go to the lowest gallery index
-    return gallery_labels[np.argmin(1.0 - pn @ gn.T, axis=1)]
+    scratch = _scratch(gallery.shape[0], probes.shape[0], gallery.shape[1])
+    return gallery_labels[_nearest(gallery, probes, scratch)]
 
 
 @dataclass
@@ -110,10 +134,13 @@ def identification_sweep(
         if split.probe.size == 0:
             raise ProtocolError(f"split {s} has no probes; its error rate is undefined")
         truth = ds.class_labels[split.probe]
+        gallery_labels = ds.class_labels[split.gallery]
+        gallery, probes = feats[split.gallery], feats[split.probe]
+        # one set of buffers per split, reused at every d: fresh multi-MiB
+        # temporaries per d cost more in page faults than the arithmetic
+        scratch = _scratch(gallery.shape[0], probes.shape[0], d_max)
         for k, d in enumerate(d_values):
-            pred = nn_classify(
-                feats[split.gallery, :d], ds.class_labels[split.gallery], feats[split.probe, :d]
-            )
+            pred = gallery_labels[_nearest(gallery[:, :d], probes[:, :d], scratch)]
             errors[s, k] = float(np.mean(pred != truth))
     curve = [(d, float(errors[:, k].mean())) for k, d in enumerate(d_values)]
     config = {

@@ -8,9 +8,29 @@ whitening matrix and those eigenvectors is the final projection: a feature
 vector is just its transpose applied to a raw sample vector, with no
 centering.
 
-Second-stage eigenvectors come out in descending eigenvalue order, so the
-leading d' columns of a d-column extractor equal the extractor trained
-directly at d'.
+The shape alone picks one of two regimes:
+
+* n >= dim (dense): both scatters are formed as dim x dim matrices and
+  eigendecomposed in full.  Second-stage eigenvectors are signed by
+  eig_symmetric_full, so each final column is signed in the basis LAPACK
+  picked, and columns past the second-stage rank come from that scatter's
+  null space.
+* n < dim (dual): the null space of the within-subclass scatter only ever
+  gets one constant weight w_null, so the whitener is basis-free,
+  W = U diag(w_r) U^T + w_null (I - U U^T), with U the range basis derived
+  from the n x n Gram matrix of the weighted within-subclass rows (the
+  eigenfaces construction).  W is only ever applied to blocks of rows, and
+  the second stage is again an n x n Gram matrix (of the whitened rows), so
+  no dim x dim array is formed and training costs O(n^2 dim).  Two rules
+  make the result independent of any eigenbasis choice: the largest-
+  magnitude entry of each projection column is positive (the first such
+  entry on ties), and columns past the second-stage rank are zero.  The
+  spectrum keeps dim eigenvalues, zero beyond the n of the Gram matrix.
+
+Second-stage eigenvectors come out in descending eigenvalue order, and in
+both regimes the projection is computed at every column before it is cut to
+d, so the leading d' columns of a d-column extractor equal the extractor
+trained directly at d', bit for bit.
 """
 
 from __future__ import annotations
@@ -24,10 +44,13 @@ from .dataset import LabeledDataset
 from .errors import ConfigError, ModelFormatError, TrainingError
 from .partition import STRATEGIES, SubclassPartition
 from .scatter import (
+    between_subclass_rows,
     between_subclass_scatter,
     class_means,
     group_means,
+    total_subclass_rows,
     total_subclass_scatter,
+    within_subclass_rows,
     within_subclass_scatter,
 )
 from .spectrum import (
@@ -39,6 +62,7 @@ from .spectrum import (
     find_pivot,
     fit_model,
     flat_model,
+    orient_columns,
     regularize,
     short_tail_model,
     truncated_weights,
@@ -129,6 +153,9 @@ class FeatureExtractor:
 
 @dataclass
 class TrainingDetails:
+    """Intermediate products of training; every eigenvalue array has dim
+    entries, zero past n in the dual regime."""
+
     spectrum: Eigenspectrum
     model: SpectrumModel
     second_stage_eigenvalues: np.ndarray
@@ -158,13 +185,9 @@ def _spectrum_model(es: Eigenspectrum, config: TrainConfig) -> SpectrumModel:
     return regularize(es, pivot.m, alpha, beta)
 
 
-def train_detailed(
-    ds: LabeledDataset, part: SubclassPartition, config: TrainConfig
-) -> tuple[FeatureExtractor, TrainingDetails]:
-    """Run the full pipeline and keep the intermediate products for inspection."""
-    config.validate(ds.dim)
-    sws = within_subclass_scatter(ds, part)
-    es = eig_symmetric_full(sws)
+def _dense(ds: LabeledDataset, part: SubclassPartition, config: TrainConfig):
+    """Both stages as dim x dim eigendecompositions (n >= dim)."""
+    es = eig_symmetric_full(within_subclass_scatter(ds, part))
     model = _spectrum_model(es, config)
 
     whitener = es.eigenvectors * model.weights
@@ -174,13 +197,67 @@ def train_detailed(
     if config.second_stage == "ts":
         second = total_subclass_scatter(whitened, ds.class_labels, global_mean)
     else:
-        ends = np.cumsum(part.subclasses_per_class)
-        sub_means = np.split(group_means(whitened, part.group_ids, int(ends[-1])), ends[:-1])
-        second = between_subclass_scatter(sub_means, global_mean)
+        second = between_subclass_scatter(_subclass_means(whitened, part), global_mean)
     es2 = eig_symmetric_full(second)
     # full product first, then slice: training at a smaller d must reproduce
     # the leading columns bit for bit, and BLAS rounds differently per shape
     projection = (whitener @ es2.eigenvectors)[:, : config.d]
+    return es, model, projection, es2.eigenvalues
+
+
+def _gram_eig(rows: np.ndarray) -> tuple[Eigenspectrum, np.ndarray]:
+    """Eigensystem of B B^T for weighted rows B, and the orthonormal range
+    basis B^T Q_r Lambda_r^{-1/2} of B^T B, one column per non-zero eigenvalue."""
+    product = rows @ rows.T
+    gram = eig_symmetric_full((product + product.T) / 2.0)
+    r = gram.rank
+    return gram, rows.T @ (gram.eigenvectors[:, :r] / np.sqrt(gram.eigenvalues[:r]))
+
+
+def _padded(values: np.ndarray, dim: int) -> np.ndarray:
+    return np.concatenate([values, np.zeros(dim - values.size)])
+
+
+def _dual(ds: LabeledDataset, part: SubclassPartition, config: TrainConfig):
+    """Both stages through n x n Gram matrices (n < dim); no dim x dim array."""
+    gram, basis = _gram_eig(within_subclass_rows(ds, part))
+    es = Eigenspectrum(_padded(gram.eigenvalues, ds.dim), basis, gram.rank)
+    model = _spectrum_model(es, config)
+    # W = U diag(w_r) U^T + w_null (I - U U^T) for the range basis U, applied to rows
+    w_null = model.weights[es.rank]
+    lift = model.weights[: es.rank] - w_null
+
+    def whiten(rows: np.ndarray) -> np.ndarray:
+        return ((rows @ basis) * lift) @ basis.T + w_null * rows
+
+    whitened = whiten(ds.samples)
+    global_mean = class_means(whitened, ds.class_labels).mean(axis=0)
+    if config.second_stage == "ts":
+        rows = total_subclass_rows(whitened, ds.class_labels, global_mean)
+    else:
+        rows = between_subclass_rows(_subclass_means(whitened, part), global_mean)
+    gram2, basis2 = _gram_eig(rows)
+    # computed at every column of the second-stage rank whatever d is, so the
+    # leading columns do not depend on d; columns past that rank stay zero
+    columns = orient_columns(whiten(basis2.T).T)
+    projection = np.zeros((ds.dim, config.d))
+    keep = min(config.d, columns.shape[1])
+    projection[:, :keep] = columns[:, :keep]
+    return es, model, projection, _padded(gram2.eigenvalues, ds.dim)
+
+
+def _subclass_means(samples: np.ndarray, part: SubclassPartition) -> list[np.ndarray]:
+    ends = np.cumsum(part.subclasses_per_class)
+    return np.split(group_means(samples, part.group_ids, int(ends[-1])), ends[:-1])
+
+
+def train_detailed(
+    ds: LabeledDataset, part: SubclassPartition, config: TrainConfig
+) -> tuple[FeatureExtractor, TrainingDetails]:
+    """Run the full pipeline and keep the intermediate products for inspection."""
+    config.validate(ds.dim)
+    stages = _dual if ds.n < ds.dim else _dense
+    es, model, projection, second_values = stages(ds, part, config)
 
     meta = ModelMeta(
         mode=config.mode,
@@ -193,7 +270,7 @@ def train_detailed(
         sample_count=ds.n,
     )
     fx = FeatureExtractor(projection, meta)
-    details = TrainingDetails(spectrum=es, model=model, second_stage_eigenvalues=es2.eigenvalues)
+    details = TrainingDetails(spectrum=es, model=model, second_stage_eigenvalues=second_values)
     return fx, details
 
 

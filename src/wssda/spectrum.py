@@ -32,7 +32,9 @@ class Eigenspectrum:
     """Full descending eigensystem of a symmetric PSD matrix.
 
     eigenvalues: (l,) descending, negatives clamped to zero.
-    eigenvectors: (l, l) orthonormal columns, one per eigenvalue.
+    eigenvectors: (l, l) orthonormal columns, one per eigenvalue; in the
+        dual regime of training (fewer samples than dimensions) only the
+        (l, rank) range basis, since the null space needs no basis there.
     rank: number of eigenvalues above eigenvalues[0] * RANK_RTOL.
     """
 
@@ -93,12 +95,19 @@ def eig_symmetric_full(scatter: ScatterMatrix | np.ndarray) -> Eigenspectrum:
     vectors = vectors[:, ::-1].copy()
     np.clip(values, 0.0, None, out=values)
 
-    peaks = np.argmax(np.abs(vectors), axis=0)
-    flip = vectors[peaks, np.arange(vectors.shape[1])] < 0
-    vectors[:, flip] *= -1.0
+    orient_columns(vectors)
 
     rank = int(np.count_nonzero(values > values[0] * RANK_RTOL)) if values[0] > 0 else 0
     return Eigenspectrum(values, vectors, rank)
+
+
+def orient_columns(vectors: np.ndarray) -> np.ndarray:
+    """Flip columns in place so that each one's largest-magnitude entry is
+    positive (the first such entry on ties); returns vectors."""
+    peaks = np.argmax(np.abs(vectors), axis=0)
+    flip = vectors[peaks, np.arange(vectors.shape[1])] < 0
+    vectors[:, flip] *= -1.0
+    return vectors
 
 
 def find_pivot(es: Eigenspectrum, med_factor: float = 1.0) -> PivotResult:

@@ -451,6 +451,41 @@ def test_eval_verify_kfold_rows(tmp_path, capsys):
     assert [l.split(",")[0] for l in lines[1:]] == ["0", "1", "mean", "std"]
 
 
+def test_eval_verify_resolution_needs_folds(tmp_path, capsys):
+    csv_path = make_dataset_csv(tmp_path, capsys)
+    out_dir, _ = train_small(tmp_path, capsys, csv_path, d=4)
+    ds = load_csv(csv_path, with_subclasses=True)
+    pairs_path = write_pairs(tmp_path / "pairs.csv", ds)
+    base = [
+        "eval-verify", "--csv", csv_path, "--with-subclasses",
+        "--model", os.path.join(out_dir, "model.wssda"),
+        "--pairs", pairs_path, "--out-dir", out_dir,
+    ]
+    # one fold writes the exact staircase, so a FAR grid size cannot apply
+    code, _, err = run_cli(base + ["--resolution", 5], capsys)
+    assert code == 1
+    assert "--resolution" in err
+    assert not os.path.exists(os.path.join(out_dir, "roc.csv"))
+    code, _, err = run_cli(base + ["--resolution", 5, "--folds", 2], capsys)
+    assert code == 0, err
+    with open(os.path.join(out_dir, "roc.csv")) as fh:
+        assert len(fh.read().splitlines()) == 1 + 5
+
+
+def test_train_dual_regime_rerun_is_byte_identical(tmp_path, capsys):
+    # 12 rows at dim 40: the Gram-matrix path, whose spectrum keeps dim rows
+    csv_path = make_dataset_csv(tmp_path, capsys, classes=3, dim=40, samples_per_subclass=2)
+    dir_a, _ = train_small(tmp_path / "a", capsys, csv_path, d=40)
+    dir_b, _ = train_small(tmp_path / "b", capsys, csv_path, d=40)
+    for name in ("model.wssda", "spectrum.csv"):
+        with open(os.path.join(dir_a, name), "rb") as fa:
+            with open(os.path.join(dir_b, name), "rb") as fb:
+                assert fa.read() == fb.read(), name
+    with open(os.path.join(dir_a, "spectrum.csv")) as fh:
+        assert len(fh.read().splitlines()) == 1 + 40
+    assert load_model(os.path.join(dir_a, "model.wssda")).projection.shape == (40, 40)
+
+
 @pytest.mark.parametrize("folds", [1, 2])
 def test_eval_verify_rerun_identical_and_matches_library(tmp_path, capsys, folds):
     csv_path = make_dataset_csv(tmp_path, capsys)

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from wssda import (
     ConfigError,
+    FeatureExtractor,
     LabeledDataset,
+    ModelMeta,
     ProtocolError,
     SplitSpec,
     SynthSpec,
@@ -151,6 +153,30 @@ def test_identification_curve_averages_splits():
     assert rep.per_split.shape == (3, 2)
     for k, (_, mean_err) in enumerate(rep.curve):
         assert mean_err == pytest.approx(rep.per_split[:, k].mean())
+
+
+def test_identification_sweep_equals_per_d_nn_classify():
+    # the sweep reuses one set of buffers per split; each d must still give
+    # exactly what a fresh nn_classify on the sliced features gives, ties included
+    rng = np.random.default_rng(5)
+    labels = np.repeat(np.arange(6), 15)
+    for samples in (rng.normal(size=(90, 12)), rng.integers(1, 3, size=(90, 12)).astype(float)):
+        ds = LabeledDataset(samples, labels)
+        fx = FeatureExtractor(np.eye(12), ModelMeta("regularized", "kd", 2, 1.0, "ts", 12, 6, 90))
+        splits = make_gallery_probe_splits(ds, 3)
+        d_values = [5, 1, 12, 2, 5, 7]
+        rep = identification_sweep(lambda d: fx, ds, splits, d_values)
+        expect = np.array([
+            [
+                np.mean(
+                    nn_classify(samples[sp.gallery, :d], labels[sp.gallery], samples[sp.probe, :d])
+                    != labels[sp.probe]
+                )
+                for d in sorted(set(d_values))
+            ]
+            for sp in splits
+        ])
+        assert np.array_equal(rep.per_split, expect)
 
 
 def test_identification_rejects_split_without_probes():
