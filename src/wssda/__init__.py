@@ -34,6 +34,7 @@ from .evaluation import (
     identification_sweep,
     kfold_pairwise,
     nn_classify,
+    pair_scores,
     pair_similarity,
     verification_roc,
 )

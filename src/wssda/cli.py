@@ -14,7 +14,9 @@ partition step never shifts the synthetic data stream.
 from __future__ import annotations
 
 import argparse
+import io
 import os
+import re
 import sys
 import zlib
 
@@ -28,10 +30,18 @@ from .dataset import (
     load_csv,
     load_pgm_dir,
     make_gallery_probe_splits,
+    plain_cell,
     save_csv,
 )
 from .errors import ConfigError, DataFormatError, WSSDAError
-from .evaluation import identification_sweep, kfold_pairwise, pair_similarity, verification_roc
+from .evaluation import (
+    identification_sweep,
+    kfold_pairwise,
+    pair_scores,
+    # locates a failed score; also, perfbench --trace 1 wraps wssda.cli.pair_similarity
+    pair_similarity,
+    verification_roc,
+)
 from .partition import STRATEGIES, TreeParams, partition_dataset
 from .pipeline import (
     SECOND_STAGES,
@@ -228,6 +238,19 @@ def _warn_deficient(part, h: int) -> None:
         )
 
 
+def _warn_rank(d: int, rank: int, projection: np.ndarray) -> None:
+    if d > rank:
+        if projection[:, rank:].any():
+            source = "come from the null space of the second-stage scatter"
+        else:
+            source = "are zero"
+        print(
+            f"warning: d={d} exceeds the second-stage rank {rank}; "
+            f"feature columns {rank + 1}..{d} {source}",
+            file=sys.stderr,
+        )
+
+
 # ---------------------------------------------------------------- commands
 
 
@@ -283,6 +306,7 @@ def cmd_train(s: Settings, out: OutputSet) -> None:
     part = partition_dataset(ds, params, strategy)
     _warn_deficient(part, params.h)
     fx, details = train_detailed(ds, part, config)
+    _warn_rank(config.d, details.second_stage_rank, fx.projection)
 
     model_path = os.path.join(out_dir, "model.wssda")
     out.write_file(model_path, lambda tmp: save_model(fx, tmp))
@@ -346,8 +370,42 @@ def cmd_eval_id(s: Settings, out: OutputSet) -> None:
     print(f"wrote {path}")
 
 
-def _load_pairs(path: str, n: int) -> list[tuple[int, int, bool]]:
-    pairs = []
+# the label of a pairs-file line, its last field, in the integer form the table parse reads
+_PAIR_LABELS = (
+    (re.compile(r",[^\S\n]*same[^\S\n]*$", re.MULTILINE), ",1"),
+    (re.compile(r",[^\S\n]*diff[^\S\n]*$", re.MULTILINE), ",0"),
+)
+_BLANK_LINES = re.compile(r"^[^\S\n]+$", re.MULTILINE)
+
+
+def _load_pairs(path: str, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(P, 2) int64 sample indices and (P,) same-class flags of a pairs file,
+    parsed as one integer table once the labels are rewritten as 1 and 0."""
+    with open(path, encoding="utf-8") as fh:
+        text = _BLANK_LINES.sub("", fh.read())
+    labelled = 0
+    for pattern, code in _PAIR_LABELS:
+        text, count = pattern.subn(code, text)
+        labelled += count
+    if labelled == 0:  # no pair to parse; loadtxt would only warn of empty input
+        raise _pairs_fault(path, n)
+    try:
+        table = np.loadtxt(
+            io.StringIO(text), dtype=np.int64, delimiter=",", comments=None, ndmin=2
+        )
+    except ValueError as exc:
+        raise _pairs_fault(path, n) from exc
+    # a line whose label was not rewritten leaves fewer labels than rows
+    index = table[:, :2]
+    if table.shape != (labelled, 3) or not ((index >= 0) & (index < n)).all():
+        raise _pairs_fault(path, n)
+    return index, table[:, 2] == 1
+
+
+def _pairs_fault(path: str, n: int, feats: np.ndarray | None = None) -> DataFormatError:
+    """The located error for a pairs file that _load_pairs rejected, or, given
+    the features, whose scoring failed: the first faulty line."""
+    found = False
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
@@ -355,20 +413,24 @@ def _load_pairs(path: str, n: int) -> list[tuple[int, int, bool]]:
                 continue
             cols = text.split(",")
             if len(cols) != 3:
-                raise DataFormatError(f"{path}:{lineno}: expected index_a,index_b,same|diff")
+                return DataFormatError(f"{path}:{lineno}: expected index_a,index_b,same|diff")
             try:
-                a, b = int(cols[0]), int(cols[1])
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: non-integer sample index") from exc
-            label = cols[2].strip()
-            if label not in ("same", "diff"):
-                raise DataFormatError(f"{path}:{lineno}: label must be same or diff")
+                a, b = int(plain_cell(cols[0])), int(plain_cell(cols[1]))
+            except ValueError:
+                return DataFormatError(f"{path}:{lineno}: non-integer sample index")
+            if cols[2].strip() not in ("same", "diff"):
+                return DataFormatError(f"{path}:{lineno}: label must be same or diff")
             if not (0 <= a < n and 0 <= b < n):
-                raise DataFormatError(f"{path}:{lineno}: sample index out of range 0..{n - 1}")
-            pairs.append((a, b, label == "same"))
-    if not pairs:
-        raise DataFormatError(f"{path}: no pairs found")
-    return pairs
+                return DataFormatError(f"{path}:{lineno}: sample index out of range 0..{n - 1}")
+            if feats is not None:
+                try:
+                    pair_similarity(feats[a], feats[b])
+                except ValueError as exc:
+                    return DataFormatError(f"{path}:{lineno}: {exc}")
+            found = True
+    if not found:
+        return DataFormatError(f"{path}: no pairs found")
+    return DataFormatError(f"{path}: unreadable pairs file")
 
 
 def cmd_eval_verify(s: Settings, out: OutputSet) -> None:
@@ -385,9 +447,13 @@ def cmd_eval_verify(s: Settings, out: OutputSet) -> None:
     fx, ds = _load_eval_common(s, seed)
     s.check_unknown()
 
-    index_pairs = _load_pairs(pairs_path, ds.n)
+    index, same = _load_pairs(pairs_path, ds.n)
     feats = ds.samples @ fx.projection
-    scored = [(pair_similarity(feats[a], feats[b]), same) for a, b, same in index_pairs]
+    try:
+        scores = pair_scores(feats, index[:, 0], index[:, 1])
+    except ValueError as exc:
+        raise _pairs_fault(pairs_path, ds.n, feats) from exc
+    scored = list(zip(scores.tolist(), same.tolist()))
 
     if folds == 1:
         rep = verification_roc(scored)

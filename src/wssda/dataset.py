@@ -5,6 +5,10 @@ labels remapped to a dense range [0, C).  Subclass labels are optional: they
 are carried by synthetic data (ground truth) and by CSV files written with a
 subclass column, and are consumed by the "provided" partition strategy.
 
+A CSV file is parsed as one float64 table by np.loadtxt; only a file that the
+parse or the label and finiteness checks reject is read again, row by row,
+to name the first faulty row and column in a DataFormatError.
+
 With at least as many samples as dimensions, training decomposes dim x dim
 matrices, so there keep the vector dimension to a few thousand; with fewer
 samples than dimensions it works on n x n Gram matrices instead, and
@@ -14,7 +18,9 @@ full-resolution images are practical.
 from __future__ import annotations
 
 import csv
+import math
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,14 +153,40 @@ def load_csv(path: str | os.PathLike, with_subclasses: bool = False) -> LabeledD
 
     Labels are remapped to a dense [0, C) range in sorted order; row order is
     preserved.  The file format carries no schema marker, so the caller states
-    whether a subclass column is present.
+    whether a subclass column is present.  The whole file is parsed once as a
+    float64 table; a file the parse or the checks reject is scanned row by row
+    only to name the faulty row and column.
     """
     lead = 2 if with_subclasses else 1
-    raw_class: list[int] = []
-    raw_sub: list[int] = []
-    rows: list[list[float]] = []
-    linenos: list[int] = []
+    try:
+        with open(path, newline="") as fh, warnings.catch_warnings():
+            # an empty file gets its own error below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
+    except ValueError as exc:
+        raise _csv_fault(path, lead) from exc
+    labels = table[:, :lead]
+    # labels must be int64 values; a non-finite one fails the equality
+    integral = (labels == np.trunc(labels)).all() and (np.abs(labels) < 2.0**63).all()
+    if table.shape[0] == 0 or table.shape[1] <= lead or not integral:
+        raise _csv_fault(path, lead)
+    samples = np.ascontiguousarray(table[:, lead:])
+    if _non_finite_cell(samples) is not None:
+        raise _csv_fault(path, lead)
+
+    _, dense = np.unique(labels[:, 0].astype(np.int64), return_inverse=True)
+    sub = None
+    if with_subclasses:
+        sub = _dense_subclasses(dense, labels[:, 1].astype(np.int64))
+    return LabeledDataset(samples, dense, sub)
+
+
+def _csv_fault(path: str | os.PathLike, lead: int) -> DataFormatError:
+    """The located error for a CSV that load_csv rejected: the first malformed
+    row in file order, else the first non-finite value.  Rows are counted from
+    0 and include blank lines."""
     width: int | None = None
+    non_finite: tuple[int, int] | None = None
     with open(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh)):
             if not row:
@@ -162,48 +194,47 @@ def load_csv(path: str | os.PathLike, with_subclasses: bool = False) -> LabeledD
             if width is None:
                 width = len(row)
                 if width < lead + 1:
-                    raise DataFormatError(f"{path}: row {lineno} has too few columns")
+                    return DataFormatError(f"{path}: row {lineno} has too few columns")
             elif len(row) != width:
-                raise DataFormatError(
+                return DataFormatError(
                     f"{path}: ragged row {lineno} ({len(row)} columns, expected {width})"
                 )
             try:
-                raw_class.append(_int_label(row[0]))
-                if with_subclasses:
-                    raw_sub.append(_int_label(row[1]))
-            except ValueError as exc:
-                raise DataFormatError(f"{path}: non-integer label at row {lineno}") from exc
-            vals = []
+                for cell in row[:lead]:
+                    _int_label(cell)
+            except ValueError:
+                return DataFormatError(f"{path}: non-integer label at row {lineno}")
             for col, cell in enumerate(row[lead:], start=lead):
                 try:
-                    vals.append(float(cell))
-                except ValueError as exc:
-                    raise DataFormatError(
+                    value = float(plain_cell(cell))
+                except ValueError:
+                    return DataFormatError(
                         f"{path}: non-numeric value at row {lineno}, column {col}"
-                    ) from exc
-            rows.append(vals)
-            linenos.append(lineno)
-    if not rows:
-        raise DataFormatError(f"{path}: empty dataset file")
-    samples = np.asarray(rows, dtype=np.float64)
-    bad = _non_finite_cell(samples)
-    if bad is not None:
-        raise DataFormatError(
-            f"{path}: non-finite value at row {linenos[bad[0]]}, column {bad[1] + lead}"
+                    )
+                if non_finite is None and not math.isfinite(value):
+                    non_finite = (lineno, col)
+    if width is None:
+        return DataFormatError(f"{path}: empty dataset file")
+    if non_finite is not None:
+        return DataFormatError(
+            f"{path}: non-finite value at row {non_finite[0]}, column {non_finite[1]}"
         )
+    return DataFormatError(f"{path}: unreadable dataset file")
 
-    classes = np.asarray(raw_class, dtype=np.int64)
-    _, dense = np.unique(classes, return_inverse=True)
-    sub = None
-    if with_subclasses:
-        sub = _dense_subclasses(dense, np.asarray(raw_sub, dtype=np.int64))
-    return LabeledDataset(samples, dense, sub)
+
+def plain_cell(cell: str) -> str:
+    """The cell, if np.loadtxt reads numbers like it: float() and int() also
+    take underscores between digits and non-ASCII digits, loadtxt does not,
+    so the row scans that locate its faults reject them too."""
+    if "_" in cell or not cell.strip().isascii():
+        raise ValueError(f"{cell!r} is not a plain ASCII number")
+    return cell
 
 
 def _int_label(cell: str) -> int:
-    value = float(cell)
-    if not value.is_integer():
-        raise ValueError(f"label {cell!r} is not an integer")
+    value = float(plain_cell(cell))
+    if not (value.is_integer() and abs(value) < 2.0**63):
+        raise ValueError(f"label {cell!r} is not an int64 integer")
     return int(value)
 
 

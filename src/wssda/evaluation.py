@@ -10,7 +10,9 @@ means more likely same), exact ROC staircase, equal error rate by linear
 interpolation between the two operating points where FAR crosses FRR.  The
 staircase comes from one descending sort of the scores plus cumulative
 same/different counts, O(P log P) in the pair count; resampling onto a
-uniform FAR grid lives in kfold_pairwise.
+uniform FAR grid lives in kfold_pairwise.  pair_scores scores a whole pair
+list from a feature matrix, bit for bit as pair_similarity would, gathering a
+fixed block of rows at a time so memory stays flat in the pair count.
 """
 
 from __future__ import annotations
@@ -31,9 +33,11 @@ Pair = tuple[float, bool]
 def pair_similarity(a: np.ndarray, b: np.ndarray) -> float:
     """Verification score cos(a, b), higher means more alike, computed as one
     minus the cosine distance clipped to [0, 2].  Zero vectors have no
-    direction: ValueError."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    direction: ValueError.  Strided views are copied first, because BLAS sums
+    a strided dot product in another order: the score depends on the values,
+    not on their layout in memory."""
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    b = np.ascontiguousarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("pair_similarity expects two vectors of equal dimension")
     na = np.linalg.norm(a)
@@ -41,6 +45,42 @@ def pair_similarity(a: np.ndarray, b: np.ndarray) -> float:
     if na == 0.0 or nb == 0.0:
         raise ValueError("cosine similarity is undefined for zero vectors")
     return 1.0 - float(np.clip(1.0 - float(a @ b) / (na * nb), 0.0, 2.0))
+
+
+# pairs per gathered block of pair_scores: two blocks of rows are the working
+# set, instead of two (P, d) gathers
+PAIR_BLOCK = 4096
+
+
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (k, d) matrices.  The stacked (1, d) @ (d, 1)
+    products run BLAS's vector dot on each row, the routine behind
+    pair_similarity's a @ b and norm; np.einsum sums in another order."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
+def pair_scores(features: np.ndarray, index_a, index_b) -> np.ndarray:
+    """pair_similarity(features[a], features[b]) for every pair (a, b) of the
+    two index vectors, bit for bit, computed PAIR_BLOCK pairs at a time.
+    A pair with a zero vector raises ValueError, as pair_similarity does."""
+    features = np.asarray(features, dtype=np.float64)
+    index_a = np.asarray(index_a)
+    index_b = np.asarray(index_b)
+    if features.ndim != 2 or index_a.ndim != 1 or index_a.shape != index_b.shape:
+        raise ValueError("pair_scores expects a feature matrix and two equal-length index vectors")
+    scores = np.empty(index_a.size)
+    for start in range(0, index_a.size, PAIR_BLOCK):
+        block = slice(start, start + PAIR_BLOCK)
+        # fancy indexing gathers contiguous rows whatever the layout of features
+        a = features[index_a[block]]
+        b = features[index_b[block]]
+        norm_a = np.sqrt(_dots(a, a))
+        norm_b = np.sqrt(_dots(b, b))
+        if not (norm_a.all() and norm_b.all()):
+            raise ValueError("cosine similarity is undefined for zero vectors")
+        cosine = _dots(a, b) / (norm_a * norm_b)
+        scores[block] = 1.0 - np.clip(1.0 - cosine, 0.0, 2.0)
+    return scores
 
 
 def _scratch(gallery_rows: int, probe_rows: int, dim: int) -> tuple[np.ndarray, ...]:

@@ -154,11 +154,14 @@ class FeatureExtractor:
 @dataclass
 class TrainingDetails:
     """Intermediate products of training; every eigenvalue array has dim
-    entries, zero past n in the dual regime."""
+    entries, zero past n in the dual regime.  Projection columns past
+    second_stage_rank come from the second-stage null space (dense) or are
+    zero (dual)."""
 
     spectrum: Eigenspectrum
     model: SpectrumModel
     second_stage_eigenvalues: np.ndarray
+    second_stage_rank: int
 
 
 def _spectrum_model(es: Eigenspectrum, config: TrainConfig) -> SpectrumModel:
@@ -202,7 +205,7 @@ def _dense(ds: LabeledDataset, part: SubclassPartition, config: TrainConfig):
     # full product first, then slice: training at a smaller d must reproduce
     # the leading columns bit for bit, and BLAS rounds differently per shape
     projection = (whitener @ es2.eigenvectors)[:, : config.d]
-    return es, model, projection, es2.eigenvalues
+    return es, model, projection, es2.eigenvalues, es2.rank
 
 
 def _gram_eig(rows: np.ndarray) -> tuple[Eigenspectrum, np.ndarray]:
@@ -243,7 +246,7 @@ def _dual(ds: LabeledDataset, part: SubclassPartition, config: TrainConfig):
     projection = np.zeros((ds.dim, config.d))
     keep = min(config.d, columns.shape[1])
     projection[:, :keep] = columns[:, :keep]
-    return es, model, projection, _padded(gram2.eigenvalues, ds.dim)
+    return es, model, projection, _padded(gram2.eigenvalues, ds.dim), gram2.rank
 
 
 def _subclass_means(samples: np.ndarray, part: SubclassPartition) -> list[np.ndarray]:
@@ -257,7 +260,7 @@ def train_detailed(
     """Run the full pipeline and keep the intermediate products for inspection."""
     config.validate(ds.dim)
     stages = _dual if ds.n < ds.dim else _dense
-    es, model, projection, second_values = stages(ds, part, config)
+    es, model, projection, second_values, second_rank = stages(ds, part, config)
 
     meta = ModelMeta(
         mode=config.mode,
@@ -270,7 +273,12 @@ def train_detailed(
         sample_count=ds.n,
     )
     fx = FeatureExtractor(projection, meta)
-    details = TrainingDetails(spectrum=es, model=model, second_stage_eigenvalues=second_values)
+    details = TrainingDetails(
+        spectrum=es,
+        model=model,
+        second_stage_eigenvalues=second_values,
+        second_stage_rank=second_rank,
+    )
     return fx, details
 
 

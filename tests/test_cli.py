@@ -276,6 +276,36 @@ def test_train_deficient_class_warning(tmp_path, capsys):
     assert "[1]" in err
 
 
+def test_train_warns_when_d_exceeds_the_second_stage_rank_dual(tmp_path, capsys):
+    # 30 rows at dim 40 take the Gram-matrix path; the total-subclass rows have rank 29
+    csv_path = make_dataset_csv(
+        tmp_path, capsys, classes=5, subclasses=2, samples_per_subclass=3, dim=40
+    )
+    out_dir = str(tmp_path / "run")
+    argv = ["train", "--csv", csv_path, "--with-subclasses", "--d", 40, "--out-dir", out_dir]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 0, err
+    assert "warning: d=40 exceeds the second-stage rank 29" in err
+    assert "columns 30..40 are zero" in err
+    assert not load_model(os.path.join(out_dir, "model.wssda")).projection[:, 29:].any()
+
+
+def test_train_warns_when_d_exceeds_the_second_stage_rank_dense(tmp_path, capsys):
+    # 24 rows at dim 12 take the dense path; 6 subclass means give bs rank 5
+    csv_path = make_dataset_csv(tmp_path, capsys, classes=3, subclasses=2, dim=12)
+    _, _ = train_small(tmp_path, capsys, csv_path, d=5, second_stage="bs")
+    assert "warning" not in capsys.readouterr().err
+    out_dir = str(tmp_path / "run")
+    argv = [
+        "train", "--csv", csv_path, "--with-subclasses", "--d", 8,
+        "--second-stage", "bs", "--out-dir", out_dir,
+    ]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 0, err
+    assert "warning: d=8 exceeds the second-stage rank 5" in err
+    assert "columns 6..8 come from the null space" in err
+
+
 def test_out_dir_from_environment(tmp_path, capsys, monkeypatch):
     csv_path = make_dataset_csv(tmp_path, capsys)
     env_dir = tmp_path / "envout"
@@ -541,6 +571,28 @@ def test_pairs_file_errors_name_the_line(tmp_path, capsys):
     assert code == 1
     assert "pairs.csv:2" in err
     assert "same or diff" in err
+
+
+def test_pairs_zero_feature_vector_names_the_line(tmp_path, capsys):
+    csv_path = make_dataset_csv(tmp_path, capsys)
+    out_dir, _ = train_small(tmp_path, capsys, csv_path, d=4)
+    ds = load_csv(csv_path, with_subclasses=True)
+    ds.samples[3] = 0.0
+    zero_csv = str(tmp_path / "zero.csv")
+    save_csv(ds, zero_csv)
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("0,1,same\n\n2,3,diff\n")
+    code, _, err = run_cli(
+        [
+            "eval-verify", "--csv", zero_csv, "--with-subclasses",
+            "--model", os.path.join(out_dir, "model.wssda"),
+            "--pairs", str(pairs), "--out-dir", out_dir,
+        ],
+        capsys,
+    )
+    assert code == 1
+    assert "pairs.csv:3: cosine similarity is undefined for zero vectors" in err
+    assert not os.path.exists(os.path.join(out_dir, "roc.csv"))
 
 
 def test_pairs_index_out_of_range(tmp_path, capsys):

@@ -83,8 +83,8 @@ def test_dual_matches_dense_oracle(case):
     assert ds.n < ds.dim
     part = partition_dataset(ds, TreeParams(h=2, seed=seed % 1000), strategy)
     config = TrainConfig(d=ds.dim, mode=mode, second_stage=stage)
-    es_a, model_a, proj_a, second_a = _dense(ds, part, config)
-    es_b, model_b, proj_b, second_b = _dual(ds, part, config)
+    es_a, model_a, proj_a, second_a, rank_a = _dense(ds, part, config)
+    es_b, model_b, proj_b, second_b, rank_b = _dual(ds, part, config)
 
     assert es_b.rank == es_a.rank
     assert es_b.eigenvectors.shape == (ds.dim, es_b.rank)
@@ -96,6 +96,8 @@ def test_dual_matches_dense_oracle(case):
     np.testing.assert_allclose(model_b.weights, model_a.weights, rtol=1e-10)
 
     r2 = rank_of(second_b)
+    assert rank_b == r2
+    assert rank_a == rank_of(second_a)
     np.testing.assert_allclose(second_b[:r2], second_a[:r2], rtol=1e-10, atol=1e-12 * second_a[0])
     assert np.all(proj_b[:, r2:] == 0.0)
     for group in clusters(second_a, r2):
@@ -162,7 +164,7 @@ def test_dual_columns_past_second_stage_rank_are_zero():
     ds = LabeledDataset(samples, classes)
     part = partition_dataset(ds, TreeParams(h=2, seed=0), "kd")
     fx, details = train_detailed(ds, part, TrainConfig(d=40))
-    assert rank_of(details.second_stage_eigenvalues) == 29
+    assert rank_of(details.second_stage_eigenvalues) == details.second_stage_rank == 29
     assert np.all(fx.projection[:, 29:] == 0.0)
     assert np.all(np.linalg.norm(fx.projection[:, :29], axis=0) > 0.0)
     peaks = np.abs(fx.projection[:, :29]).argmax(axis=0)

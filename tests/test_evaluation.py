@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,11 +20,13 @@ from wssda import (
     kfold_pairwise,
     make_gallery_probe_splits,
     nn_classify,
+    pair_scores,
     pair_similarity,
     partition_dataset,
     train,
     verification_roc,
 )
+from wssda.evaluation import PAIR_BLOCK
 
 
 def brute_force_roc(pairs):
@@ -72,6 +76,68 @@ def test_cosine_scale_invariance(seed):
 
 
 # ------------------------------------------------------------------ nearest neighbor
+
+
+def _layouts(features):
+    """The same values as C-ordered, column-strided, row-strided and Fortran-ordered matrices."""
+    wide = np.empty((features.shape[0], 2 * features.shape[1]))
+    wide[:, ::2] = features
+    tall = np.empty((2 * features.shape[0], features.shape[1]))
+    tall[::2] = features
+    return {
+        "c": features,
+        "column-strided": wide[:, ::2],
+        "row-strided": tall[::2],
+        "fortran": np.asfortranarray(features),
+    }
+
+
+@given(
+    seed=st.integers(0, 2**31),
+    count=st.sampled_from([1, PAIR_BLOCK - 1, PAIR_BLOCK, PAIR_BLOCK + 1, 2 * PAIR_BLOCK + 7]),
+    rows=st.integers(1, 12),
+    dim=st.integers(1, 40),
+    scale=st.sampled_from([1.0, 1e-100, 1e100]),
+    layout=st.sampled_from(["c", "column-strided", "row-strided", "fortran"]),
+)
+@settings(max_examples=20, deadline=None)
+def test_pair_scores_equal_pair_similarity_bit_for_bit(seed, count, rows, dim, scale, layout):
+    rng = np.random.default_rng(seed)
+    features = _layouts(scale * rng.normal(size=(rows, dim)))[layout]
+    # few rows: indices repeat, and a == b pairs occur
+    index_a = rng.integers(0, rows, count)
+    index_b = rng.integers(0, rows, count)
+    index_b[::3] = index_a[::3]
+    expect = [pair_similarity(features[a], features[b]) for a, b in zip(index_a, index_b)]
+    assert pair_scores(features, index_a, index_b).tolist() == expect
+
+
+@pytest.mark.parametrize("position", [0, PAIR_BLOCK - 1, PAIR_BLOCK + 3])
+def test_pair_scores_zero_vector_rejected(position):
+    rng = np.random.default_rng(0)
+    features = rng.normal(size=(6, 5))
+    features[4] = 0.0
+    index_a = rng.integers(0, 4, PAIR_BLOCK + 10)
+    index_b = rng.integers(0, 4, PAIR_BLOCK + 10)
+    index_b[position] = 4
+    with pytest.raises(ValueError, match="zero vectors"):
+        pair_scores(features, index_a, index_b)
+
+
+def test_pair_scores_memory_stays_at_the_block():
+    # a whole-array gather of both sides would hold 2 x 60000 x 64 doubles (61 MB)
+    rng = np.random.default_rng(0)
+    features = rng.normal(size=(1600, 64))
+    index_a = rng.integers(0, 1600, 60000)
+    index_b = rng.integers(0, 1600, 60000)
+    tracemalloc.start()
+    try:
+        pair_scores(features, index_a, index_b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 60000 * 64 * 8 / 4
+
 
 
 def test_nn_exact_match_wins():
