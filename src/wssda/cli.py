@@ -168,6 +168,25 @@ def _fmt(x: float) -> str:
     return FLOAT_FMT % x
 
 
+def _roc_rows(points):
+    """_fmt cells of (far, tar) points, a value formatted once per run of equal
+    values in its column.  Both columns are non-decreasing, on the exact
+    staircase and on fold-averaged grids alike, so that is once per distinct
+    value: FAR repeats along every run of same pairs, TAR along every run of
+    different ones.  Runs are told apart by bits, so -0.0 keeps its own text."""
+    bits = np.array(points, dtype=np.float64).reshape(-1, 2).view(np.int64)
+    repeat = np.zeros(bits.shape, dtype=bool)
+    repeat[1:] = bits[1:] == bits[:-1]
+    del bits  # the text lines grow while this generator runs: hold only the flags
+    far = tar = ""
+    for (f, t), same_far, same_tar in zip(points, repeat[:, 0], repeat[:, 1]):
+        if not same_far:
+            far = _fmt(f)
+        if not same_tar:
+            tar = _fmt(t)
+        yield far, tar
+
+
 # ---------------------------------------------------------------- sources
 
 
@@ -466,7 +485,7 @@ def cmd_eval_verify(s: Settings, out: OutputSet) -> None:
         fold_eers = krep.fold_eers
 
     roc_path = os.path.join(out_dir, "roc.csv")
-    out.write_text(roc_path, _csv_text("far,tar", ((_fmt(f), _fmt(t)) for f, t in points)))
+    out.write_text(roc_path, _csv_text("far,tar", _roc_rows(points)))
     eer_rows = [(str(i), f"{e * 100:.2f}") for i, e in enumerate(fold_eers)]
     mean = float(np.mean(fold_eers))
     std = float(np.std(fold_eers))

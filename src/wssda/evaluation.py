@@ -10,13 +10,15 @@ means more likely same), exact ROC staircase, equal error rate by linear
 interpolation between the two operating points where FAR crosses FRR.  The
 staircase comes from one descending sort of the scores plus cumulative
 same/different counts, O(P log P) in the pair count; resampling onto a
-uniform FAR grid lives in kfold_pairwise.  pair_scores scores a whole pair
-list from a feature matrix, bit for bit as pair_similarity would, gathering a
+uniform FAR grid lives in kfold_pairwise.  pair_similarity is the per-pair
+call, costing about its three BLAS dot products.  For many pairs of one
+feature matrix use pair_scores: bit for bit the same scores, gathering a
 fixed block of rows at a time so memory stays flat in the pair count.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -31,20 +33,29 @@ Pair = tuple[float, bool]
 
 
 def pair_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Verification score cos(a, b), higher means more alike, computed as one
-    minus the cosine distance clipped to [0, 2].  Zero vectors have no
+    """Verification score cos(a, b) of one pair, higher means more alike,
+    computed as one minus the cosine distance clipped to [0, 2]; score many
+    pairs of a feature matrix with pair_scores.  Zero vectors have no
     direction: ValueError.  Strided views are copied first, because BLAS sums
     a strided dot product in another order: the score depends on the values,
-    not on their layout in memory."""
+    not on their layout in memory.
+
+    The cost is the three BLAS dot products: ndarray.dot is the routine
+    behind np.linalg.norm and @, math.sqrt rounds as np.sqrt does, and the
+    clip is on Python floats.  The division stays a NumPy one: overflowing
+    norms give inf or nan as before, and a zero divisor could never raise
+    ZeroDivisionError."""
     a = np.ascontiguousarray(a, dtype=np.float64)
     b = np.ascontiguousarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("pair_similarity expects two vectors of equal dimension")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
+    na = math.sqrt(a.dot(a))
+    nb = math.sqrt(b.dot(b))
     if na == 0.0 or nb == 0.0:
         raise ValueError("cosine similarity is undefined for zero vectors")
-    return 1.0 - float(np.clip(1.0 - float(a @ b) / (na * nb), 0.0, 2.0))
+    cosine = float(a.dot(b) / (na * nb))
+    # max before min, each with the score first: a NaN passes through
+    return 1.0 - min(max(1.0 - cosine, 0.0), 2.0)
 
 
 # pairs per gathered block of pair_scores: two blocks of rows are the working
@@ -55,19 +66,27 @@ PAIR_BLOCK = 4096
 def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Row-wise dot products of two (k, d) matrices.  The stacked (1, d) @ (d, 1)
     products run BLAS's vector dot on each row, the routine behind
-    pair_similarity's a @ b and norm; np.einsum sums in another order."""
+    pair_similarity's ndarray.dot calls; np.einsum sums in another order."""
     return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
 def pair_scores(features: np.ndarray, index_a, index_b) -> np.ndarray:
     """pair_similarity(features[a], features[b]) for every pair (a, b) of the
     two index vectors, bit for bit, computed PAIR_BLOCK pairs at a time.
-    A pair with a zero vector raises ValueError, as pair_similarity does."""
+    A pair with a zero vector raises ValueError, as pair_similarity does, and
+    so does an index outside [0, rows): NumPy would wrap a negative one."""
     features = np.asarray(features, dtype=np.float64)
     index_a = np.asarray(index_a)
     index_b = np.asarray(index_b)
     if features.ndim != 2 or index_a.ndim != 1 or index_a.shape != index_b.shape:
         raise ValueError("pair_scores expects a feature matrix and two equal-length index vectors")
+    rows = features.shape[0]
+    bad_a = (index_a < 0) | (index_a >= rows)
+    bad = bad_a | (index_b < 0) | (index_b >= rows)
+    if bad.any():
+        p = int(np.argmax(bad))
+        index = index_a[p] if bad_a[p] else index_b[p]
+        raise ValueError(f"pair {p}: sample index {index} is out of range for {rows} feature rows")
     scores = np.empty(index_a.size)
     for start in range(0, index_a.size, PAIR_BLOCK):
         block = slice(start, start + PAIR_BLOCK)
@@ -157,6 +176,19 @@ def identification_sweep(
         raise ValueError("d_values must be positive integers")
     if not splits:
         raise ProtocolError("no gallery/probe splits supplied")
+    for s, split in enumerate(splits):
+        if split.gallery.size == 0:
+            raise ProtocolError(f"split {s} has an empty gallery")
+        if split.probe.size == 0:
+            raise ProtocolError(f"split {s} has no probes; its error rate is undefined")
+        # NumPy would wrap a negative index, which also slips past SplitSpec's
+        # disjointness check as an alias of row n + index
+        for role, index in (("gallery", split.gallery), ("probe", split.probe)):
+            outside = index[(index < 0) | (index >= ds.n)]
+            if outside.size:
+                raise ProtocolError(
+                    f"split {s}: {role} index {outside[0]} is out of range for {ds.n} samples"
+                )
     d_max = d_values[-1]
     if d_max > ds.dim:
         raise ConfigError(f"d={d_max} exceeds the data dimension {ds.dim}")
@@ -169,10 +201,6 @@ def identification_sweep(
 
     errors = np.zeros((len(splits), len(d_values)))
     for s, split in enumerate(splits):
-        if split.gallery.size == 0:
-            raise ProtocolError(f"split {s} has an empty gallery")
-        if split.probe.size == 0:
-            raise ProtocolError(f"split {s} has no probes; its error rate is undefined")
         truth = ds.class_labels[split.probe]
         gallery_labels = ds.class_labels[split.gallery]
         gallery, probes = feats[split.gallery], feats[split.probe]

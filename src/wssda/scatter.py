@@ -21,16 +21,10 @@ from .dataset import LabeledDataset
 from .errors import PartitionError
 from .partition import SubclassPartition
 
-WITHIN_CLASS = "within_class"
-WITHIN_SUBCLASS = "within_subclass"
-BETWEEN_SUBCLASS = "between_subclass"
-TOTAL_SUBCLASS = "total_subclass"
-
 
 @dataclass
 class ScatterMatrix:
     matrix: np.ndarray
-    kind: str
     rank_bound: int
 
 
@@ -45,9 +39,9 @@ def _rows(dev: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return dev
 
 
-def _scatter(rows: np.ndarray, kind: str, rank_bound: int) -> ScatterMatrix:
+def _scatter(rows: np.ndarray, rank_bound: int) -> ScatterMatrix:
     """B^T B of weighted rows B, symmetrized."""
-    return ScatterMatrix(_symmetrize(rows.T @ rows), kind, int(rank_bound))
+    return ScatterMatrix(_symmetrize(rows.T @ rows), int(rank_bound))
 
 
 def group_means(samples: np.ndarray, ids: np.ndarray, count: int) -> np.ndarray:
@@ -78,7 +72,7 @@ def within_class_scatter(ds: LabeledDataset) -> ScatterMatrix:
     """Average outer product of deviations from class means, weighted 1/n."""
     dev = ds.samples - class_means(ds.samples, ds.class_labels)[ds.class_labels]
     rank_bound = min(ds.dim, ds.n - ds.class_count)
-    return _scatter(_rows(dev, np.full(ds.n, 1.0 / ds.n)), WITHIN_CLASS, rank_bound)
+    return _scatter(_rows(dev, np.full(ds.n, 1.0 / ds.n)), rank_bound)
 
 
 def within_subclass_rows(ds: LabeledDataset, part: SubclassPartition) -> np.ndarray:
@@ -103,7 +97,7 @@ def within_subclass_scatter(ds: LabeledDataset, part: SubclassPartition) -> Scat
     """Prior-weighted scatter of deviations from subclass means."""
     rows = within_subclass_rows(ds, part)
     groups = sum(len(counts) for counts in part.subclass_counts)
-    return _scatter(rows, WITHIN_SUBCLASS, min(ds.dim, ds.n - groups))
+    return _scatter(rows, min(ds.dim, ds.n - groups))
 
 
 def between_subclass_rows(subclass_means: list[np.ndarray], global_mean: np.ndarray) -> np.ndarray:
@@ -121,7 +115,7 @@ def between_subclass_scatter(
 ) -> ScatterMatrix:
     """Scatter of subclass means about the global center."""
     rows = between_subclass_rows(subclass_means, global_mean)
-    return _scatter(rows, BETWEEN_SUBCLASS, min(rows.shape[1], rows.shape[0] - 1))
+    return _scatter(rows, min(rows.shape[1], rows.shape[0] - 1))
 
 
 def total_subclass_rows(
@@ -137,4 +131,4 @@ def total_subclass_scatter(
 ) -> ScatterMatrix:
     """Scatter of all samples about the global center."""
     rows = total_subclass_rows(samples, class_labels, global_mean)
-    return _scatter(rows, TOTAL_SUBCLASS, min(samples.shape))
+    return _scatter(rows, min(samples.shape))

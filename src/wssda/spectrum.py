@@ -43,11 +43,6 @@ class Eigenspectrum:
     rank: int
 
     @property
-    def tau(self) -> np.ndarray:
-        """Square roots of the eigenvalues."""
-        return np.sqrt(self.eigenvalues)
-
-    @property
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import wssda
-from wssda.cli import ENV_OUT_DIR, _subseed, load_config, main
+from wssda.cli import ENV_OUT_DIR, _csv_text, _roc_rows, _subseed, load_config, main
 from wssda.dataset import FLOAT_FMT, load_csv, make_gallery_probe_splits, save_csv, subset
 from wssda.evaluation import identification_sweep
 from wssda.pipeline import load_model
@@ -516,6 +516,35 @@ def test_train_dual_regime_rerun_is_byte_identical(tmp_path, capsys):
     assert load_model(os.path.join(dir_a, "model.wssda")).projection.shape == (40, 40)
 
 
+def per_cell_roc_text(points):
+    """roc.csv as written with one FLOAT_FMT call per cell."""
+    return "far,tar\n" + "".join(f"{FLOAT_FMT % far},{FLOAT_FMT % tar}\n" for far, tar in points)
+
+
+def test_roc_text_formats_each_run_of_values_once_byte_identical(monkeypatch):
+    rng = np.random.default_rng(5)
+    flags = rng.random(3000) < 0.3
+    # rounded scores tie, so runs of equal FAR and TAR values repeat
+    scores = np.round(rng.normal(size=3000) + flags, 2).tolist()
+    scored = list(zip(scores, flags.tolist()))
+    cases = {
+        "staircase": wssda.verification_roc(scored).points,
+        "two folds": wssda.kfold_pairwise(scored, folds=2).points,
+        "ten folds, fine grid": wssda.kfold_pairwise(scored, folds=10, resolution=997).points,
+        "signed zeros and repeats": [(0.0, -0.0), (-0.0, 0.0), (0.1, 0.1), (0.1, 1 / 3), (1.0, 1.0)],
+        "not monotone": [(0.5, 0.1), (0.2, 0.1), (0.5, 0.3), (0.5, 0.1)],
+    }
+    for name, points in cases.items():
+        assert _csv_text("far,tar", _roc_rows(points)) == per_cell_roc_text(points), name
+
+    calls = []
+    monkeypatch.setattr(wssda.cli, "_fmt", lambda x: calls.append(x) or FLOAT_FMT % x)
+    staircase = cases["staircase"]
+    _csv_text("far,tar", _roc_rows(staircase))
+    assert len(calls) == len({far for far, _ in staircase}) + len({tar for _, tar in staircase})
+    assert len(calls) < 2 * len(staircase)  # fewer than one call per cell
+
+
 @pytest.mark.parametrize("folds", [1, 2])
 def test_eval_verify_rerun_identical_and_matches_library(tmp_path, capsys, folds):
     csv_path = make_dataset_csv(tmp_path, capsys)
@@ -544,15 +573,14 @@ def test_eval_verify_rerun_identical_and_matches_library(tmp_path, capsys, folds
         outputs.append([(tmp_path / rerun / name).read_bytes() for name in ("roc.csv", "eer.csv")])
     assert outputs[0] == outputs[1]
 
+    feats = load_model(model_path).extract(ds.samples)
+    scored = [(wssda.pair_similarity(feats[a], feats[b]), same[a, b]) for a, b in index_pairs]
     if folds == 1:
-        feats = load_model(model_path).extract(ds.samples)
-        scored = [(wssda.pair_similarity(feats[a], feats[b]), same[a, b]) for a, b in index_pairs]
-        rep = wssda.verification_roc(scored)
-        expect = "far,tar\n" + "".join(
-            f"{FLOAT_FMT % far},{FLOAT_FMT % tar}\n" for far, tar in rep.points
-        )
-        assert outputs[0][0].decode() == expect
-        assert len(rep.points) > 10
+        points = wssda.verification_roc(scored).points
+    else:
+        points = wssda.kfold_pairwise(scored, folds=folds).points
+    assert outputs[0][0].decode() == per_cell_roc_text(points)
+    assert len(points) > 10
 
 
 def test_pairs_file_errors_name_the_line(tmp_path, capsys):

@@ -75,6 +75,105 @@ def test_cosine_scale_invariance(seed):
     assert -1.0 <= pair_similarity(a, b) <= 1.0
 
 
+def oracle_pair_similarity(a, b):
+    """pair_similarity as it was written with np.linalg.norm, a @ b and
+    np.clip: the reference for the per-call fast path."""
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    b = np.ascontiguousarray(b, dtype=np.float64)
+    if a.shape != b.shape or a.ndim != 1:
+        raise ValueError("pair_similarity expects two vectors of equal dimension")
+    na = np.linalg.norm(a)
+    nb = np.linalg.norm(b)
+    if na == 0.0 or nb == 0.0:
+        raise ValueError("cosine similarity is undefined for zero vectors")
+    return 1.0 - float(np.clip(1.0 - float(a @ b) / (na * nb), 0.0, 2.0))
+
+
+def similarity_outcome(fn, a, b):
+    """("value", score) or ("error", type, message) of one scoring call."""
+    try:
+        with np.errstate(all="ignore"):
+            return ("value", fn(a, b))
+    except ValueError as exc:
+        return ("error", type(exc), str(exc))
+
+
+def assert_same_outcome(a, b):
+    got = similarity_outcome(pair_similarity, a, b)
+    expect = similarity_outcome(oracle_pair_similarity, a, b)
+    if got[0] == "value" and expect[0] == "value":
+        assert type(got[1]) is float
+        assert got[1] == expect[1] or (np.isnan(got[1]) and np.isnan(expect[1]))
+    else:
+        assert got == expect
+
+
+def vector_layout(values, layout):
+    """values as a C-ordered array, a strided view, float32, a list, or ints."""
+    if layout == "strided":
+        wide = np.empty(2 * values.size)
+        wide[::2] = values
+        return wide[::2]
+    if layout == "float32":
+        with np.errstate(over="ignore"):
+            return values.astype(np.float32)
+    if layout == "list":
+        return values.tolist()
+    if layout == "int":
+        # scale-free small integers: NaN, inf and 1e150 have no int64 value
+        return np.rint(np.clip(values / np.abs(values).max(), -1, 1) * 7).astype(np.int64)
+    return values
+
+
+@given(
+    seed=st.integers(0, 2**31),
+    dim=st.sampled_from([1, 2, 63, 64, 1000, 20000]),
+    scale=st.sampled_from([1.0, 1e-150, 1e150, 1e160]),
+    layout=st.sampled_from(["c", "strided", "float32", "int", "list"]),
+    relation=st.sampled_from(["independent", "equal", "negated"]),
+    special=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+)
+@settings(max_examples=150, deadline=None)
+def test_pair_similarity_matches_numpy_oracle_bit_for_bit(
+    seed, dim, scale, layout, relation, special
+):
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        a = scale * rng.normal(size=dim)
+        b = {"independent": scale * rng.normal(size=dim), "equal": a.copy(), "negated": -a}[
+            relation
+        ]
+        if special is not None:
+            (a if rng.random() < 0.5 else b)[rng.integers(dim)] = special
+        if layout == "int" and not (np.isfinite(a).all() and np.isfinite(b).all()):
+            continue
+        assert_same_outcome(vector_layout(a, layout), vector_layout(b, layout))
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (np.zeros(3), np.ones(3)),
+        (np.ones(3), np.zeros(3)),
+        (np.ones(3), np.ones(4)),
+        (np.ones((2, 2)), np.ones((2, 2))),
+        (np.full(2, 1e-170), np.ones(2)),  # squares underflow: a zero norm
+        (np.full(2, 1e200), np.full(2, 1e200)),  # norms overflow: inf / inf
+        (np.full(2, 1e200), np.ones(2)),
+        ([1, 2, 3], [3, 2, 1]),
+    ],
+)
+def test_pair_similarity_edge_cases_match_numpy_oracle(a, b):
+    assert_same_outcome(a, b)
+
+
+def test_pair_similarity_errors_keep_their_messages():
+    with pytest.raises(ValueError, match="^cosine similarity is undefined for zero vectors$"):
+        pair_similarity(np.ones(3), np.zeros(3))
+    with pytest.raises(ValueError, match="^pair_similarity expects two vectors of equal dimension$"):
+        pair_similarity(np.ones(3), np.ones(2))
+
+
 # ------------------------------------------------------------------ nearest neighbor
 
 
@@ -121,6 +220,22 @@ def test_pair_scores_zero_vector_rejected(position):
     index_b = rng.integers(0, 4, PAIR_BLOCK + 10)
     index_b[position] = 4
     with pytest.raises(ValueError, match="zero vectors"):
+        pair_scores(features, index_a, index_b)
+
+
+@pytest.mark.parametrize(
+    "index_a, index_b, message",
+    [
+        ([-1, 0], [0, 1], "pair 0: sample index -1 "),
+        ([0, 1, 2], [1, 4, 0], "pair 1: sample index 4 "),
+        ([0, 1, 9], [1, -4, 0], "pair 1: sample index -4 "),
+        ([0, -5], [7, 0], "pair 0: sample index 7 "),
+    ],
+)
+def test_pair_scores_rejects_indices_outside_the_rows(index_a, index_b, message):
+    # NumPy would score row n - 1 for index -1 and raise a bare IndexError for n
+    features = np.random.default_rng(0).normal(size=(4, 3))
+    with pytest.raises(ValueError, match=f"^{message}is out of range for 4 feature rows$"):
         pair_scores(features, index_a, index_b)
 
 
@@ -252,6 +367,35 @@ def test_identification_rejects_split_without_probes():
     splits[1] = SplitSpec(gallery=everyone, probe=everyone[:0])
     with pytest.raises(ProtocolError, match="split 1 has no probes"):
         identification_sweep(train_factory(ds), ds, splits, [2])
+
+
+@pytest.mark.parametrize(
+    "role, bad, shown",
+    [("gallery", -1, "-1"), ("probe", -3, "-3"), ("gallery", None, "n"), ("probe", None, "n")],
+)
+def test_identification_rejects_indices_outside_the_dataset(role, bad, shown):
+    ds = generate_synthetic(SynthSpec(4, 2, 4, 8, seed=0))
+    splits = make_gallery_probe_splits(ds, 2)
+    bad = ds.n if bad is None else bad
+    gallery, probe = splits[1].gallery, splits[1].probe
+    # -1 aliases row n - 1, which SplitSpec's disjointness check cannot see
+    if role == "gallery":
+        gallery = np.append(gallery[:-1], bad)
+    else:
+        probe = np.append(probe, bad)
+    splits[1] = SplitSpec(gallery=gallery, probe=probe)
+    shown = str(ds.n) if shown == "n" else shown
+    calls = []
+
+    def factory(d):
+        calls.append(d)
+        return train_factory(ds)(d)
+
+    with pytest.raises(
+        ProtocolError, match=f"^split 1: {role} index {shown} is out of range for {ds.n} samples$"
+    ):
+        identification_sweep(factory, ds, splits, [2])
+    assert calls == []  # rejected before any training
 
 
 def test_identification_rejects_short_extractor():
