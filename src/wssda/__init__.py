@@ -12,6 +12,7 @@ from .dataset import (
     SynthSpec,
     generate_synthetic,
     load_csv,
+    load_pairs,
     load_pgm_dir,
     make_gallery_probe_splits,
     save_csv,

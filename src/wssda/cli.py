@@ -14,9 +14,7 @@ partition step never shifts the synthetic data stream.
 from __future__ import annotations
 
 import argparse
-import io
 import os
-import re
 import sys
 import zlib
 
@@ -26,19 +24,20 @@ from .dataset import (
     FLOAT_FMT,
     LabeledDataset,
     SynthSpec,
+    _pairs_fault,
     generate_synthetic,
     load_csv,
+    load_pairs,
     load_pgm_dir,
     make_gallery_probe_splits,
-    plain_cell,
     save_csv,
 )
-from .errors import ConfigError, DataFormatError, WSSDAError
+from .errors import ConfigError, WSSDAError
 from .evaluation import (
     identification_sweep,
     kfold_pairwise,
     pair_scores,
-    # locates a failed score; also, perfbench --trace 1 wraps wssda.cli.pair_similarity
+    # locates a failed score; perfbench --trace 1 also wraps wssda.cli.pair_similarity
     pair_similarity,
     verification_roc,
 )
@@ -230,13 +229,7 @@ def _out_dir(s: Settings) -> str:
 
 def _partition_params(s: Settings, seed: int):
     strategy = s.get("strategy", str, "kd")
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"unknown strategy {strategy!r}; choose from {', '.join(STRATEGIES)}")
-    params = TreeParams(
-        h=s.get("h", int, 2),
-        max_depth=s.get("max_depth", int, 8),
-        seed=_subseed(seed, "partition"),
-    )
+    params = TreeParams(h=s.get("h", int, 2), seed=_subseed(seed, "partition"))
     return strategy, params
 
 
@@ -257,15 +250,11 @@ def _warn_deficient(part, h: int) -> None:
         )
 
 
-def _warn_rank(d: int, rank: int, projection: np.ndarray) -> None:
+def _warn_rank(d: int, rank: int) -> None:
     if d > rank:
-        if projection[:, rank:].any():
-            source = "come from the null space of the second-stage scatter"
-        else:
-            source = "are zero"
         print(
             f"warning: d={d} exceeds the second-stage rank {rank}; "
-            f"feature columns {rank + 1}..{d} {source}",
+            f"feature columns {rank + 1}..{d} are zero",
             file=sys.stderr,
         )
 
@@ -325,7 +314,7 @@ def cmd_train(s: Settings, out: OutputSet) -> None:
     part = partition_dataset(ds, params, strategy)
     _warn_deficient(part, params.h)
     fx, details = train_detailed(ds, part, config)
-    _warn_rank(config.d, details.second_stage_rank, fx.projection)
+    _warn_rank(config.d, details.second_stage_rank)
 
     model_path = os.path.join(out_dir, "model.wssda")
     out.write_file(model_path, lambda tmp: save_model(fx, tmp))
@@ -374,10 +363,6 @@ def cmd_eval_id(s: Settings, out: OutputSet) -> None:
             d_values = [int(tok) for tok in sweep_raw.split(",") if tok.strip()]
         except ValueError as exc:
             raise ConfigError(f"bad d sweep {sweep_raw!r}: {exc}") from exc
-    if not d_values:
-        raise ConfigError("d sweep is empty")
-    if max(d_values) > fx.d:
-        raise ConfigError(f"d={max(d_values)} exceeds the model's {fx.d} feature dimensions")
 
     splits = make_gallery_probe_splits(ds, rotations)
     report = identification_sweep(lambda d_max: fx, ds, splits, d_values)
@@ -387,69 +372,6 @@ def cmd_eval_id(s: Settings, out: OutputSet) -> None:
     for d, err in report.curve:
         print(f"d={d} error={err * 100:.2f}%")
     print(f"wrote {path}")
-
-
-# the label of a pairs-file line, its last field, in the integer form the table parse reads
-_PAIR_LABELS = (
-    (re.compile(r",[^\S\n]*same[^\S\n]*$", re.MULTILINE), ",1"),
-    (re.compile(r",[^\S\n]*diff[^\S\n]*$", re.MULTILINE), ",0"),
-)
-_BLANK_LINES = re.compile(r"^[^\S\n]+$", re.MULTILINE)
-
-
-def _load_pairs(path: str, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(P, 2) int64 sample indices and (P,) same-class flags of a pairs file,
-    parsed as one integer table once the labels are rewritten as 1 and 0."""
-    with open(path, encoding="utf-8") as fh:
-        text = _BLANK_LINES.sub("", fh.read())
-    labelled = 0
-    for pattern, code in _PAIR_LABELS:
-        text, count = pattern.subn(code, text)
-        labelled += count
-    if labelled == 0:  # no pair to parse; loadtxt would only warn of empty input
-        raise _pairs_fault(path, n)
-    try:
-        table = np.loadtxt(
-            io.StringIO(text), dtype=np.int64, delimiter=",", comments=None, ndmin=2
-        )
-    except ValueError as exc:
-        raise _pairs_fault(path, n) from exc
-    # a line whose label was not rewritten leaves fewer labels than rows
-    index = table[:, :2]
-    if table.shape != (labelled, 3) or not ((index >= 0) & (index < n)).all():
-        raise _pairs_fault(path, n)
-    return index, table[:, 2] == 1
-
-
-def _pairs_fault(path: str, n: int, feats: np.ndarray | None = None) -> DataFormatError:
-    """The located error for a pairs file that _load_pairs rejected, or, given
-    the features, whose scoring failed: the first faulty line."""
-    found = False
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            cols = text.split(",")
-            if len(cols) != 3:
-                return DataFormatError(f"{path}:{lineno}: expected index_a,index_b,same|diff")
-            try:
-                a, b = int(plain_cell(cols[0])), int(plain_cell(cols[1]))
-            except ValueError:
-                return DataFormatError(f"{path}:{lineno}: non-integer sample index")
-            if cols[2].strip() not in ("same", "diff"):
-                return DataFormatError(f"{path}:{lineno}: label must be same or diff")
-            if not (0 <= a < n and 0 <= b < n):
-                return DataFormatError(f"{path}:{lineno}: sample index out of range 0..{n - 1}")
-            if feats is not None:
-                try:
-                    pair_similarity(feats[a], feats[b])
-                except ValueError as exc:
-                    return DataFormatError(f"{path}:{lineno}: {exc}")
-            found = True
-    if not found:
-        return DataFormatError(f"{path}: no pairs found")
-    return DataFormatError(f"{path}: unreadable pairs file")
 
 
 def cmd_eval_verify(s: Settings, out: OutputSet) -> None:
@@ -466,12 +388,13 @@ def cmd_eval_verify(s: Settings, out: OutputSet) -> None:
     fx, ds = _load_eval_common(s, seed)
     s.check_unknown()
 
-    index, same = _load_pairs(pairs_path, ds.n)
+    index, same = load_pairs(pairs_path, ds.n)
     feats = ds.samples @ fx.projection
     try:
         scores = pair_scores(feats, index[:, 0], index[:, 1])
     except ValueError as exc:
-        raise _pairs_fault(pairs_path, ds.n, feats) from exc
+        score = lambda a, b: pair_similarity(feats[a], feats[b])  # noqa: E731
+        raise _pairs_fault(pairs_path, ds.n, score) from exc
     scored = list(zip(scores.tolist(), same.tolist()))
 
     if folds == 1:
@@ -527,7 +450,6 @@ def _add_synth_flags(p: argparse.ArgumentParser) -> None:
 def _add_partition_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--strategy", choices=STRATEGIES)
     p.add_argument("--h", type=int, help="subclasses per class")
-    p.add_argument("--max-depth", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:

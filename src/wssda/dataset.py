@@ -5,9 +5,10 @@ labels remapped to a dense range [0, C).  Subclass labels are optional: they
 are carried by synthetic data (ground truth) and by CSV files written with a
 subclass column, and are consumed by the "provided" partition strategy.
 
-A CSV file is parsed as one float64 table by np.loadtxt; only a file that the
-parse or the label and finiteness checks reject is read again, row by row,
-to name the first faulty row and column in a DataFormatError.
+A CSV file is parsed as one float64 table by np.loadtxt, a pairs file of
+index_a,index_b,same|diff lines as one int64 table; only a file that the
+parse or the checks reject is read again, line by line, to name the first
+fault in a DataFormatError.
 
 With at least as many samples as dimensions, training decomposes dim x dim
 matrices, so there keep the vector dimension to a few thousand; with fewer
@@ -18,8 +19,10 @@ full-resolution images are practical.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -109,8 +112,11 @@ class SplitSpec:
     probe: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "gallery", np.asarray(self.gallery, dtype=np.int64))
-        object.__setattr__(self, "probe", np.asarray(self.probe, dtype=np.int64))
+        for role in ("gallery", "probe"):
+            index = np.asarray(getattr(self, role))
+            if index.size and index.dtype.kind not in "iu":  # [] is float64
+                raise ValueError(f"{role} indices must be integers, got dtype {index.dtype}")
+            object.__setattr__(self, role, index.astype(np.int64, copy=False))
         if np.intersect1d(self.gallery, self.probe).size:
             raise ValueError("gallery and probe index sets must be disjoint")
 
@@ -206,7 +212,7 @@ def _csv_fault(path: str | os.PathLike, lead: int) -> DataFormatError:
                 return DataFormatError(f"{path}: non-integer label at row {lineno}")
             for col, cell in enumerate(row[lead:], start=lead):
                 try:
-                    value = float(plain_cell(cell))
+                    value = float(_plain_cell(cell))
                 except ValueError:
                     return DataFormatError(
                         f"{path}: non-numeric value at row {lineno}, column {col}"
@@ -222,7 +228,7 @@ def _csv_fault(path: str | os.PathLike, lead: int) -> DataFormatError:
     return DataFormatError(f"{path}: unreadable dataset file")
 
 
-def plain_cell(cell: str) -> str:
+def _plain_cell(cell: str) -> str:
     """The cell, if np.loadtxt reads numbers like it: float() and int() also
     take underscores between digits and non-ASCII digits, loadtxt does not,
     so the row scans that locate its faults reject them too."""
@@ -232,10 +238,74 @@ def plain_cell(cell: str) -> str:
 
 
 def _int_label(cell: str) -> int:
-    value = float(plain_cell(cell))
+    value = float(_plain_cell(cell))
     if not (value.is_integer() and abs(value) < 2.0**63):
         raise ValueError(f"label {cell!r} is not an int64 integer")
     return int(value)
+
+
+# the label of a pairs-file line, its last field, in the integer form the table parse reads
+_PAIR_LABELS = (
+    (re.compile(r",[^\S\n]*same[^\S\n]*$", re.MULTILINE), ",1"),
+    (re.compile(r",[^\S\n]*diff[^\S\n]*$", re.MULTILINE), ",0"),
+)
+_BLANK_LINES = re.compile(r"^[^\S\n]+$", re.MULTILINE)
+
+
+def load_pairs(path: str | os.PathLike, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(P, 2) int64 sample indices in [0, n) and (P,) same-class flags of a
+    pairs file, parsed as one integer table once the labels are rewritten as
+    1 and 0; a file that is rejected is scanned only to name the faulty line."""
+    with open(path, encoding="utf-8") as fh:
+        text = _BLANK_LINES.sub("", fh.read())
+    labelled = 0
+    for pattern, code in _PAIR_LABELS:
+        text, count = pattern.subn(code, text)
+        labelled += count
+    if labelled == 0:  # no pair to parse; loadtxt would only warn of empty input
+        raise _pairs_fault(path, n)
+    try:
+        table = np.loadtxt(
+            io.StringIO(text), dtype=np.int64, delimiter=",", comments=None, ndmin=2
+        )
+    except ValueError as exc:
+        raise _pairs_fault(path, n) from exc
+    # a line whose label was not rewritten leaves fewer labels than rows
+    index = table[:, :2]
+    if table.shape != (labelled, 3) or not ((index >= 0) & (index < n)).all():
+        raise _pairs_fault(path, n)
+    return index, table[:, 2] == 1
+
+
+def _pairs_fault(path: str | os.PathLike, n: int, check=None) -> DataFormatError:
+    """The located error for a pairs file that load_pairs rejected: its first
+    faulty line, where a line is also faulty if check(a, b) raises ValueError."""
+    found = False
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.strip()
+            if not text:
+                continue
+            cols = text.split(",")
+            if len(cols) != 3:
+                return DataFormatError(f"{path}:{lineno}: expected index_a,index_b,same|diff")
+            try:
+                a, b = int(_plain_cell(cols[0])), int(_plain_cell(cols[1]))
+            except ValueError:
+                return DataFormatError(f"{path}:{lineno}: non-integer sample index")
+            if cols[2].strip() not in ("same", "diff"):
+                return DataFormatError(f"{path}:{lineno}: label must be same or diff")
+            if not (0 <= a < n and 0 <= b < n):
+                return DataFormatError(f"{path}:{lineno}: sample index out of range 0..{n - 1}")
+            if check is not None:
+                try:
+                    check(a, b)
+                except ValueError as exc:
+                    return DataFormatError(f"{path}:{lineno}: {exc}")
+            found = True
+    if not found:
+        return DataFormatError(f"{path}: no pairs found")
+    return DataFormatError(f"{path}: unreadable pairs file")
 
 
 def save_csv(ds: LabeledDataset, path: str | os.PathLike) -> None:

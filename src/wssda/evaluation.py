@@ -74,12 +74,16 @@ def pair_scores(features: np.ndarray, index_a, index_b) -> np.ndarray:
     """pair_similarity(features[a], features[b]) for every pair (a, b) of the
     two index vectors, bit for bit, computed PAIR_BLOCK pairs at a time.
     A pair with a zero vector raises ValueError, as pair_similarity does, and
-    so does an index outside [0, rows): NumPy would wrap a negative one."""
+    so does an index outside [0, rows), which NumPy would wrap, or a non-empty
+    index vector of floats or bools, which NumPy refuses or takes as a mask."""
     features = np.asarray(features, dtype=np.float64)
     index_a = np.asarray(index_a)
     index_b = np.asarray(index_b)
     if features.ndim != 2 or index_a.ndim != 1 or index_a.shape != index_b.shape:
         raise ValueError("pair_scores expects a feature matrix and two equal-length index vectors")
+    for name, index in (("index_a", index_a), ("index_b", index_b)):
+        if index.size and index.dtype.kind not in "iu":
+            raise ValueError(f"{name} must hold integer sample indices, got dtype {index.dtype}")
     rows = features.shape[0]
     bad_a = (index_a < 0) | (index_a >= rows)
     bad = bad_a | (index_b < 0) | (index_b >= rows)
@@ -194,9 +198,7 @@ def identification_sweep(
         raise ConfigError(f"d={d_max} exceeds the data dimension {ds.dim}")
     fx = factory(d_max)
     if fx.d < d_max:
-        raise ConfigError(
-            f"extractor provides {fx.d} feature dimensions but the sweep needs {d_max}"
-        )
+        raise ConfigError(f"d={d_max} exceeds the extractor's {fx.d} feature dimensions")
     feats = ds.samples @ fx.projection[:, :d_max]
 
     errors = np.zeros((len(splits), len(d_values)))

@@ -24,14 +24,15 @@ STRATEGIES = ("kd", "rp", "pca", "kmeans", "provided")
 TREE_STRATEGIES = ("kd", "rp", "pca")
 
 KMEANS_MAX_ITER = 100
+# tree strategies split to depth log2(h), so this caps h at 2**MAX_TREE_DEPTH
+MAX_TREE_DEPTH = 8
 
 
 @dataclass(frozen=True)
 class TreeParams:
-    """Partitioning knobs: target subclass count, depth cap, RNG seed."""
+    """Partitioning knobs: target subclass count, RNG seed."""
 
     h: int
-    max_depth: int = 8
     seed: int = 0
 
     def validate(self, strategy: str) -> None:
@@ -42,10 +43,10 @@ class TreeParams:
         if strategy in TREE_STRATEGIES:
             if self.h & (self.h - 1):
                 raise ValueError(f"h={self.h} must be a power of two for binary-split trees")
-            if self.h.bit_length() - 1 > self.max_depth:
+            if self.h.bit_length() - 1 > MAX_TREE_DEPTH:
                 raise ValueError(
                     f"h={self.h} needs depth {self.h.bit_length() - 1}, "
-                    f"exceeding max_depth={self.max_depth}"
+                    f"exceeding the tree depth cap {MAX_TREE_DEPTH}"
                 )
 
 

@@ -13,24 +13,25 @@ The shape alone picks one of two regimes:
 * n >= dim (dense): both scatters are formed as dim x dim matrices and
   eigendecomposed in full.  Second-stage eigenvectors are signed by
   eig_symmetric_full, so each final column is signed in the basis LAPACK
-  picked, and columns past the second-stage rank come from that scatter's
-  null space.
+  picked.
 * n < dim (dual): the null space of the within-subclass scatter only ever
   gets one constant weight w_null, so the whitener is basis-free,
   W = U diag(w_r) U^T + w_null (I - U U^T), with U the range basis derived
   from the n x n Gram matrix of the weighted within-subclass rows (the
   eigenfaces construction).  W is only ever applied to blocks of rows, and
   the second stage is again an n x n Gram matrix (of the whitened rows), so
-  no dim x dim array is formed and training costs O(n^2 dim).  Two rules
-  make the result independent of any eigenbasis choice: the largest-
-  magnitude entry of each projection column is positive (the first such
-  entry on ties), and columns past the second-stage rank are zero.  The
-  spectrum keeps dim eigenvalues, zero beyond the n of the Gram matrix.
+  no dim x dim array is formed and training costs O(n^2 dim).  The
+  largest-magnitude entry of each projection column is positive (the first
+  such entry on ties), so the result does not depend on the eigenbasis the
+  Gram eigensolver picks.  The spectrum keeps dim eigenvalues, zero beyond
+  the n of the Gram matrix.
 
-Second-stage eigenvectors come out in descending eigenvalue order, and in
-both regimes the projection is computed at every column before it is cut to
-d, so the leading d' columns of a d-column extractor equal the extractor
-trained directly at d', bit for bit.
+In both regimes projection columns past the second-stage rank are zero: the
+null space of that scatter separates nothing, and any basis of it would be
+an arbitrary choice.  Second-stage eigenvectors come out in descending
+eigenvalue order, and the projection is computed at every column before it
+is cut to d, so the leading d' columns of a d-column extractor equal the
+extractor trained directly at d', bit for bit.
 """
 
 from __future__ import annotations
@@ -155,8 +156,7 @@ class FeatureExtractor:
 class TrainingDetails:
     """Intermediate products of training; every eigenvalue array has dim
     entries, zero past n in the dual regime.  Projection columns past
-    second_stage_rank come from the second-stage null space (dense) or are
-    zero (dual)."""
+    second_stage_rank are zero in both regimes."""
 
     spectrum: Eigenspectrum
     model: SpectrumModel
@@ -205,6 +205,8 @@ def _dense(ds: LabeledDataset, part: SubclassPartition, config: TrainConfig):
     # full product first, then slice: training at a smaller d must reproduce
     # the leading columns bit for bit, and BLAS rounds differently per shape
     projection = (whitener @ es2.eigenvectors)[:, : config.d]
+    if es2.rank < config.d:
+        projection[:, es2.rank :] = 0.0
     return es, model, projection, es2.eigenvalues, es2.rank
 
 

@@ -1,0 +1,44 @@
+"""The names the benchmark under perfbench/ reaches into the package by.
+
+perfbench imports its library calls from wssda, and its --trace 1 tracer
+swaps timing wrappers onto module attributes of wssda.pipeline and
+wssda.cli.  A simplification that drops or renames one of those names
+breaks the benchmark, not the package's own tests; entering the tracer here
+catches it in the tier-1 run.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+import wssda.cli
+import wssda.pipeline
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+    import workloads
+
+    return spans, workloads
+
+
+def test_tracer_installs_on_the_package_names_and_restores_them(perfbench, tmp_path):
+    spans, workloads = perfbench
+    before = {owner: dict(vars(owner)) for owner in (wssda.cli, wssda.pipeline)}
+    tracer = spans.Tracer()
+    with tracer.installed(workloads.make_api()):
+        assert wssda.cli.pair_similarity is not before[wssda.cli]["pair_similarity"]
+        code = wssda.cli.main(
+            ["synth", "--out", str(tmp_path / "d.csv"), "--classes", "2", "--dim", "3"]
+        )
+        assert code == 0
+    assert {s["name"] for s in tracer.spans} >= {"dataset.generate", "dataset.save_csv"}
+    for owner, names in before.items():
+        for attr, value in names.items():
+            assert getattr(owner, attr) is value, (owner.__name__, attr)

@@ -206,6 +206,39 @@ def test_partition_provided_requires_subclass_labels(tmp_path, capsys):
     assert "subclass" in err
 
 
+def test_partition_tree_depth_is_not_an_option(tmp_path, capsys):
+    csv_path = make_dataset_csv(tmp_path, capsys)
+    argv = ["partition", "--csv", csv_path, "--out-dir", str(tmp_path / "part")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--max-depth", "3"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("max_depth=3\n")
+    code, _, err = run_cli(argv + ["--config", cfg], capsys)
+    assert code == 1
+    assert "unknown config keys: max_depth" in err
+    # tree depth is log2 h, capped at 8: h=256 is accepted (8 rows per class
+    # fall back to singletons), h=512 is not
+    code, _, err = run_cli(argv + ["--h", 256], capsys)
+    assert code == 0, err
+    code, _, err = run_cli(argv + ["--h", 512], capsys)
+    assert code == 1
+    assert "h=512 needs depth 9, exceeding the tree depth cap 8" in err
+
+
+def test_config_unknown_strategy_rejected(tmp_path, capsys):
+    csv_path = make_dataset_csv(tmp_path, capsys)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("strategy=octree\n")
+    code, _, err = run_cli(
+        ["partition", "--config", cfg, "--csv", csv_path, "--out-dir", tmp_path / "part"],
+        capsys,
+    )
+    assert code == 1
+    assert "unknown strategy 'octree'" in err
+    assert not (tmp_path / "part" / "partition.csv").exists()
+
+
 # ---------------------------------------------------------------- train
 
 
@@ -303,7 +336,8 @@ def test_train_warns_when_d_exceeds_the_second_stage_rank_dense(tmp_path, capsys
     code, _, err = run_cli(argv, capsys)
     assert code == 0, err
     assert "warning: d=8 exceeds the second-stage rank 5" in err
-    assert "columns 6..8 come from the null space" in err
+    assert "columns 6..8 are zero" in err
+    assert not load_model(os.path.join(out_dir, "model.wssda")).projection[:, 5:].any()
 
 
 def test_out_dir_from_environment(tmp_path, capsys, monkeypatch):
@@ -377,6 +411,22 @@ def test_eval_id_sweep_beyond_model_rejected(tmp_path, capsys):
     )
     assert code == 1
     assert "d=8 exceeds" in err
+
+
+def test_eval_id_empty_sweep_rejected(tmp_path, capsys):
+    csv_path = make_dataset_csv(tmp_path, capsys)
+    out_dir, _ = train_small(tmp_path, capsys, csv_path, d=4)
+    code, out, err = run_cli(
+        [
+            "eval-id", "--csv", csv_path, "--with-subclasses",
+            "--model", os.path.join(out_dir, "model.wssda"),
+            "--d-sweep", ",", "--out-dir", out_dir,
+        ],
+        capsys,
+    )
+    assert code == 1
+    assert "d_values must be positive integers" in err
+    assert not os.path.exists(os.path.join(out_dir, "identification.csv"))
 
 
 def test_eval_id_without_probes_rejected(tmp_path, capsys):

@@ -121,6 +121,27 @@ def test_split_spec_disjoint():
         SplitSpec(gallery=np.array([0, 1]), probe=np.array([1, 2]))
 
 
+@pytest.mark.parametrize(
+    "gallery, probe, role",
+    [
+        ([0.5, 1.7], [3], "gallery"),  # an int64 cast would read 0, 1
+        ([0, 1], [2.9, True], "probe"),  # ... and 2, 1
+        (np.array([True, False]), [2], "gallery"),
+        ([0], np.array([2.0]), "probe"),
+    ],
+)
+def test_split_spec_rejects_non_integer_indices(gallery, probe, role):
+    with pytest.raises(ValueError, match=f"^{role} indices must be integers, got dtype "):
+        SplitSpec(gallery=gallery, probe=probe)
+
+
+def test_split_spec_accepts_integer_and_empty_indices():
+    split = SplitSpec(gallery=np.array([0, 2], dtype=np.int32), probe=[])
+    assert split.gallery.dtype == split.probe.dtype == np.int64
+    assert split.gallery.tolist() == [0, 2] and split.probe.size == 0
+    assert SplitSpec(gallery=[1], probe=np.array([3], dtype=np.uint16)).probe.tolist() == [3]
+
+
 def test_subset_keeps_rows_and_redensifies(tmp_path):
     ds = generate_synthetic(SynthSpec(3, 2, 3, 5, seed=2))
     keep = np.array([0, 1, 6, 7, 12, 13])

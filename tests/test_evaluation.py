@@ -239,6 +239,32 @@ def test_pair_scores_rejects_indices_outside_the_rows(index_a, index_b, message)
         pair_scores(features, index_a, index_b)
 
 
+@pytest.mark.parametrize(
+    "index_a, index_b, name, dtype",
+    [
+        (np.array([0.0, 1.0]), np.array([1, 2]), "index_a", "float64"),
+        (np.array([0, 1]), np.array([1.0, 2.0]), "index_b", "float64"),
+        # a bool vector is a row mask to NumPy: True, False, True would pick rows 0 and 2
+        (np.array([True, False, True]), np.array([1, 2, 3]), "index_a", "bool"),
+        ([0, 1, 2], [True, True, False], "index_b", "bool"),
+    ],
+)
+def test_pair_scores_rejects_non_integer_indices(index_a, index_b, name, dtype):
+    features = np.random.default_rng(0).normal(size=(4, 3))
+    with pytest.raises(
+        ValueError, match=f"^{name} must hold integer sample indices, got dtype {dtype}$"
+    ):
+        pair_scores(features, index_a, index_b)
+
+
+def test_pair_scores_accepts_empty_and_unsigned_indices():
+    features = np.random.default_rng(0).normal(size=(4, 3))
+    assert pair_scores(features, [], []).shape == (0,)  # an empty list is float64
+    expect = pair_scores(features, [0, 3], [3, 1]).tolist()
+    got = pair_scores(features, np.uint8([0, 3]), np.uint8([3, 1])).tolist()
+    assert got == expect
+
+
 def test_pair_scores_memory_stays_at_the_block():
     # a whole-array gather of both sides would hold 2 x 60000 x 64 doubles (61 MB)
     rng = np.random.default_rng(0)

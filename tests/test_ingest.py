@@ -1,10 +1,9 @@
 """The array-parse loaders against the per-cell loaders they replaced.
 
-load_csv and the CLI's pairs-file reader parse a whole file with np.loadtxt
-and scan it row by row only to locate a fault.  The per-cell loaders below
-are the earlier implementations, kept here as oracles: on well-formed files
-both must return the same arrays, on faulty ones the same DataFormatError
-text.
+load_csv and load_pairs parse a whole file with np.loadtxt and scan it row
+by row only to locate a fault.  The per-cell loaders below are the earlier
+implementations, kept here as oracles: on well-formed files both must
+return the same arrays, on faulty ones the same DataFormatError text.
 """
 
 from __future__ import annotations
@@ -17,8 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wssda import DataFormatError, LabeledDataset, load_csv
-from wssda.cli import _load_pairs
-from wssda.dataset import _dense_subclasses, _non_finite_cell
+from wssda.dataset import _dense_subclasses, _non_finite_cell, load_pairs
 
 
 def oracle_load_csv(path, with_subclasses=False):
@@ -216,7 +214,7 @@ def test_load_pairs_matches_the_per_line_loader(tmp_path_factory, text):
     path = str(tmp_path_factory.mktemp("pairs") / "pairs.csv")
     with open(path, "wb") as fh:
         fh.write(text.encode())
-    got = outcome(_load_pairs, path, PAIR_N)
+    got = outcome(load_pairs, path, PAIR_N)
     expect = outcome(oracle_load_pairs, path, PAIR_N)
     assert got[0] == expect[0], (got, expect)
     if got[0] == "error":
@@ -244,4 +242,4 @@ def test_underscore_digits_are_a_located_error(tmp_path):
     pairs = tmp_path / "pairs.csv"
     pairs.write_text("0,1,same\n1_0,1,diff\n")
     with pytest.raises(DataFormatError, match=r"pairs.csv:2: non-integer sample index"):
-        _load_pairs(str(pairs), 20)
+        load_pairs(str(pairs), 20)

@@ -164,7 +164,7 @@ def test_tree_params_require_power_of_two():
 
 def test_tree_depth_cap():
     with pytest.raises(ValueError):
-        TreeParams(h=512, max_depth=8).validate("kd")  # needs depth 9
+        TreeParams(h=512).validate("kd")  # needs depth 9
 
 
 @given(

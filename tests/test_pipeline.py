@@ -58,6 +58,17 @@ def test_train_nested_d_slices_exactly():
     assert np.array_equal(fx3.projection, fx.projection[:, :3])
 
 
+def test_dense_columns_past_second_stage_rank_are_zero():
+    # 36 rows at dim 16 take the dense path; 6 subclass means give bs rank 5
+    ds, part, fx, details = trained(seed=2, d=16, c=3, second_stage="bs")
+    assert ds.n >= ds.dim and details.second_stage_rank == 5
+    assert np.all(fx.projection[:, 5:] == 0.0)
+    assert np.all(np.linalg.norm(fx.projection[:, :5], axis=0) > 0.0)
+    for d in (3, 5, 6, 12):
+        fx_d = train(ds, part, TrainConfig(d=d, second_stage="bs"))
+        assert np.array_equal(fx_d.projection, fx.projection[:, :d]), d
+
+
 def test_whitening_identity_below_pivot():
     ds = geometric_noise_dataset(seed=2)
     part = partition_dataset(ds, TreeParams(h=2, seed=0), "provided")
