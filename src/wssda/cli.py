@@ -399,19 +399,16 @@ def cmd_eval_verify(s: Settings, out: OutputSet) -> None:
 
     if folds == 1:
         rep = verification_roc(scored)
-        points = rep.points
-        fold_eers = [rep.eer]
+        points, fold_eers, mean, std = rep.points, [rep.eer], rep.eer, 0.0
     else:
         grid = 101 if resolution is None else resolution
         krep = kfold_pairwise(scored, folds=folds, resolution=grid)
-        points = krep.points
-        fold_eers = krep.fold_eers
+        points, fold_eers = krep.points, krep.fold_eers
+        mean, std = krep.eer_mean, krep.eer_std
 
     roc_path = os.path.join(out_dir, "roc.csv")
     out.write_text(roc_path, _csv_text("far,tar", _roc_rows(points)))
     eer_rows = [(str(i), f"{e * 100:.2f}") for i, e in enumerate(fold_eers)]
-    mean = float(np.mean(fold_eers))
-    std = float(np.std(fold_eers))
     eer_rows.append(("mean", f"{mean * 100:.2f}"))
     eer_rows.append(("std", f"{std * 100:.2f}"))
     eer_path = os.path.join(out_dir, "eer.csv")

@@ -79,11 +79,12 @@ class LabeledDataset:
             self.subclass_labels = np.asarray(self.subclass_labels, dtype=np.int64)
             if self.subclass_labels.shape != self.class_labels.shape:
                 raise ValueError("subclass_labels length must match sample count")
-            for i in range(len(present)):
-                sub = self.subclass_labels[self.class_labels == i]
-                got = np.unique(sub)
-                if not np.array_equal(got, np.arange(len(got))):
-                    raise ValueError(f"subclass labels of class {i} must be dense in [0, H_i)")
+            # dense labels are exactly those that renumbering leaves unchanged
+            dense = _dense_subclasses(self.class_labels, self.subclass_labels)
+            moved = dense != self.subclass_labels
+            if moved.any():
+                i = int(self.class_labels[moved].min())
+                raise ValueError(f"subclass labels of class {i} must be dense in [0, H_i)")
 
     @property
     def n(self) -> int:
@@ -310,21 +311,23 @@ def _pairs_fault(path: str | os.PathLike, n: int, check=None) -> DataFormatError
 
 def save_csv(ds: LabeledDataset, path: str | os.PathLike) -> None:
     """Write a dataset back out in the load_csv format, at full float precision."""
+    labels = [ds.class_labels.tolist()]
+    if ds.subclass_labels is not None:
+        labels.append(ds.subclass_labels.tolist())
+    line = ",".join(["%d"] * len(labels) + [FLOAT_FMT] * ds.dim) + "\n"
     with open(path, "w", newline="\n") as fh:
-        for i in range(ds.n):
-            head = [str(int(ds.class_labels[i]))]
-            if ds.subclass_labels is not None:
-                head.append(str(int(ds.subclass_labels[i])))
-            vals = [FLOAT_FMT % v for v in ds.samples[i]]
-            fh.write(",".join(head + vals) + "\n")
+        for head, values in zip(zip(*labels), ds.samples):
+            fh.write(line % (*head, *values.tolist()))
 
 
 def _dense_subclasses(classes: np.ndarray, sub: np.ndarray) -> np.ndarray:
-    out = np.empty_like(sub)
-    for i in np.unique(classes):
-        mask = classes == i
-        _, out[mask] = np.unique(sub[mask], return_inverse=True)
-    return out
+    """Subclass labels renumbered 0, 1, ... in sorted order within each class.
+
+    One class-major int64 key per (class, subclass) pair, exact for the dense
+    class ids callers pass; a row-wise np.unique(axis=0) is many times slower."""
+    values, rank = np.unique(sub, return_inverse=True)
+    keys, inverse = np.unique(classes * values.size + rank, return_inverse=True)
+    return inverse - np.searchsorted(keys // values.size, classes)
 
 
 def _read_pgm(path: str) -> np.ndarray:
@@ -459,10 +462,11 @@ def make_gallery_probe_splits(ds: LabeledDataset, rotations: int) -> list[SplitS
         raise ProtocolError(
             f"class {short} has {int(sizes.min())} samples, fewer than {rotations} rotations"
         )
-    per_class = [ds.class_indices(i) for i in range(ds.class_count)]
+    order = np.argsort(ds.class_labels, kind="stable")
+    starts = np.cumsum(sizes) - sizes
     splits = []
     for r in range(rotations):
-        gallery = np.sort(np.asarray([idx[r] for idx in per_class], dtype=np.int64))
+        gallery = np.sort(order[starts + r])
         mask = np.ones(ds.n, dtype=bool)
         mask[gallery] = False
         splits.append(SplitSpec(gallery=gallery, probe=np.flatnonzero(mask)))
@@ -478,4 +482,4 @@ def subset(ds: LabeledDataset, indices: np.ndarray) -> LabeledDataset:
     sub = None
     if ds.subclass_labels is not None:
         sub = _dense_subclasses(classes, ds.subclass_labels[indices])
-    return LabeledDataset(ds.samples[indices].copy(), classes, sub)
+    return LabeledDataset(ds.samples[indices], classes, sub)

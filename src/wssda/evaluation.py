@@ -19,7 +19,7 @@ fixed block of rows at a time so memory stays flat in the pair count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -161,7 +161,6 @@ def nn_classify(
 class IdentificationReport:
     curve: list[tuple[int, float]]  # (d, mean error over splits)
     per_split: np.ndarray  # (splits, d_values) error rates
-    config: dict = field(default_factory=dict)
 
 
 def identification_sweep(
@@ -213,14 +212,7 @@ def identification_sweep(
             pred = gallery_labels[_nearest(gallery[:, :d], probes[:, :d], scratch)]
             errors[s, k] = float(np.mean(pred != truth))
     curve = [(d, float(errors[:, k].mean())) for k, d in enumerate(d_values)]
-    config = {
-        "d_values": d_values,
-        "split_count": len(splits),
-        "mode": fx.meta.mode,
-        "strategy": fx.meta.strategy,
-        "h": fx.meta.h,
-    }
-    return IdentificationReport(curve=curve, per_split=errors, config=config)
+    return IdentificationReport(curve=curve, per_split=errors)
 
 
 @dataclass

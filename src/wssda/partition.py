@@ -245,8 +245,8 @@ def partition_dataset(
         )
     subclass = np.empty(ds.n, dtype=np.int64)
     deficient: list[int] = []
-    for i in range(ds.class_count):
-        idx = ds.class_indices(i)
+    order = np.argsort(ds.class_labels, kind="stable")
+    for i, idx in enumerate(np.split(order, np.cumsum(ds.class_sizes())[:-1])):
         rng = np.random.default_rng(np.random.SeedSequence([params.seed, i]))
         groups, is_deficient = partition_class(ds.samples[idx], params, strategy, rng=rng)
         if is_deficient:

@@ -203,8 +203,9 @@ def _dense(ds: LabeledDataset, part: SubclassPartition, config: TrainConfig):
         second = between_subclass_scatter(_subclass_means(whitened, part), global_mean)
     es2 = eig_symmetric_full(second)
     # full product first, then slice: training at a smaller d must reproduce
-    # the leading columns bit for bit, and BLAS rounds differently per shape
-    projection = (whitener @ es2.eigenvectors)[:, : config.d]
+    # the leading columns bit for bit, and BLAS rounds differently per shape;
+    # the copy lets the dim x dim product go
+    projection = (whitener @ es2.eigenvectors)[:, : config.d].copy()
     if es2.rank < config.d:
         projection[:, es2.rank :] = 0.0
     return es, model, projection, es2.eigenvalues, es2.rank

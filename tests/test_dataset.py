@@ -16,6 +16,7 @@ from wssda import (
     save_csv,
     subset,
 )
+from wssda.dataset import _dense_subclasses
 
 
 def write(path, text):
@@ -85,6 +86,22 @@ def test_save_load_round_trip_exact(tmp_path):
     assert np.array_equal(back.subclass_labels, ds.subclass_labels)
 
 
+@pytest.mark.parametrize("with_subclasses", [False, True])
+def test_save_csv_bytes_match_a_per_cell_reference(tmp_path, with_subclasses):
+    rng = np.random.default_rng(4)
+    samples = rng.normal(size=(5, 4)) * 10.0 ** rng.integers(-300, 300, size=(5, 4))
+    samples[0] = [-0.0, 0.0, 1e-300, -5e-324]
+    samples[1, 0] = 1.7976931348623157e308
+    classes = np.array([2, 0, 1, 0, 2])
+    sub = np.array([0, 0, 0, 1, 1]) if with_subclasses else None
+    save_csv(LabeledDataset(samples, classes, sub), tmp_path / "d.csv")
+    lines = []
+    for i in range(len(classes)):
+        head = [str(classes[i])] + ([str(sub[i])] if with_subclasses else [])
+        lines.append(",".join(head + ["%.17g" % v for v in samples[i]]) + "\n")
+    assert (tmp_path / "d.csv").read_bytes() == "".join(lines).encode()
+
+
 @given(st.integers(0, 2**32))
 @settings(max_examples=25, deadline=None)
 def test_float_format_round_trips_doubles(seed):
@@ -105,6 +122,38 @@ def test_dataset_rejects_sparse_class_labels():
 def test_dataset_rejects_sparse_subclass_labels():
     with pytest.raises(ValueError, match="subclass"):
         LabeledDataset(np.zeros((2, 2)), np.array([0, 0]), np.array([0, 2]))
+
+
+def test_dataset_names_the_lowest_class_with_sparse_subclass_labels():
+    # classes 3, 2 and 1 are sparse, and class 3's rows come first
+    classes = np.array([3, 3, 0, 0, 2, 2, 1, 1])
+    sub = np.array([-1, 0, 0, 1, 1, 2, 0, 2])
+    with pytest.raises(ValueError, match=r"^subclass labels of class 1 must be dense"):
+        LabeledDataset(np.zeros((8, 2)), classes, sub)
+
+
+def _dense_subclasses_oracle(classes, sub):
+    out = np.empty_like(sub)
+    for i in np.unique(classes):
+        mask = classes == i
+        _, out[mask] = np.unique(sub[mask], return_inverse=True)
+    return out
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(-3, 3),
+            st.integers(-4, 4) | st.sampled_from([-70, 7, 21, 700]) | st.integers(-(2**62), 2**62),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_dense_subclasses_match_a_per_class_unique(rows):
+    classes, sub = (np.asarray(col, dtype=np.int64) for col in zip(*rows))
+    assert np.array_equal(_dense_subclasses(classes, sub), _dense_subclasses_oracle(classes, sub))
 
 
 def test_dataset_rejects_non_finite_samples():
@@ -266,3 +315,14 @@ def test_splits_too_many_rotations():
     ds = LabeledDataset(np.zeros((7, 2)), np.array([0, 0, 0, 1, 1, 1, 1]))
     with pytest.raises(ProtocolError, match="fewer than 4"):
         make_gallery_probe_splits(ds, 4)
+
+
+def test_splits_match_a_class_indices_reference():
+    rng = np.random.default_rng(8)
+    labels = rng.permutation(np.repeat(np.arange(5), [3, 4, 3, 6, 5]))
+    ds = LabeledDataset(rng.normal(size=(labels.size, 2)), labels)
+    per_class = [ds.class_indices(i) for i in range(ds.class_count)]
+    for r, sp in enumerate(make_gallery_probe_splits(ds, 3)):
+        gallery = np.sort([idx[r] for idx in per_class])
+        assert sp.gallery.tolist() == gallery.tolist()
+        assert sp.probe.tolist() == np.setdiff1d(np.arange(ds.n), gallery).tolist()

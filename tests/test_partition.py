@@ -230,3 +230,21 @@ def test_partition_group_ids_and_typed_errors():
         SubclassPartition(np.array([0, 1, 1]), np.array([0, 0, 2]), "provided")
     with pytest.raises(PartitionError, match="non-negative"):
         SubclassPartition(np.array([0, -1]), np.array([0, 0]), "provided")
+
+
+@pytest.mark.parametrize("strategy", ALL_TREES)
+def test_partition_dataset_matches_a_class_indices_reference(strategy):
+    rng = np.random.default_rng(9)
+    labels = rng.permutation(np.repeat(np.arange(4), [9, 3, 12, 8]))  # class 1 is deficient
+    ds = LabeledDataset(rng.normal(size=(labels.size, 3)), labels)
+    params = TreeParams(h=4, seed=5)
+    expected = np.empty(ds.n, dtype=np.int64)
+    for i in range(ds.class_count):
+        idx = ds.class_indices(i)
+        class_rng = np.random.default_rng(np.random.SeedSequence([params.seed, i]))
+        groups, _ = partition_class(ds.samples[idx], params, strategy, rng=class_rng)
+        for j, group in enumerate(groups):
+            expected[idx[group]] = j
+    part = partition_dataset(ds, params, strategy)
+    assert np.array_equal(part.subclass_labels, expected)
+    assert part.deficient_classes == (1,)

@@ -69,6 +69,13 @@ def test_dense_columns_past_second_stage_rank_are_zero():
         assert np.array_equal(fx_d.projection, fx.projection[:, :d]), d
 
 
+def test_dense_projection_does_not_keep_the_full_product_alive():
+    # a view into the dim x dim product would hold all of it for d columns
+    ds, _, fx, _ = trained(d=4, dim=16)
+    assert ds.n >= ds.dim and fx.projection.shape == (16, 4)
+    assert fx.projection.base is None
+
+
 def test_whitening_identity_below_pivot():
     ds = geometric_noise_dataset(seed=2)
     part = partition_dataset(ds, TreeParams(h=2, seed=0), "provided")
