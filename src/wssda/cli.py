@@ -1,10 +1,13 @@
 """Command line front end.
 
-Subcommands: synth, train, eval-id, eval-verify, partition.  Every value
-flag can also come from a flat key=value config file (--config); explicit
-flags win.  Output files are written atomically (temp file, then rename)
-and any files already produced by a failing run are removed, so an output
-directory never holds a partial result.
+Subcommands: synth, train, eval-id, eval-verify, partition.  Each flag's type
+and default are declared once, in its add_argument call.  Every value flag
+can also come from a flat key=value config file (--config): a key is the
+flag's long name with underscores, cast by the flag's type, and the values
+become the command's defaults, so explicit flags win.  Output files are
+written atomically (temp file, then rename) and any files already produced
+by a failing run are removed, so an output directory never holds a partial
+result.
 
 Seeds are namespaced per purpose: the user-facing --seed is combined with
 the consumer name (synth, partition) through a hash so that, say, adding a
@@ -66,7 +69,7 @@ def _parse_bool(raw: str) -> bool:
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {raw!r}")
+    raise ValueError(f"expected a boolean, got {raw!r}")
 
 
 def load_config(path: str) -> dict[str, str]:
@@ -89,40 +92,34 @@ def load_config(path: str) -> dict[str, str]:
     return cfg
 
 
-class Settings:
-    """Merged view of CLI flags and the config file; flags win."""
+def _config_defaults(parser: argparse.ArgumentParser, cfg: dict[str, str]) -> dict:
+    """The config values, each cast by the type of the flag its key names."""
+    flags = {
+        action.dest: action
+        for action in parser._actions
+        if action.option_strings and action.dest not in ("help", "config")
+    }
+    unknown = sorted(set(cfg) - set(flags))
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    values = {}
+    for key, raw in cfg.items():
+        action = flags[key]
+        # a switch (store_true) takes no value on the command line
+        cast = _parse_bool if action.nargs == 0 else action.type or str
+        try:
+            values[key] = cast(raw)
+        except ValueError as exc:
+            raise ConfigError(f"config key {key!r}: {exc}") from exc
+    return values
 
-    def __init__(self, args: argparse.Namespace, cfg: dict[str, str]):
-        self._args = args
-        self._cfg = cfg
-        self._seen: set[str] = set()
 
-    def get(self, name, cast, default=None):
-        self._seen.add(name)
-        val = getattr(self._args, name, None)
-        if val is not None:
-            return val
-        raw = self._cfg.get(name)
-        if raw is not None:
-            try:
-                return cast(raw)
-            except ConfigError:
-                raise
-            except ValueError as exc:
-                raise ConfigError(f"config key {name!r}: {exc}") from exc
-        return default
-
-    def require(self, name, cast):
-        val = self.get(name, cast)
-        if val is None:
-            flag = "--" + name.replace("_", "-")
-            raise ConfigError(f"{flag} (or config key {name!r}) is required")
-        return val
-
-    def check_unknown(self):
-        unknown = set(self._cfg) - self._seen
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+def _require(args: argparse.Namespace, name: str):
+    val = getattr(args, name)
+    if val is None:
+        flag = "--" + name.replace("_", "-")
+        raise ConfigError(f"{flag} (or config key {name!r}) is required")
+    return val
 
 
 class OutputSet:
@@ -157,88 +154,50 @@ class OutputSet:
         self._written.clear()
 
 
-def _csv_text(header: str, rows) -> str:
-    lines = [header]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _fmt(x: float) -> str:
-    return FLOAT_FMT % x
-
-
-def _roc_rows(points):
-    """_fmt cells of (far, tar) points, a value formatted once per run of equal
-    values in its column.  Both columns are non-decreasing, on the exact
-    staircase and on fold-averaged grids alike, so that is once per distinct
-    value: FAR repeats along every run of same pairs, TAR along every run of
-    different ones.  Runs are told apart by bits, so -0.0 keeps its own text."""
-    bits = np.array(points, dtype=np.float64).reshape(-1, 2).view(np.int64)
-    repeat = np.zeros(bits.shape, dtype=bool)
-    repeat[1:] = bits[1:] == bits[:-1]
-    del bits  # the text lines grow while this generator runs: hold only the flags
-    far = tar = ""
-    for (f, t), same_far, same_tar in zip(points, repeat[:, 0], repeat[:, 1]):
-        if not same_far:
-            far = _fmt(f)
-        if not same_tar:
-            tar = _fmt(t)
-        yield far, tar
+def _table(header: str, row_fmt: str, rows) -> str:
+    """CSV text: the header line, then row_fmt % row for each row."""
+    line = row_fmt + "\n"
+    return header + "\n" + "".join(line % row for row in rows)
 
 
 # ---------------------------------------------------------------- sources
 
 
-def _synth_spec(s: Settings, seed: int) -> SynthSpec:
-    spec = SynthSpec(
-        class_count=s.get("classes", int, 20),
-        subclasses_per_class=s.get("subclasses", int, 2),
-        samples_per_subclass=s.get("samples_per_subclass", int, 10),
-        dim=s.get("dim", int, 50),
-        subclass_mean_spread=s.get("spread", float, 3.0),
-        scale_range=(s.get("scale_min", float, 0.5), s.get("scale_max", float, 1.5)),
-        class_center_spread=s.get("class_spread", float, 6.0),
-        seed=_subseed(seed, "synth"),
+def _synth_spec(args: argparse.Namespace) -> SynthSpec:
+    return SynthSpec(
+        class_count=args.classes,
+        subclasses_per_class=args.subclasses,
+        samples_per_subclass=args.samples_per_subclass,
+        dim=args.dim,
+        subclass_mean_spread=args.spread,
+        scale_range=(args.scale_min, args.scale_max),
+        class_center_spread=args.class_spread,
+        seed=_subseed(args.seed, "synth"),
     )
-    spec.validate()
-    return spec
 
 
-def _load_dataset(s: Settings, seed: int) -> LabeledDataset:
-    csv_path = s.get("csv", str)
-    pgm_dir = s.get("pgm_dir", str)
-    synth = s.get("synth", _parse_bool, False)
-    with_sub = s.get("with_subclasses", _parse_bool, False)
-    chosen = sum(1 for flag in (csv_path, pgm_dir, synth) if flag)
+def _load_dataset(args: argparse.Namespace) -> LabeledDataset:
+    chosen = sum(1 for flag in (args.csv, args.pgm_dir, args.synth) if flag)
     if chosen != 1:
         raise ConfigError("exactly one data source required: --csv, --pgm-dir, or --synth")
-    if csv_path:
-        return load_csv(csv_path, with_subclasses=with_sub)
-    if pgm_dir:
-        return load_pgm_dir(pgm_dir)
-    return generate_synthetic(_synth_spec(s, seed))
+    if args.csv:
+        return load_csv(args.csv, with_subclasses=args.with_subclasses)
+    if args.pgm_dir:
+        return load_pgm_dir(args.pgm_dir)
+    return generate_synthetic(_synth_spec(args))
 
 
-def _out_dir(s: Settings) -> str:
-    out = s.get("out_dir", str)
-    if out is None:
-        out = os.environ.get(ENV_OUT_DIR, ".")
+def _out_dir(args: argparse.Namespace) -> str:
+    out = os.environ.get(ENV_OUT_DIR, ".") if args.out_dir is None else args.out_dir
     os.makedirs(out, exist_ok=True)
     return out
 
 
-def _partition_params(s: Settings, seed: int):
-    strategy = s.get("strategy", str, "kd")
-    params = TreeParams(h=s.get("h", int, 2), seed=_subseed(seed, "partition"))
-    return strategy, params
-
-
 def _partition_csv(part) -> str:
-    rows = (
-        (str(i), str(int(part.class_labels[i])), str(int(part.subclass_labels[i])))
-        for i in range(len(part.class_labels))
+    rows = zip(
+        range(len(part.class_labels)), part.class_labels.tolist(), part.subclass_labels.tolist()
     )
-    return _csv_text("sample_index,class,subclass", rows)
+    return _table("sample_index,class,subclass", "%d,%d,%d", rows)
 
 
 def _warn_deficient(part, h: int) -> None:
@@ -262,56 +221,43 @@ def _warn_rank(d: int, rank: int) -> None:
 # ---------------------------------------------------------------- commands
 
 
-def cmd_synth(s: Settings, out: OutputSet) -> None:
-    seed = s.get("seed", int, 0)
-    out_path = s.require("out", str)
-    spec = _synth_spec(s, seed)
-    s.check_unknown()
-    ds = generate_synthetic(spec)
+def cmd_synth(args: argparse.Namespace, out: OutputSet) -> None:
+    out_path = _require(args, "out")
+    ds = generate_synthetic(_synth_spec(args))
     out.write_file(out_path, lambda tmp: save_csv(ds, tmp))
-    echo = [
-        ("classes", str(spec.class_count)),
-        ("subclasses", str(spec.subclasses_per_class)),
-        ("samples_per_subclass", str(spec.samples_per_subclass)),
-        ("dim", str(spec.dim)),
-        ("spread", _fmt(spec.subclass_mean_spread)),
-        ("scale_min", _fmt(spec.scale_range[0])),
-        ("scale_max", _fmt(spec.scale_range[1])),
-        ("class_spread", _fmt(spec.class_center_spread)),
-        ("seed", str(seed)),
-    ]
-    out.write_text(out_path + ".cfg", "".join(f"{k}={v}\n" for k, v in echo))
+    # the settings that regenerate the file, as a --config file
+    echo = [(key, "%d" if kind is int else FLOAT_FMT) for key, kind, _, _ in SYNTH_FLAGS]
+    echo.append(("seed", "%d"))
+    out.write_text(
+        out_path + ".cfg", "".join(f"{key}={fmt % getattr(args, key)}\n" for key, fmt in echo)
+    )
     print(f"wrote {out_path}: {ds.n} samples, {ds.class_count} classes, dim {ds.dim}")
 
 
-def cmd_partition(s: Settings, out: OutputSet) -> None:
-    seed = s.get("seed", int, 0)
-    out_dir = _out_dir(s)
-    strategy, params = _partition_params(s, seed)
-    ds = _load_dataset(s, seed)
-    s.check_unknown()
-    part = partition_dataset(ds, params, strategy)
+def cmd_partition(args: argparse.Namespace, out: OutputSet) -> None:
+    out_dir = _out_dir(args)
+    params = TreeParams(h=args.h, seed=_subseed(args.seed, "partition"))
+    ds = _load_dataset(args)
+    part = partition_dataset(ds, params, args.strategy)
     _warn_deficient(part, params.h)
     path = os.path.join(out_dir, "partition.csv")
     out.write_text(path, _partition_csv(part))
-    print(f"wrote {path}: strategy={strategy} h={params.h}")
+    print(f"wrote {path}: strategy={args.strategy} h={params.h}")
 
 
-def cmd_train(s: Settings, out: OutputSet) -> None:
-    seed = s.get("seed", int, 0)
-    out_dir = _out_dir(s)
-    strategy, params = _partition_params(s, seed)
+def cmd_train(args: argparse.Namespace, out: OutputSet) -> None:
+    out_dir = _out_dir(args)
+    params = TreeParams(h=args.h, seed=_subseed(args.seed, "partition"))
     config = TrainConfig(
-        d=s.require("d", int),
-        mode=s.get("mode", str, REGULARIZED),
-        second_stage=s.get("second_stage", str, "ts"),
-        med_factor=s.get("med_factor", float, 1.0),
-        allow_flat_spectrum=s.get("allow_flat_spectrum", _parse_bool, False),
+        d=_require(args, "d"),
+        mode=args.mode,
+        second_stage=args.second_stage,
+        med_factor=args.med_factor,
+        allow_flat_spectrum=args.allow_flat_spectrum,
     )
-    ds = _load_dataset(s, seed)
-    s.check_unknown()
+    ds = _load_dataset(args)
 
-    part = partition_dataset(ds, params, strategy)
+    part = partition_dataset(ds, params, args.strategy)
     _warn_deficient(part, params.h)
     fx, details = train_detailed(ds, part, config)
     _warn_rank(config.d, details.second_stage_rank)
@@ -322,13 +268,19 @@ def cmd_train(s: Settings, out: OutputSet) -> None:
 
     es = details.spectrum
     model = details.model
-    spectrum_rows = (
-        (str(k + 1), _fmt(es.eigenvalues[k]), _fmt(model.lambda_reg[k]), _fmt(model.weights[k]))
-        for k in range(es.dim)
+    spectrum_rows = zip(
+        range(1, es.dim + 1),
+        es.eigenvalues.tolist(),
+        model.lambda_reg.tolist(),
+        model.weights.tolist(),
     )
     out.write_text(
         os.path.join(out_dir, "spectrum.csv"),
-        _csv_text("k,eigenvalue,regularized_eigenvalue,weight", spectrum_rows),
+        _table(
+            "k,eigenvalue,regularized_eigenvalue,weight",
+            ",".join(["%d"] + [FLOAT_FMT] * 3),
+            spectrum_rows,
+        ),
     )
     pivot_note = f" pivot={model.pivot}" if model.pivot is not None else ""
     print(
@@ -337,10 +289,9 @@ def cmd_train(s: Settings, out: OutputSet) -> None:
     )
 
 
-def _load_eval_common(s: Settings, seed: int):
-    model_path = s.require("model", str)
-    fx = load_model(model_path)
-    ds = _load_dataset(s, seed)
+def _load_eval_common(args: argparse.Namespace):
+    fx = load_model(_require(args, "model"))
+    ds = _load_dataset(args)
     if ds.dim != fx.dim:
         raise ConfigError(
             f"data dimension {ds.dim} does not match the model dimension {fx.dim}"
@@ -348,45 +299,36 @@ def _load_eval_common(s: Settings, seed: int):
     return fx, ds
 
 
-def cmd_eval_id(s: Settings, out: OutputSet) -> None:
-    seed = s.get("seed", int, 0)
-    out_dir = _out_dir(s)
-    rotations = s.get("rotations", int, 1)
-    sweep_raw = s.get("d_sweep", str)
-    fx, ds = _load_eval_common(s, seed)
-    s.check_unknown()
+def cmd_eval_id(args: argparse.Namespace, out: OutputSet) -> None:
+    out_dir = _out_dir(args)
+    fx, ds = _load_eval_common(args)
 
-    if sweep_raw is None:
+    if args.d_sweep is None:
         d_values = [fx.d]
     else:
         try:
-            d_values = [int(tok) for tok in sweep_raw.split(",") if tok.strip()]
+            d_values = [int(tok) for tok in args.d_sweep.split(",") if tok.strip()]
         except ValueError as exc:
-            raise ConfigError(f"bad d sweep {sweep_raw!r}: {exc}") from exc
+            raise ConfigError(f"bad d sweep {args.d_sweep!r}: {exc}") from exc
 
-    splits = make_gallery_probe_splits(ds, rotations)
+    splits = make_gallery_probe_splits(ds, args.rotations)
     report = identification_sweep(lambda d_max: fx, ds, splits, d_values)
-    rows = ((str(d), _fmt(err)) for d, err in report.curve)
     path = os.path.join(out_dir, "identification.csv")
-    out.write_text(path, _csv_text("d,error", rows))
+    out.write_text(path, _table("d,error", "%d," + FLOAT_FMT, report.curve))
     for d, err in report.curve:
         print(f"d={d} error={err * 100:.2f}%")
     print(f"wrote {path}")
 
 
-def cmd_eval_verify(s: Settings, out: OutputSet) -> None:
-    seed = s.get("seed", int, 0)
-    out_dir = _out_dir(s)
-    pairs_path = s.require("pairs", str)
-    folds = s.get("folds", int, 1)
-    resolution = s.get("resolution", int)
-    if resolution is not None and folds == 1:
+def cmd_eval_verify(args: argparse.Namespace, out: OutputSet) -> None:
+    out_dir = _out_dir(args)
+    pairs_path = _require(args, "pairs")
+    if args.resolution is not None and args.folds == 1:
         raise ConfigError(
             "--resolution sets the FAR grid of fold averaging and needs --folds above 1; "
             "one fold writes the exact ROC"
         )
-    fx, ds = _load_eval_common(s, seed)
-    s.check_unknown()
+    fx, ds = _load_eval_common(args)
 
     index, same = load_pairs(pairs_path, ds.n)
     feats = ds.samples @ fx.projection
@@ -397,27 +339,47 @@ def cmd_eval_verify(s: Settings, out: OutputSet) -> None:
         raise _pairs_fault(pairs_path, ds.n, score) from exc
     scored = list(zip(scores.tolist(), same.tolist()))
 
-    if folds == 1:
+    if args.folds == 1:
         rep = verification_roc(scored)
         points, fold_eers, mean, std = rep.points, [rep.eer], rep.eer, 0.0
     else:
-        grid = 101 if resolution is None else resolution
-        krep = kfold_pairwise(scored, folds=folds, resolution=grid)
+        # no --resolution: kfold_pairwise's own grid
+        grid = {} if args.resolution is None else {"resolution": args.resolution}
+        krep = kfold_pairwise(scored, folds=args.folds, **grid)
         points, fold_eers = krep.points, krep.fold_eers
         mean, std = krep.eer_mean, krep.eer_std
 
     roc_path = os.path.join(out_dir, "roc.csv")
-    out.write_text(roc_path, _csv_text("far,tar", _roc_rows(points)))
-    eer_rows = [(str(i), f"{e * 100:.2f}") for i, e in enumerate(fold_eers)]
-    eer_rows.append(("mean", f"{mean * 100:.2f}"))
-    eer_rows.append(("std", f"{std * 100:.2f}"))
+    out.write_text(roc_path, _table("far,tar", FLOAT_FMT + "," + FLOAT_FMT, points))
+    eers = [*enumerate(fold_eers), ("mean", mean), ("std", std)]
     eer_path = os.path.join(out_dir, "eer.csv")
-    out.write_text(eer_path, _csv_text("fold,eer_percent", eer_rows))
+    out.write_text(
+        eer_path, _table("fold,eer_percent", "%s,%.2f", ((f, e * 100) for f, e in eers))
+    )
     print(f"EER: {mean * 100:.2f}%")
     print(f"wrote {roc_path} and {eer_path}")
 
 
 # ---------------------------------------------------------------- wiring
+
+# (config key, type, default, help) of each synthetic-data flag; `synth` echoes them
+SYNTH_FLAGS = (
+    ("classes", int, 20, "number of classes"),
+    ("subclasses", int, 2, "subclasses per class"),
+    ("samples_per_subclass", int, 10, "samples per subclass"),
+    ("dim", int, 50, "sample dimension"),
+    ("spread", float, 3.0, "subclass mean distance from the class center"),
+    ("scale_min", float, 0.5, "smallest subclass noise scale"),
+    ("scale_max", float, 1.5, "largest subclass noise scale"),
+    ("class_spread", float, 6.0, "class center spread"),
+)
+
+
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Shows each flag's default, unless it has none."""
+
+    def _get_help_string(self, action):
+        return action.help if action.default is None else super()._get_help_string(action)
 
 
 def _add_source_flags(p: argparse.ArgumentParser) -> None:
@@ -425,28 +387,21 @@ def _add_source_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--with-subclasses",
         action="store_true",
-        default=None,
         help="the CSV's second column is a subclass label",
     )
     p.add_argument("--pgm-dir", help="directory of per-class PGM image folders")
-    p.add_argument("--synth", action="store_true", default=None, help="generate synthetic data")
+    p.add_argument("--synth", action="store_true", help="generate synthetic data")
     _add_synth_flags(p)
 
 
 def _add_synth_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--classes", type=int)
-    p.add_argument("--subclasses", type=int)
-    p.add_argument("--samples-per-subclass", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--spread", type=float, help="subclass mean distance from the class center")
-    p.add_argument("--scale-min", type=float)
-    p.add_argument("--scale-max", type=float)
-    p.add_argument("--class-spread", type=float, help="class center spread")
+    for key, kind, default, help in SYNTH_FLAGS:
+        p.add_argument("--" + key.replace("_", "-"), type=kind, default=default, help=help)
 
 
 def _add_partition_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--strategy", choices=STRATEGIES)
-    p.add_argument("--h", type=int, help="subclasses per class")
+    p.add_argument("--strategy", choices=STRATEGIES, default="kd", help="partition strategy")
+    p.add_argument("--h", type=int, default=2, help="subclasses per class")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -456,55 +411,54 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help, formatter_class=_HelpFormatter)
         p.add_argument("--config", help="flat key=value config file; flags override it")
-        p.add_argument("--seed", type=int)
+        p.add_argument("--seed", type=int, default=0, help="random seed")
         p.add_argument("--out-dir", help=f"output directory (default ${ENV_OUT_DIR} or .)")
+        # main() finds the flags a config file may set through `parser`
+        p.set_defaults(func=func, parser=p)
+        return p
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset CSV")
-    common(p)
+    p = command("synth", cmd_synth, "generate a synthetic dataset CSV")
     _add_synth_flags(p)
     p.add_argument("--out", help="output CSV path")
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("partition", help="partition classes into subclasses")
-    common(p)
+    p = command("partition", cmd_partition, "partition classes into subclasses")
     _add_source_flags(p)
     _add_partition_flags(p)
-    p.set_defaults(func=cmd_partition)
 
-    p = sub.add_parser("train", help="train a feature extractor")
-    common(p)
+    p = command("train", cmd_train, "train a feature extractor")
     _add_source_flags(p)
     _add_partition_flags(p)
     p.add_argument("--d", type=int, help="feature dimension")
-    p.add_argument("--mode", choices=(REGULARIZED, TRUNCATED))
-    p.add_argument("--second-stage", choices=SECOND_STAGES)
-    p.add_argument("--med-factor", type=float)
+    p.add_argument(
+        "--mode", choices=(REGULARIZED, TRUNCATED), default=REGULARIZED, help="spectrum model"
+    )
+    p.add_argument("--second-stage", choices=SECOND_STAGES, default="ts", help="second stage")
+    p.add_argument("--med-factor", type=float, default=1.0, help="scales the pivot threshold")
     p.add_argument(
         "--allow-flat-spectrum",
         action="store_true",
-        default=None,
         help="fall back to uniform weights when the spectrum has no decay",
     )
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval-id", help="closed-set identification error vs d")
-    common(p)
+    p = command("eval-id", cmd_eval_id, "closed-set identification error vs d")
     _add_source_flags(p)
     p.add_argument("--model", help="trained model file")
-    p.add_argument("--rotations", type=int, help="gallery/probe rotations")
-    p.add_argument("--d-sweep", help="comma-separated feature dimensions, e.g. 1,2,4")
-    p.set_defaults(func=cmd_eval_id)
+    p.add_argument("--rotations", type=int, default=1, help="gallery/probe rotations")
+    p.add_argument(
+        "--d-sweep", help="comma-separated feature dimensions, e.g. 1,2,4 (default: the model's d)"
+    )
 
-    p = sub.add_parser("eval-verify", help="pairwise verification ROC and EER")
-    common(p)
+    p = command("eval-verify", cmd_eval_verify, "pairwise verification ROC and EER")
     _add_source_flags(p)
     p.add_argument("--model", help="trained model file")
     p.add_argument("--pairs", help="pairs file: index_a,index_b,same|diff per line")
-    p.add_argument("--folds", type=int)
-    p.add_argument("--resolution", type=int, help="FAR grid size for fold averaging")
-    p.set_defaults(func=cmd_eval_verify)
+    p.add_argument("--folds", type=int, default=1, help="folds; 1 writes the exact ROC")
+    p.add_argument(
+        "--resolution", type=int, help="FAR grid size of fold averaging (needs --folds above 1)"
+    )
 
     return parser
 
@@ -512,12 +466,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = {}
     out = OutputSet()
     try:
         if args.config is not None:
+            # config values become the command's defaults, so explicit flags win
             cfg = load_config(args.config)
-        args.func(Settings(args, cfg), out)
+            args.parser.set_defaults(**_config_defaults(args.parser, cfg))
+            args = parser.parse_args(argv)
+        args.func(args, out)
     except (WSSDAError, ValueError, OSError) as exc:
         out.discard()
         print(f"error: {exc}", file=sys.stderr)

@@ -146,13 +146,13 @@ class SynthSpec:
             raise ValueError("all counts must be positive")
         if self.dim < 1:
             raise ValueError("dim must be positive")
-        if self.subclass_mean_spread < 0:
-            raise ValueError("subclass_mean_spread must be non-negative")
+        if not 0 <= self.subclass_mean_spread < np.inf:
+            raise ValueError("subclass_mean_spread must be finite and non-negative")
         lo, hi = self.scale_range
-        if not (0 < lo <= hi):
-            raise ValueError("scale_range must be a positive interval (lo, hi) with lo <= hi")
-        if self.class_center_spread < 0:
-            raise ValueError("class_center_spread must be non-negative")
+        if not 0 < lo <= hi < np.inf:
+            raise ValueError("scale_range must be a finite positive interval with lo <= hi")
+        if not 0 <= self.class_center_spread < np.inf:
+            raise ValueError("class_center_spread must be finite and non-negative")
 
 
 def load_csv(path: str | os.PathLike, with_subclasses: bool = False) -> LabeledDataset:
@@ -474,8 +474,16 @@ def make_gallery_probe_splits(ds: LabeledDataset, rotations: int) -> list[SplitS
 
 
 def subset(ds: LabeledDataset, indices: np.ndarray) -> LabeledDataset:
-    """Dataset restricted to the given rows; every class must stay represented."""
-    indices = np.asarray(indices, dtype=np.int64)
+    """Dataset restricted to the given rows; every class must stay represented.
+    A non-empty float or bool index array is refused rather than truncated or
+    taken as a mask, and an index outside [0, n) rather than wrapped."""
+    indices = np.asarray(indices)
+    if indices.size and indices.dtype.kind not in "iu":  # [] is float64
+        raise ValueError(f"subset indices must be integers, got dtype {indices.dtype}")
+    outside = indices[(indices < 0) | (indices >= ds.n)]
+    if outside.size:
+        raise ValueError(f"subset index {outside[0]} is out of range for {ds.n} samples")
+    indices = indices.astype(np.int64, copy=False)
     classes = ds.class_labels[indices]
     if np.unique(classes).size != ds.class_count:
         raise ValueError("subset must retain at least one sample of every class")

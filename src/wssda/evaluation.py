@@ -174,7 +174,10 @@ def identification_sweep(
     factory(d_max) must return an extractor with at least d_max columns;
     lower-dimensional results reuse its leading columns.
     """
-    d_values = sorted(set(int(d) for d in d_values))
+    d_array = np.asarray(d_values)
+    if d_array.size and d_array.dtype.kind not in "iu":  # int() would truncate a float d
+        raise ValueError(f"d_values must be positive integers, got dtype {d_array.dtype}")
+    d_values = sorted(set(d_array.tolist()))
     if not d_values or d_values[0] < 1:
         raise ValueError("d_values must be positive integers")
     if not splits:

@@ -98,8 +98,8 @@ class TrainConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.second_stage not in SECOND_STAGES:
             raise ConfigError(f"unknown second stage {self.second_stage!r}")
-        if self.med_factor <= 0:
-            raise ConfigError("med_factor must be positive")
+        if not 0 < self.med_factor < np.inf:  # NaN fails too
+            raise ConfigError("med_factor must be positive and finite")
 
 
 @dataclass(frozen=True)

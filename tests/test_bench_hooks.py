@@ -42,3 +42,11 @@ def test_tracer_installs_on_the_package_names_and_restores_them(perfbench, tmp_p
     for owner, names in before.items():
         for attr, value in names.items():
             assert getattr(owner, attr) is value, (owner.__name__, attr)
+
+
+def test_every_cli_name_the_tracer_wraps_is_bound(perfbench):
+    # the tracer skips a CLI_CALLS name wssda.cli lacks, so a dropped import
+    # reads as a zero span, not as an error
+    spans, _ = perfbench
+    missing = [attr for attr, _ in spans.CLI_CALLS if not hasattr(wssda.cli, attr)]
+    assert missing == []

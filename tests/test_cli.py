@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import wssda
-from wssda.cli import ENV_OUT_DIR, _csv_text, _roc_rows, _subseed, load_config, main
+from wssda.cli import ENV_OUT_DIR, _subseed, _table, load_config, main
 from wssda.dataset import FLOAT_FMT, load_csv, make_gallery_probe_splits, save_csv, subset
 from wssda.evaluation import identification_sweep
 from wssda.pipeline import load_model
@@ -170,6 +170,101 @@ def test_config_bad_value_names_key(tmp_path, capsys):
     assert "classes" in err
 
 
+def config_text(argv):
+    """argv's flags as config lines: --flag value -> flag=value, a bare switch -> flag=1."""
+    lines, i = [], 0
+    while i < len(argv):
+        key = str(argv[i]).removeprefix("--").replace("-", "_")
+        switch = i + 1 == len(argv) or str(argv[i + 1]).startswith("--")
+        lines.append(f"{key}={1 if switch else argv[i + 1]}\n")
+        i += 1 if switch else 2
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("command", ["train", "eval-verify"])
+def test_config_keys_and_flags_write_the_same_bytes(tmp_path, capsys, command):
+    if command == "train":
+        # the synthetic source takes the synth flags too
+        flags = [
+            "--synth", "--classes", 5, "--subclasses", 3, "--samples-per-subclass", 4,
+            "--dim", 10, "--spread", 2.5, "--scale-min", 0.25, "--scale-max", 2,
+            "--class-spread", 4, "--with-subclasses", "--strategy", "kmeans", "--h", 3,
+            "--seed", 9, "--d", 6, "--mode", "truncated", "--second-stage", "bs",
+            "--med-factor", 1.5, "--allow-flat-spectrum",
+        ]
+        outputs = ("model.wssda", "partition.csv", "spectrum.csv")
+    else:
+        csv_path = make_dataset_csv(tmp_path, capsys)
+        model_dir, _ = train_small(tmp_path, capsys, csv_path, d=4)
+        ds = load_csv(csv_path, with_subclasses=True)
+        flags = [
+            "--csv", csv_path, "--with-subclasses", "--seed", 2,
+            "--model", os.path.join(model_dir, "model.wssda"),
+            "--pairs", write_pairs(tmp_path / "pairs.csv", ds), "--folds", 3, "--resolution", 7,
+        ]
+        outputs = ("roc.csv", "eer.csv")
+    by_flags, by_config = tmp_path / "flags", tmp_path / "config"
+    code, out_flags, err = run_cli([command, *flags, "--out-dir", by_flags], capsys)
+    assert code == 0, err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config_text([*flags, "--out-dir", by_config]))
+    code, out_config, err = run_cli([command, "--config", cfg], capsys)
+    assert code == 0, err
+    assert out_config == out_flags.replace(str(by_flags), str(by_config))
+    for name in outputs:
+        assert (by_config / name).read_bytes() == (by_flags / name).read_bytes(), name
+
+
+def test_config_key_of_a_flag_the_source_ignores_is_accepted(tmp_path, capsys):
+    # --csv ignores --classes; the classes key is accepted as the flag is
+    csv_path = make_dataset_csv(tmp_path, capsys)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("classes=99\n")
+    base = ["partition", "--csv", csv_path, "--with-subclasses"]
+    for name, extra in (("flag", ["--classes", 99]), ("config", ["--config", cfg])):
+        code, _, err = run_cli(base + extra + ["--out-dir", tmp_path / name], capsys)
+        assert code == 0, err
+    written = [(tmp_path / name / "partition.csv").read_bytes() for name in ("flag", "config")]
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("banana=1", "unknown config keys: banana"),
+        ("h=two", "config key 'h': invalid literal for int() with base 10: 'two'"),
+        ("with_subclasses=maybe", "config key 'with_subclasses': expected a boolean, got 'maybe'"),
+    ],
+)
+def test_config_faults_are_reported_before_any_input_is_read(tmp_path, capsys, line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    out_dir = tmp_path / "out"
+    missing = tmp_path / "missing.csv"
+    code, _, err = run_cli(
+        ["train", "--config", cfg, "--csv", missing, "--d", 2, "--out-dir", out_dir], capsys
+    )
+    assert code == 1
+    assert err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
+def test_help_shows_each_flag_default(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for shown in (
+        "--seed SEED random seed (default: 0)",
+        "--classes CLASSES number of classes (default: 20)",
+        "--strategy {kd,rp,pca,kmeans,provided} partition strategy (default: kd)",
+        "--h H subclasses per class (default: 2)",
+        "--med-factor MED_FACTOR scales the pivot threshold (default: 1.0)",
+        "--d D feature dimension --mode",  # no default: required
+    ):
+        assert shown in text
+
+
 # ---------------------------------------------------------------- partition
 
 
@@ -281,6 +376,18 @@ def test_train_requires_d(tmp_path, capsys):
     )
     assert code == 1
     assert "--d" in err
+
+
+def test_train_rejects_nan_med_factor(tmp_path, capsys):
+    csv_path = make_dataset_csv(tmp_path, capsys)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("med_factor=nan\n")
+    base = ["train", "--csv", csv_path, "--with-subclasses", "--d", 2, "--out-dir", tmp_path]
+    for extra in (["--med-factor", "nan"], ["--config", cfg]):
+        code, _, err = run_cli(base + extra, capsys)
+        assert code == 1
+        assert "med_factor must be positive and finite" in err
+    assert not (tmp_path / "model.wssda").exists()
 
 
 def test_train_truncated_mode(tmp_path, capsys):
@@ -571,7 +678,7 @@ def per_cell_roc_text(points):
     return "far,tar\n" + "".join(f"{FLOAT_FMT % far},{FLOAT_FMT % tar}\n" for far, tar in points)
 
 
-def test_roc_text_formats_each_run_of_values_once_byte_identical(monkeypatch):
+def test_table_roc_text_matches_per_cell_float_text():
     rng = np.random.default_rng(5)
     flags = rng.random(3000) < 0.3
     # rounded scores tie, so runs of equal FAR and TAR values repeat
@@ -585,14 +692,8 @@ def test_roc_text_formats_each_run_of_values_once_byte_identical(monkeypatch):
         "not monotone": [(0.5, 0.1), (0.2, 0.1), (0.5, 0.3), (0.5, 0.1)],
     }
     for name, points in cases.items():
-        assert _csv_text("far,tar", _roc_rows(points)) == per_cell_roc_text(points), name
-
-    calls = []
-    monkeypatch.setattr(wssda.cli, "_fmt", lambda x: calls.append(x) or FLOAT_FMT % x)
-    staircase = cases["staircase"]
-    _csv_text("far,tar", _roc_rows(staircase))
-    assert len(calls) == len({far for far, _ in staircase}) + len({tar for _, tar in staircase})
-    assert len(calls) < 2 * len(staircase)  # fewer than one call per cell
+        text = _table("far,tar", FLOAT_FMT + "," + FLOAT_FMT, points)
+        assert text == per_cell_roc_text(points), name
 
 
 @pytest.mark.parametrize("folds", [1, 2])

@@ -201,6 +201,21 @@ def test_subset_keeps_rows_and_redensifies(tmp_path):
         subset(ds, np.arange(6))  # drops classes 1 and 2
 
 
+@pytest.mark.parametrize(
+    "indices, message",
+    [
+        ([-1, 0, 6, 12], "index -1 is out of range for 18 samples"),  # NumPy wraps -1 to 17
+        ([0, 6, 18], "index 18 is out of range for 18 samples"),
+        ([0.5, 6.2, 12.9], "indices must be integers, got dtype float64"),  # int64 reads 0, 6, 12
+        (np.arange(18) % 2 == 0, "indices must be integers, got dtype bool"),  # not a row mask
+    ],
+)
+def test_subset_rejects_indices_it_would_wrap_truncate_or_mask(indices, message):
+    ds = generate_synthetic(SynthSpec(3, 2, 3, 5, seed=2))
+    with pytest.raises(ValueError, match=f"^subset {message}$"):
+        subset(ds, indices)
+
+
 # ------------------------------------------------------------------ PGM
 
 
@@ -288,6 +303,16 @@ def test_synth_validation():
         SynthSpec(0, 2, 5, 4).validate()
     with pytest.raises(ValueError):
         SynthSpec(2, 2, 5, 4, scale_range=(0.0, 1.0)).validate()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("knob", ["subclass_mean_spread", "class_center_spread", "scale_range"])
+def test_synth_validation_names_a_non_finite_knob(knob, value):
+    # unchecked, NaN or inf reached the samples and failed as "non-finite
+    # sample value at row 0, column 0"
+    over = {knob: (0.5, value) if knob == "scale_range" else value}
+    with pytest.raises(ValueError, match=f"^{knob} must be .*finite"):
+        SynthSpec(2, 2, 5, 4, **over).validate()
 
 
 # ------------------------------------------------------------------ splits

@@ -424,6 +424,15 @@ def test_identification_rejects_indices_outside_the_dataset(role, bad, shown):
     assert calls == []  # rejected before any training
 
 
+@pytest.mark.parametrize("d_values", [[1.9], [2, 3.0], [True]])
+def test_identification_rejects_non_integer_d(d_values):
+    # int() truncated 1.9 to d=1 and read True as d=1
+    ds = generate_synthetic(SynthSpec(4, 2, 4, 8, seed=0))
+    splits = make_gallery_probe_splits(ds, 1)
+    with pytest.raises(ValueError, match="^d_values must be positive integers, got dtype "):
+        identification_sweep(train_factory(ds), ds, splits, d_values)
+
+
 def test_identification_rejects_short_extractor():
     ds = generate_synthetic(SynthSpec(4, 2, 4, 8, seed=0))
     splits = make_gallery_probe_splits(ds, 1)

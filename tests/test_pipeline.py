@@ -114,6 +114,14 @@ def test_train_rejects_bad_config():
         train(ds, part, TrainConfig(d=2, mode="banana"))
 
 
+@pytest.mark.parametrize("med_factor", [np.nan, np.inf, 0.0, -1.0])
+def test_train_rejects_a_med_factor_that_is_not_positive_and_finite(med_factor):
+    # NaN used to pass the `<= 0` check and train with the pivot at r - 1
+    ds, part, _, _ = trained(seed=1)
+    with pytest.raises(ConfigError, match="^med_factor must be positive and finite$"):
+        train(ds, part, TrainConfig(d=2, med_factor=med_factor))
+
+
 def test_train_zero_scatter_raises():
     # every subclass a singleton: within-subclass scatter is exactly zero
     ds = LabeledDataset(np.random.default_rng(0).normal(size=(4, 3)), np.array([0, 0, 1, 1]))
