@@ -72,6 +72,14 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
+def _int_list(raw: str) -> list[int]:
+    """Comma-separated integers; empty items are skipped, so "," is []."""
+    return [int(tok) for tok in raw.split(",") if tok.strip()]
+
+
+_int_list.__name__ = "integer list"  # argparse names a flag's type in its error
+
+
 def load_config(path: str) -> dict[str, str]:
     """Flat key=value lines; blank lines and # comments are ignored."""
     cfg: dict[str, str] = {}
@@ -302,15 +310,7 @@ def _load_eval_common(args: argparse.Namespace):
 def cmd_eval_id(args: argparse.Namespace, out: OutputSet) -> None:
     out_dir = _out_dir(args)
     fx, ds = _load_eval_common(args)
-
-    if args.d_sweep is None:
-        d_values = [fx.d]
-    else:
-        try:
-            d_values = [int(tok) for tok in args.d_sweep.split(",") if tok.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"bad d sweep {args.d_sweep!r}: {exc}") from exc
-
+    d_values = [fx.d] if args.d_sweep is None else args.d_sweep
     splits = make_gallery_probe_splits(ds, args.rotations)
     report = identification_sweep(lambda d_max: fx, ds, splits, d_values)
     path = os.path.join(out_dir, "identification.csv")
@@ -382,7 +382,8 @@ class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
         return action.help if action.default is None else super()._get_help_string(action)
 
 
-def _add_source_flags(p: argparse.ArgumentParser) -> None:
+def _add_io_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out-dir", help=f"output directory (default ${ENV_OUT_DIR} or .)")
     p.add_argument("--csv", help="dataset CSV (class[,subclass],v1,...)")
     p.add_argument(
         "--with-subclasses",
@@ -415,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help, formatter_class=_HelpFormatter)
         p.add_argument("--config", help="flat key=value config file; flags override it")
         p.add_argument("--seed", type=int, default=0, help="random seed")
-        p.add_argument("--out-dir", help=f"output directory (default ${ENV_OUT_DIR} or .)")
         # main() finds the flags a config file may set through `parser`
         p.set_defaults(func=func, parser=p)
         return p
@@ -425,11 +425,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output CSV path")
 
     p = command("partition", cmd_partition, "partition classes into subclasses")
-    _add_source_flags(p)
+    _add_io_flags(p)
     _add_partition_flags(p)
 
     p = command("train", cmd_train, "train a feature extractor")
-    _add_source_flags(p)
+    _add_io_flags(p)
     _add_partition_flags(p)
     p.add_argument("--d", type=int, help="feature dimension")
     p.add_argument(
@@ -444,15 +444,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = command("eval-id", cmd_eval_id, "closed-set identification error vs d")
-    _add_source_flags(p)
+    _add_io_flags(p)
     p.add_argument("--model", help="trained model file")
     p.add_argument("--rotations", type=int, default=1, help="gallery/probe rotations")
     p.add_argument(
-        "--d-sweep", help="comma-separated feature dimensions, e.g. 1,2,4 (default: the model's d)"
+        "--d-sweep",
+        type=_int_list,
+        help="comma-separated feature dimensions, e.g. 1,2,4 (default: the model's d)",
     )
 
     p = command("eval-verify", cmd_eval_verify, "pairwise verification ROC and EER")
-    _add_source_flags(p)
+    _add_io_flags(p)
     p.add_argument("--model", help="trained model file")
     p.add_argument("--pairs", help="pairs file: index_a,index_b,same|diff per line")
     p.add_argument("--folds", type=int, default=1, help="folds; 1 writes the exact ROC")

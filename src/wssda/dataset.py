@@ -330,56 +330,43 @@ def _dense_subclasses(classes: np.ndarray, sub: np.ndarray) -> np.ndarray:
     return inverse - np.searchsorted(keys // values.size, classes)
 
 
+# The magic, then width, height and maxval, each after whitespace or '#' comments
+# (a comment ends only at a line break or the end of the data, so a run of '#' has
+# one split into comments and is never retried), then the whitespace byte ending it.
+_PGM_SEP = rb"(?:\s|#[^\r\n]*(?![^\r\n]))"
+_PGM_HEADER = re.compile(rb"(P[25])%s*(\d+)%s+(\d+)%s+(\d+)\s" % ((_PGM_SEP,) * 3))
+
+
 def _read_pgm(path: str) -> np.ndarray:
     """Parse a P2/P5 PGM image into a float64 array scaled to [0, 1]."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:2] not in (b"P2", b"P5"):
-        raise DataFormatError(f"{path}: not a PGM image (bad magic)")
-    binary = data[:2] == b"P5"
-
-    # Header is ASCII tokens separated by whitespace; '#' starts a comment.
-    pos = 2
-    tokens: list[int] = []
-    while len(tokens) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise DataFormatError(f"{path}: truncated PGM header")
-        tok = data[start:pos]
-        if not tok.isdigit():
-            raise DataFormatError(f"{path}: malformed PGM header token {tok!r}")
-        tokens.append(int(tok))
-    width, height, maxval = tokens
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        bad_magic = data[:2] not in (b"P2", b"P5")
+        fault = "not a PGM image (bad magic)" if bad_magic else "malformed or truncated PGM header"
+        raise DataFormatError(f"{path}: {fault}")
+    magic, width, height, maxval = header.groups()
+    width, height, maxval = int(width), int(height), int(maxval)
     if width < 1 or height < 1 or not (0 < maxval < 65536):
         raise DataFormatError(f"{path}: invalid PGM dimensions or max value")
 
-    count = width * height
-    if binary:
-        pos += 1  # single whitespace byte after maxval
-        itemsize = 1 if maxval < 256 else 2
-        if len(data) - pos < count * itemsize:
+    count, start = width * height, header.end()
+    if magic == b"P5":
+        dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
+        if len(data) - start < count * dtype.itemsize:
             raise DataFormatError(f"{path}: PGM raster shorter than header promises")
-        dtype = np.uint8 if itemsize == 1 else np.dtype(">u2")
-        pixels = np.frombuffer(data, dtype=dtype, count=count, offset=pos).astype(np.float64)
+        pixels = np.frombuffer(data, dtype, count=count, offset=start).astype(np.float64)
     else:
-        body = data[pos:].split()
-        if len(body) < count:
+        tokens = data[start:].split()[:count]
+        if len(tokens) < count:
             raise DataFormatError(f"{path}: PGM raster shorter than header promises")
-        try:
-            pixels = np.asarray([int(tok) for tok in body[:count]], dtype=np.float64)
-        except ValueError as exc:
-            raise DataFormatError(f"{path}: non-numeric PGM pixel data") from exc
+        if not b"".join(tokens).isdigit():  # plain decimal gray values: no sign, no '_'
+            raise DataFormatError(f"{path}: non-numeric PGM pixel data")
+        pixels = np.array(tokens, dtype=np.float64)
     if pixels.max(initial=0) > maxval:
         raise DataFormatError(f"{path}: pixel value exceeds declared max gray value")
-    return (pixels / maxval).reshape(height * width)
+    return pixels / maxval
 
 
 def load_pgm_dir(path: str | os.PathLike) -> LabeledDataset:

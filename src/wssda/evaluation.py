@@ -172,7 +172,9 @@ def identification_sweep(
     """Closed-set identification error over feature dimensions.
 
     factory(d_max) must return an extractor with at least d_max columns;
-    lower-dimensional results reuse its leading columns.
+    lower-dimensional results reuse its leading columns. It is called only
+    after the checks that need no extractor, so a d above the data dimension
+    is refused as such even when the extractor's dimension differs too.
     """
     d_array = np.asarray(d_values)
     if d_array.size and d_array.dtype.kind not in "iu":  # int() would truncate a float d
@@ -199,6 +201,8 @@ def identification_sweep(
     if d_max > ds.dim:
         raise ConfigError(f"d={d_max} exceeds the data dimension {ds.dim}")
     fx = factory(d_max)
+    if fx.dim != ds.dim:
+        raise ConfigError(f"data dimension {ds.dim} does not match the model dimension {fx.dim}")
     if fx.d < d_max:
         raise ConfigError(f"d={d_max} exceeds the extractor's {fx.d} feature dimensions")
     feats = ds.samples @ fx.projection[:, :d_max]

@@ -349,15 +349,17 @@ def load_model(path: str) -> FeatureExtractor:
     projection = np.frombuffer(raw, dtype="<f8").reshape(dim, d).astype(np.float64)
 
     (count,) = _U32.unpack(take(_U32.size))
-    pairs: dict[str, str] = {}
+    raw_pairs: dict[bytes, bytes] = {}
     for _ in range(count):
         (klen,) = _U32.unpack(take(_U32.size))
-        key = take(klen).decode("utf-8")
+        key = take(klen)
         (vlen,) = _U32.unpack(take(_U32.size))
-        pairs[key] = take(vlen).decode("utf-8")
+        raw_pairs[key] = take(vlen)
     if pos != len(data):
         raise ModelFormatError(f"{path}: trailing bytes after model payload")
     try:
+        # UnicodeDecodeError is a ValueError
+        pairs = {key.decode("utf-8"): val.decode("utf-8") for key, val in raw_pairs.items()}
         meta = ModelMeta(
             mode=modes[mode_code],
             strategy=strategies[strategy_code],
@@ -370,4 +372,7 @@ def load_model(path: str) -> FeatureExtractor:
         )
     except (KeyError, ValueError) as exc:
         raise ModelFormatError(f"{path}: missing or malformed metadata") from exc
-    return FeatureExtractor(projection, meta)
+    try:
+        return FeatureExtractor(projection, meta)
+    except ValueError as exc:  # a non-finite matrix entry
+        raise ModelFormatError(f"{path}: {exc}") from exc

@@ -115,8 +115,8 @@ def find_pivot(es: Eigenspectrum, med_factor: float = 1.0) -> PivotResult:
     r = es.rank
     if r < 3:
         raise SpectrumError(f"spectrum rank {r} is too short to locate a pivot (need >= 3)")
-    if med_factor <= 0:
-        raise ValueError("med_factor must be positive")
+    if not 0 < med_factor < np.inf:  # NaN fails too
+        raise ValueError("med_factor must be positive and finite")
     nonzero = es.eigenvalues[:r]
     threshold = med_factor * np.median(nonzero)
     below = np.flatnonzero(nonzero < threshold)

@@ -44,6 +44,29 @@ def test_tracer_installs_on_the_package_names_and_restores_them(perfbench, tmp_p
             assert getattr(owner, attr) is value, (owner.__name__, attr)
 
 
+@pytest.mark.parametrize("second_stage", ["ts", "bs"])
+def test_dense_train_records_every_layer_span(perfbench, tmp_path, second_stage):
+    # the spans wrap names on wssda.pipeline and read part.subclass_counts,
+    # out.matrix and out.eigenvalues; a layer that stops calling one reads as 0
+    spans, workloads = perfbench
+    tracer = spans.Tracer()
+    argv = [
+        "train", "--synth", "--classes", "4", "--dim", "12", "--d", "3",
+        "--second-stage", second_stage, "--out-dir", str(tmp_path),
+    ]
+    with tracer.installed(workloads.make_api()):
+        assert wssda.cli.main(argv) == 0
+    layers = {
+        "pipeline.train",
+        "scatter.within_subclass",
+        "scatter.class_means",
+        "scatter.second_stage",
+        "spectrum.eig",
+        "spectrum.model",
+    }
+    assert layers - {s["name"] for s in tracer.spans} == set()
+
+
 def test_every_cli_name_the_tracer_wraps_is_bound(perfbench):
     # the tracer skips a CLI_CALLS name wssda.cli lacks, so a dropped import
     # reads as a zero span, not as an error

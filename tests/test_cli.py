@@ -103,6 +103,20 @@ def test_synth_requires_out(tmp_path, capsys):
     assert "--out" in err
 
 
+def test_synth_has_no_out_dir(tmp_path, capsys):
+    # synth writes only --out; an --out-dir it would ignore is refused
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--out", str(tmp_path / "d.csv"), "--out-dir", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --out-dir" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"out_dir={tmp_path / 'x'}\n")
+    code, _, err = run_cli(["synth", "--out", tmp_path / "d.csv", "--config", cfg], capsys)
+    assert code == 1
+    assert err == "error: unknown config keys: out_dir\n"
+    assert not (tmp_path / "d.csv").exists() and not (tmp_path / "x").exists()
+
+
 def test_subseed_streams_are_independent():
     # same user seed, different consumers: streams must not collide
     assert _subseed(0, "synth") != _subseed(0, "partition")
@@ -534,6 +548,21 @@ def test_eval_id_empty_sweep_rejected(tmp_path, capsys):
     assert code == 1
     assert "d_values must be positive integers" in err
     assert not os.path.exists(os.path.join(out_dir, "identification.csv"))
+
+
+def test_bad_d_sweep_is_reported_before_the_model_is_read(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("d_sweep=1,x\n")
+    missing = tmp_path / "missing.wssda"
+    argv = ["eval-id", "--synth", "--model", missing, "--out-dir", tmp_path / "out"]
+    code, _, err = run_cli(argv + ["--config", cfg], capsys)
+    assert code == 1
+    assert err == "error: config key 'd_sweep': invalid literal for int() with base 10: 'x'\n"
+    with pytest.raises(SystemExit) as exc:
+        main([str(a) for a in argv + ["--d-sweep", "1,x"]])
+    assert exc.value.code == 2
+    assert "argument --d-sweep: invalid integer list value: '1,x'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_eval_id_without_probes_rejected(tmp_path, capsys):

@@ -268,6 +268,42 @@ def test_pgm_truncated_raster_rejected(tmp_path):
         load_pgm_dir(tmp_path)
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"P6\n1 1\n255\n\x00\x00\x00", "bad magic"),
+        (b"P2\n1 x\n255\n0\n", "PGM header"),
+        (b"P5\n4 5", "PGM header"),
+        (b"P5\n4 5\n255", "PGM header"),  # no whitespace byte ends the header
+        (b"P2\n0 5\n255\n", "dimensions or max value"),
+        (b"P2\n1 1\n65536\n0\n", "dimensions or max value"),
+        (b"P2\n1 1\n0\n0\n", "dimensions or max value"),
+        (b"P2\n2 2\n255\n0 1 2\n", "shorter"),
+        (b"P5\n2 1\n256\n\x00\x01\x00", "shorter"),  # 16-bit: two bytes a pixel
+        (b"P2\n2 1\n15\n7 16\n", "exceeds"),
+        (b"P5\n2 1\n15\n\x07\x10", "exceeds"),
+        (b"P2\n1 1\n255\n" + b"9" * 400 + b"\n", "exceeds"),  # past float64: was OverflowError
+        (b"P2\n2 1\n255\n7 x\n", "non-numeric"),
+        (b"P2\n2 1\n255\n7 #\n", "non-numeric"),
+    ],
+)
+def test_pgm_faults_are_data_format_errors(tmp_path, data, message):
+    d = tmp_path / "c0"
+    d.mkdir()
+    (d / "a.pgm").write_bytes(data)
+    with pytest.raises(DataFormatError, match=message):
+        load_pgm_dir(tmp_path)
+
+
+def test_pgm_16_bit_rasters_and_header_separators(tmp_path):
+    d = tmp_path / "c0"
+    d.mkdir()
+    (d / "a.pgm").write_bytes(b"P5 # magic\r\n2\t# w\n1#h\n65535\n\x00\x00\xff\xff")
+    (d / "b.pgm").write_bytes(b"P2#c\n2 1 65535\r\n0\t65535\n")
+    ds = load_pgm_dir(tmp_path)
+    assert ds.samples.tolist() == [[0.0, 1.0], [0.0, 1.0]]
+
+
 # ------------------------------------------------------------------ synthesis
 
 

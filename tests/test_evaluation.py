@@ -442,6 +442,26 @@ def test_identification_rejects_short_extractor():
         identification_sweep(lambda d: fixed, ds, splits, [2, 5])
 
 
+@pytest.mark.parametrize(
+    "model_dim, d, message",
+    [
+        (6, 2, "^data dimension 8 does not match the model dimension 6$"),
+        (10, 2, "^data dimension 8 does not match the model dimension 10$"),
+        # d is checked against the data before the factory is called
+        (10, 9, "^d=9 exceeds the data dimension 8$"),
+    ],
+)
+def test_identification_rejects_an_extractor_of_another_dimension(model_dim, d, message):
+    # the projection GEMM used to fail with NumPy's matmul core-dimension error
+    other = generate_synthetic(SynthSpec(4, 2, 4, model_dim, seed=0))
+    part = partition_dataset(other, TreeParams(h=2, seed=0), "kd")
+    fixed = train(other, part, TrainConfig(d=d))
+    ds = generate_synthetic(SynthSpec(4, 2, 4, 8, seed=0))
+    splits = make_gallery_probe_splits(ds, 1)
+    with pytest.raises(ConfigError, match=message):
+        identification_sweep(lambda d: fixed, ds, splits, [d])
+
+
 # ------------------------------------------------------------------ verification
 
 

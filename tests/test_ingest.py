@@ -4,11 +4,17 @@ load_csv and load_pairs parse a whole file with np.loadtxt and scan it row
 by row only to locate a fault.  The per-cell loaders below are the earlier
 implementations, kept here as oracles: on well-formed files both must
 return the same arrays, on faulty ones the same DataFormatError text.
+
+_read_pgm matches a PGM header with one regular expression; the oracle is
+the byte-walking reader it replaced.  Both must return the same pixels or
+both raise DataFormatError (its text may differ), apart from the intended
+changes tested at the end.
 """
 
 from __future__ import annotations
 
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +22,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wssda import DataFormatError, LabeledDataset, load_csv
-from wssda.dataset import _dense_subclasses, _non_finite_cell, load_pairs
+from wssda.dataset import (
+    _PGM_HEADER,
+    _dense_subclasses,
+    _non_finite_cell,
+    _read_pgm,
+    load_pairs,
+)
 
 
 def oracle_load_csv(path, with_subclasses=False):
@@ -96,6 +108,58 @@ def oracle_load_pairs(path, n):
     if not pairs:
         raise DataFormatError(f"{path}: no pairs found")
     return pairs
+
+
+def oracle_read_pgm(path: str) -> np.ndarray:
+    """Parse a P2/P5 PGM image into a float64 array scaled to [0, 1]."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data[:2] not in (b"P2", b"P5"):
+        raise DataFormatError(f"{path}: not a PGM image (bad magic)")
+    binary = data[:2] == b"P5"
+
+    # Header is ASCII tokens separated by whitespace; '#' starts a comment.
+    pos = 2
+    tokens: list[int] = []
+    while len(tokens) < 3:
+        while pos < len(data) and data[pos : pos + 1].isspace():
+            pos += 1
+        if pos < len(data) and data[pos : pos + 1] == b"#":
+            while pos < len(data) and data[pos : pos + 1] not in (b"\n", b"\r"):
+                pos += 1
+            continue
+        start = pos
+        while pos < len(data) and not data[pos : pos + 1].isspace():
+            pos += 1
+        if start == pos:
+            raise DataFormatError(f"{path}: truncated PGM header")
+        tok = data[start:pos]
+        if not tok.isdigit():
+            raise DataFormatError(f"{path}: malformed PGM header token {tok!r}")
+        tokens.append(int(tok))
+    width, height, maxval = tokens
+    if width < 1 or height < 1 or not (0 < maxval < 65536):
+        raise DataFormatError(f"{path}: invalid PGM dimensions or max value")
+
+    count = width * height
+    if binary:
+        pos += 1  # single whitespace byte after maxval
+        itemsize = 1 if maxval < 256 else 2
+        if len(data) - pos < count * itemsize:
+            raise DataFormatError(f"{path}: PGM raster shorter than header promises")
+        dtype = np.uint8 if itemsize == 1 else np.dtype(">u2")
+        pixels = np.frombuffer(data, dtype=dtype, count=count, offset=pos).astype(np.float64)
+    else:
+        body = data[pos:].split()
+        if len(body) < count:
+            raise DataFormatError(f"{path}: PGM raster shorter than header promises")
+        try:
+            pixels = np.asarray([int(tok) for tok in body[:count]], dtype=np.float64)
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: non-numeric PGM pixel data") from exc
+    if pixels.max(initial=0) > maxval:
+        raise DataFormatError(f"{path}: pixel value exceeds declared max gray value")
+    return (pixels / maxval).reshape(height * width)
 
 
 def outcome(load, *args):
@@ -226,7 +290,58 @@ def test_load_pairs_matches_the_per_line_loader(tmp_path_factory, text):
         assert same.tolist() == [flag for _, _, flag in expect[1]]
 
 
-# ------------------------------------------------------------------ the one change
+# ------------------------------------------------------------------ PGM image
+
+HEADER_SEPS = [b" ", b"\t", b"\n", b"\r\n", b" \t ", b"\n# a comment\n", b"\r\n#c\r\n# 2 #\n"]
+RASTER_SEPS = [b" ", b"\t", b"\n", b"\r\n", b"  \n"]
+PGM_DAMAGE = [None] * 7 + ["cut", "byte", "header byte"]
+DAMAGE_BYTES = st.sampled_from(b"#-+_ \t\r\n09xP") | st.integers(0, 255)
+
+
+@st.composite
+def pgm_files(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    binary = draw(st.booleans())
+    maxval = draw(st.sampled_from([1, 15, 255, 256, 4095, 65535]))  # 8- and 16-bit rasters
+    width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    pixels = rng.integers(0, maxval + 1, size=width * height)
+    head = b"P5" if binary else b"P2"
+    for value in (width, height, maxval):
+        head += draw(st.sampled_from(HEADER_SEPS)) + b"%d" % value
+    head += draw(st.sampled_from([b" ", b"\t", b"\n", b"\r"]))
+    if binary:
+        raster = pixels.astype(np.uint8 if maxval < 256 else ">u2").tobytes()
+    else:
+        raster = draw(st.sampled_from(RASTER_SEPS)).join(b"%d" % v for v in pixels) + b"\n"
+    data = bytearray(head + raster)
+    damage = draw(st.sampled_from(PGM_DAMAGE))
+    if damage == "cut":
+        del data[draw(st.integers(0, len(data) - 1)) :]
+    elif damage:
+        end = len(head) if damage == "header byte" else len(data)
+        data[draw(st.integers(0, end - 1))] = draw(DAMAGE_BYTES)
+    return bytes(data)
+
+
+@given(pgm_files())
+@settings(max_examples=300, deadline=None)
+def test_read_pgm_matches_the_byte_walking_reader(tmp_path_factory, data):
+    path = str(tmp_path_factory.mktemp("pgm") / "a.pgm")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    got = outcome(_read_pgm, path)
+    expect = outcome(oracle_read_pgm, path)
+    if got[0] == expect[0] == "ok":
+        assert got[1].tobytes() == expect[1].tobytes()
+    elif got[0] == "ok":
+        # intended: a '#' comment that touches a header token is a comment
+        assert re.search(r"malformed PGM header token b'.*#", expect[1]), expect
+    elif expect[0] == "ok":
+        # intended: a gray value with a sign or a '_' is not plain decimal digits
+        assert "non-numeric PGM pixel data" in got[1] and re.search(rb"[-+_]", data), got
+
+
+# ------------------------------------------------------------------ the intended changes
 
 
 def test_underscore_digits_are_a_located_error(tmp_path):
@@ -243,3 +358,28 @@ def test_underscore_digits_are_a_located_error(tmp_path):
     pairs.write_text("0,1,same\n1_0,1,diff\n")
     with pytest.raises(DataFormatError, match=r"pairs.csv:2: non-integer sample index"):
         load_pairs(str(pairs), 20)
+
+
+@pytest.mark.parametrize("value", [b"-5", b"+5", b"1_0", b"-0"])
+def test_pgm_gray_values_are_plain_decimal_digits(tmp_path, value):
+    # int() reads each of these (-5 scaled to -0.0196, 1_0 to 10); no PGM holds them
+    path = tmp_path / "a.pgm"
+    path.write_bytes(b"P2\n2 1\n255\n7 " + value + b"\n")
+    assert oracle_read_pgm(str(path)) is not None
+    with pytest.raises(DataFormatError, match="non-numeric PGM pixel data"):
+        _read_pgm(str(path))
+
+
+def test_pgm_header_comment_may_touch_a_token(tmp_path):
+    # netpbm reads '#' anywhere in the header as a comment to the end of the line
+    path = tmp_path / "a.pgm"
+    path.write_bytes(b"P2\n2#width\n1# height\n255\n0 255\n")
+    with pytest.raises(DataFormatError, match="malformed PGM header token"):
+        oracle_read_pgm(str(path))
+    assert _read_pgm(str(path)).tolist() == [0.0, 1.0]
+
+
+def test_pgm_header_pattern_compiles_before_python_3_11():
+    # possessive repeats and atomic groups are Python 3.11 syntax; on 3.10 the
+    # pattern would fail to compile and `import wssda` with it
+    assert not re.search(rb"[*+?}]\+|\(\?>", _PGM_HEADER.pattern)

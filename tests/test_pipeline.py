@@ -241,3 +241,24 @@ def test_model_trailing_bytes_rejected(tmp_path):
         fh.write(b"\x00")
     with pytest.raises(ModelFormatError, match="trailing"):
         load_model(path)
+
+
+def test_model_metadata_that_is_not_utf8_rejected(tmp_path):
+    _, _, fx, _ = trained(seed=11)
+    path = str(tmp_path / "m.bin")
+    save_model(fx, path)
+    blob = open(path, "rb").read()
+    at = blob.rindex(b"second_stage") + len(b"second_stage") + 4  # the value's first byte
+    open(path, "wb").write(blob[:at] + b"\xff" + blob[at + 1 :])
+    with pytest.raises(ModelFormatError, match=f"^{path}: missing or malformed metadata$"):
+        load_model(path)
+
+
+def test_model_non_finite_matrix_entry_rejected(tmp_path):
+    _, _, fx, _ = trained(seed=11)
+    path = str(tmp_path / "m.bin")
+    fx.projection[3, 1] = np.nan
+    save_model(fx, path)
+    message = f"^{path}: projection contains non-finite entries$"
+    with pytest.raises(ModelFormatError, match=message):
+        load_model(path)

@@ -149,6 +149,14 @@ def test_pivot_med_factor_moves_pivot():
     assert find_pivot(es, med_factor=0.2).m == 7  # threshold 1.5: first below is k=7
 
 
+@pytest.mark.parametrize("med_factor", [float("nan"), float("inf"), 0.0, -1.0])
+def test_pivot_rejects_a_med_factor_that_is_not_positive_and_finite(med_factor):
+    # NaN used to give m = r - 1 and inf m = 2, with no error
+    es = spectrum_from([8.0, 6, 5, 4, 3, 2, 1, 0.5])
+    with pytest.raises(ValueError, match="^med_factor must be positive and finite$"):
+        find_pivot(es, med_factor)
+
+
 # ------------------------------------------------------------------ model fit
 
 
