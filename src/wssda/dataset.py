@@ -372,9 +372,10 @@ def _read_pgm(path: str) -> np.ndarray:
 def load_pgm_dir(path: str | os.PathLike) -> LabeledDataset:
     """Load a directory of per-class subdirectories of equally sized PGM images.
 
-    Class ids follow the sorted order of subdirectory names; each image is
-    vectorized in row-major pixel order and scaled to [0, 1] by its declared
-    max gray value.
+    Class ids follow the sorted order of subdirectory names, so a
+    subdirectory without a .pgm file is a DataFormatError rather than a
+    class that silently shifts the ids after it; each image is vectorized in
+    row-major pixel order and scaled to [0, 1] by its declared max gray value.
     """
     root = os.fspath(path)
     class_dirs = sorted(
@@ -389,6 +390,8 @@ def load_pgm_dir(path: str | os.PathLike) -> LabeledDataset:
     for ci, sub in enumerate(class_dirs):
         subdir = os.path.join(root, sub)
         files = sorted(f for f in os.listdir(subdir) if f.lower().endswith(".pgm"))
+        if not files:
+            raise DataFormatError(f"{subdir}: class directory holds no .pgm image")
         for name in files:
             fpath = os.path.join(subdir, name)
             vec = _read_pgm(fpath)
@@ -401,10 +404,7 @@ def load_pgm_dir(path: str | os.PathLike) -> LabeledDataset:
                 )
             vectors.append(vec)
             labels.append(ci)
-    if not vectors:
-        raise DataFormatError(f"{root}: no PGM images found")
-    _, dense = np.unique(np.asarray(labels, dtype=np.int64), return_inverse=True)
-    return LabeledDataset(np.vstack(vectors), dense)
+    return LabeledDataset(np.vstack(vectors), labels)
 
 
 def generate_synthetic(spec: SynthSpec) -> LabeledDataset:

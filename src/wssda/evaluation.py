@@ -3,7 +3,10 @@
 Identification: single-sample-per-class gallery, cosine nearest neighbor,
 error rate swept over feature dimension.  The sweep trains once at the
 largest requested d and slices leading columns, which is exact because the
-extractor's columns are ordered by the second-stage eigenvalues.
+extractor's columns are ordered by the second-stage eigenvalues.  Distances
+are computed for one cache-sized block of probe rows at a time (about 1 MiB
+of them), so the sweep holds the features plus one block, not a probes x
+gallery matrix.
 
 Verification: threshold sweep over all observed pair scores (higher score
 means more likely same), exact ROC staircase, equal error rate by linear
@@ -106,12 +109,25 @@ def pair_scores(features: np.ndarray, index_a, index_b) -> np.ndarray:
     return scores
 
 
+# bytes of distances per probe block of _nearest: a block of 1 MiB stays in
+# cache between the GEMM that writes it and the argmin that reads it, where a
+# whole probes x gallery matrix (64 MiB at 4000 x 2000) streams through memory
+NEAREST_BLOCK_BYTES = 1 << 20
+
+
+def _block_rows(gallery_rows: int) -> int:
+    """Probe rows per block of _nearest.  At least two: NumPy hands a one-row
+    product to gemv, which sums in another order than the GEMM of more rows."""
+    return max(2, NEAREST_BLOCK_BYTES // (8 * gallery_rows))
+
+
 def _scratch(gallery_rows: int, probe_rows: int, dim: int) -> tuple[np.ndarray, ...]:
-    """Flat buffers for _nearest: normalised gallery, normalised probes, distances."""
+    """Flat buffers for _nearest: normalised gallery, normalised probes, and the
+    distances of one probe block (its last block may take one row more)."""
     return (
         np.empty(gallery_rows * dim),
         np.empty(probe_rows * dim),
-        np.empty(probe_rows * gallery_rows),
+        np.empty(min(probe_rows, _block_rows(gallery_rows) + 1) * gallery_rows),
     )
 
 
@@ -129,14 +145,22 @@ def _nearest(
     gallery: np.ndarray, probes: np.ndarray, scratch: tuple[np.ndarray, ...]
 ) -> np.ndarray:
     """Index of the gallery row nearest in cosine distance to each probe row,
-    computed in the buffers of _scratch; ties go to the lowest gallery index."""
+    computed in the buffers of _scratch one block of probe rows at a time; ties
+    go to the lowest gallery index."""
     gn = _unit_rows(gallery, scratch[0], "gallery")
     pn = _unit_rows(probes, scratch[1], "probe set")
-    dist = scratch[2][: pn.shape[0] * gn.shape[0]].reshape(pn.shape[0], gn.shape[0])
-    np.matmul(pn, gn.T, out=dist)
-    np.subtract(1.0, dist, out=dist)
-    # argmin takes the first hit, so exact ties go to the lowest gallery index
-    return np.argmin(dist, axis=1)
+    count = pn.shape[0]
+    nearest = np.empty(count, dtype=np.intp)
+    # no block starts at the last probe: a one-row block would go to gemv, so
+    # the block before it takes that row
+    bounds = [*range(0, max(count - 1, 1), _block_rows(gn.shape[0])), count]
+    for start, stop in zip(bounds, bounds[1:]):
+        dist = scratch[2][: (stop - start) * gn.shape[0]].reshape(stop - start, gn.shape[0])
+        np.matmul(pn[start:stop], gn.T, out=dist)
+        np.subtract(1.0, dist, out=dist)
+        # argmin takes the first hit, so exact ties go to the lowest gallery index
+        np.argmin(dist, axis=1, out=nearest[start:stop])
+    return nearest
 
 
 def nn_classify(
@@ -172,9 +196,12 @@ def identification_sweep(
     """Closed-set identification error over feature dimensions.
 
     factory(d_max) must return an extractor with at least d_max columns;
-    lower-dimensional results reuse its leading columns. It is called only
-    after the checks that need no extractor, so a d above the data dimension
-    is refused as such even when the extractor's dimension differs too.
+    lower-dimensional results reuse its leading columns. An extractor whose
+    dimension differs from the data's is refused before d is compared with
+    the data dimension; a training factory refuses a d above the data
+    dimension itself.  Each split is scored in cache-sized blocks of probe
+    rows, so the memory beyond the features is one block of distances, not
+    probes x gallery.
     """
     d_array = np.asarray(d_values)
     if d_array.size and d_array.dtype.kind not in "iu":  # int() would truncate a float d
@@ -198,11 +225,11 @@ def identification_sweep(
                     f"split {s}: {role} index {outside[0]} is out of range for {ds.n} samples"
                 )
     d_max = d_values[-1]
-    if d_max > ds.dim:
-        raise ConfigError(f"d={d_max} exceeds the data dimension {ds.dim}")
     fx = factory(d_max)
     if fx.dim != ds.dim:
         raise ConfigError(f"data dimension {ds.dim} does not match the model dimension {fx.dim}")
+    if d_max > ds.dim:
+        raise ConfigError(f"d={d_max} exceeds the data dimension {ds.dim}")
     if fx.d < d_max:
         raise ConfigError(f"d={d_max} exceeds the extractor's {fx.d} feature dimensions")
     feats = ds.samples @ fx.projection[:, :d_max]

@@ -67,6 +67,20 @@ def test_dense_train_records_every_layer_span(perfbench, tmp_path, second_stage)
     assert layers - {s["name"] for s in tracer.spans} == set()
 
 
+def test_eval_id_records_the_identify_span(perfbench, tmp_path):
+    # evaluation.identify_s reads this span; a sweep the CLI stops calling by
+    # the wrapped name would time it as 0
+    spans, workloads = perfbench
+    data = ["--synth", "--classes", "4", "--dim", "12", "--out-dir", str(tmp_path)]
+    assert wssda.cli.main(["train", *data, "--d", "3"]) == 0
+    argv = ["eval-id", *data, "--model", str(tmp_path / "model.wssda"), "--d-sweep", "1,3"]
+    tracer = spans.Tracer()
+    with tracer.installed(workloads.make_api()):
+        assert wssda.cli.main(argv) == 0
+    identify = [s for s in tracer.spans if s["name"] == "evaluation.identify"]
+    assert len(identify) == 1 and identify[0]["end"] > identify[0]["start"]
+
+
 def test_every_cli_name_the_tracer_wraps_is_bound(perfbench):
     # the tracer skips a CLI_CALLS name wssda.cli lacks, so a dropped import
     # reads as a zero span, not as an error

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -230,6 +232,18 @@ def test_pgm_dir_counts(tmp_path):
             (d / f"img{k}.pgm").write_text(PGM_ASCII)
     ds = load_pgm_dir(tmp_path)
     assert ds.n == 6 and ds.dim == 20 and ds.class_count == 2
+
+
+def test_pgm_class_directory_without_images_rejected(tmp_path):
+    # skipping b would load c as class 1, against the sorted-name class ids
+    for name in ("a", "b", "c"):
+        (tmp_path / name).mkdir()
+    (tmp_path / "a" / "x.pgm").write_text(PGM_ASCII)
+    (tmp_path / "b" / "readme.txt").write_text(PGM_ASCII)
+    (tmp_path / "c" / "x.pgm").write_text(PGM_ASCII)
+    message = f"{tmp_path / 'b'}: class directory holds no .pgm image"
+    with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
+        load_pgm_dir(tmp_path)
 
 
 def test_pgm_scaling_to_unit(tmp_path):

@@ -26,6 +26,7 @@ from wssda import (
     train,
     verification_roc,
 )
+import wssda.evaluation as evaluation
 from wssda.evaluation import PAIR_BLOCK
 
 
@@ -281,6 +282,139 @@ def test_pair_scores_memory_stays_at_the_block():
 
 
 
+# The whole-matrix nearest-neighbour kernel that _nearest replaced, kept verbatim
+# (but for the names) as the oracle of its probe blocks.
+def oracle_scratch(gallery_rows: int, probe_rows: int, dim: int) -> tuple[np.ndarray, ...]:
+    """Flat buffers for _nearest: normalised gallery, normalised probes, distances."""
+    return (
+        np.empty(gallery_rows * dim),
+        np.empty(probe_rows * dim),
+        np.empty(probe_rows * gallery_rows),
+    )
+
+
+def oracle_unit_rows(x: np.ndarray, buf: np.ndarray, what: str) -> np.ndarray:
+    """x divided by its row norms, written to the front of buf as a contiguous matrix."""
+    out = buf[: x.size].reshape(x.shape)
+    np.multiply(x, x, out=out)
+    norms = np.sqrt(np.add.reduce(out, axis=1))
+    if (norms == 0.0).any():
+        raise ValueError(f"{what} contains a zero vector; cosine matching is undefined")
+    return np.divide(x, norms[:, None], out=out)
+
+
+def oracle_nearest(
+    gallery: np.ndarray, probes: np.ndarray, scratch: tuple[np.ndarray, ...]
+) -> np.ndarray:
+    """Index of the gallery row nearest in cosine distance to each probe row,
+    computed in the buffers of _scratch; ties go to the lowest gallery index."""
+    gn = oracle_unit_rows(gallery, scratch[0], "gallery")
+    pn = oracle_unit_rows(probes, scratch[1], "probe set")
+    dist = scratch[2][: pn.shape[0] * gn.shape[0]].reshape(pn.shape[0], gn.shape[0])
+    np.matmul(pn, gn.T, out=dist)
+    np.subtract(1.0, dist, out=dist)
+    # argmin takes the first hit, so exact ties go to the lowest gallery index
+    return np.argmin(dist, axis=1)
+
+
+def oracle_distances(gallery, probes, dim):
+    """The oracle's nearest indices and its whole probes x gallery distance matrix."""
+    scratch = oracle_scratch(gallery.shape[0], probes.shape[0], dim)
+    nearest = oracle_nearest(gallery, probes, scratch)
+    return nearest, scratch[2].reshape(probes.shape[0], gallery.shape[0])
+
+
+class ArgminSpy:
+    """Stands in for numpy in wssda.evaluation and keeps a copy of every
+    distance block that _nearest hands to np.argmin."""
+
+    def __init__(self):
+        self.blocks = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def argmin(self, a, *args, **kwargs):
+        self.blocks.append(a.copy())
+        return np.argmin(a, *args, **kwargs)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    gallery_rows=st.integers(1, 300),
+    distinct=st.floats(0.05, 1.0),
+    d=st.integers(1, 70),
+    extra_columns=st.integers(0, 4),
+    rows=st.integers(2, 9),
+    probe_case=st.sampled_from(["1", "block - 1", "block", "block + 1", "2 block + 7"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_nearest_in_probe_blocks_matches_the_whole_matrix_oracle(
+    seed, gallery_rows, distinct, d, extra_columns, rows, probe_case
+):
+    rng = np.random.default_rng(seed)
+    probe_rows = {"1": 1, "block - 1": rows - 1, "block": rows, "block + 1": rows + 1}.get(
+        probe_case, 2 * rows + 7
+    )
+    dim = d + extra_columns  # columns past d make x[:, :d] a strided view, as in the sweep
+    # repeated gallery rows tie exactly; some probes repeat a gallery row at another scale
+    base = rng.normal(size=(max(1, round(distinct * gallery_rows)), dim))
+    gallery = base[rng.integers(0, base.shape[0], gallery_rows)]
+    probes = rng.normal(size=(probe_rows, dim))
+    copies = rng.random(probe_rows) < 0.3
+    probes[copies] = 2.5 * gallery[rng.integers(0, gallery_rows, copies.sum())]
+    gallery, probes = gallery[:, :d], probes[:, :d]
+    spy = ArgminSpy()
+    with pytest.MonkeyPatch.context() as mp:
+        # a block of `rows` probe rows, so that several blocks occur
+        mp.setattr(evaluation, "NEAREST_BLOCK_BYTES", 8 * gallery_rows * rows)
+        mp.setattr(evaluation, "np", spy)
+        got = evaluation._nearest(gallery, probes, evaluation._scratch(gallery_rows, probe_rows, dim))
+    assert got.dtype == np.intp and got.shape == (probe_rows,)
+    # blocks of `rows` rows in probe order; the last takes a lone final row, which
+    # NumPy would otherwise send to gemv
+    sizes = [block.shape[0] for block in spy.blocks]
+    assert sum(sizes) == probe_rows and all(size == rows for size in sizes[:-1])
+    assert sizes[-1] <= rows + 1 and (sizes[-1] > 1 or probe_rows == 1)
+    # each block is the oracle's GEMM on that block's probes: == on indices and distances
+    start = 0
+    for block in spy.blocks:
+        stop = start + block.shape[0]
+        nearest, dist = oracle_distances(gallery, probes[start:stop], dim)
+        assert np.array_equal(got[start:stop], nearest)
+        assert np.array_equal(block, dist)
+        start = stop
+    # against one GEMM over all probes: BLAS may round a product in a partial
+    # register tile differently when the probe count changes, so the distances
+    # agree to the rounding bound of a d-term dot product of unit vectors plus
+    # the subtraction, and an index may differ only where the oracle's two best
+    # distances are that close
+    nearest, whole = oracle_distances(gallery, probes, dim)
+    tol = (d + 2) * np.finfo(np.float64).eps
+    assert np.abs(np.vstack(spy.blocks) - whole).max() <= tol
+    best = whole.min(axis=1)
+    runner_up = np.sort(whole, axis=1)[:, 1] if gallery_rows > 1 else best + np.inf
+    clear = runner_up - best > 2 * tol
+    assert np.array_equal(got[clear], nearest[clear])
+    assert (whole[np.arange(probe_rows), got] <= best + 2 * tol).all()
+
+
+def test_identification_memory_stays_at_the_probe_block():
+    # one 4000 x 2000 float64 distance matrix is 64 MB
+    rng = np.random.default_rng(0)
+    labels = np.arange(6000) % 2000
+    ds = LabeledDataset(rng.normal(size=(6000, 8)), labels)
+    fx = FeatureExtractor(np.eye(8), ModelMeta("regularized", "kd", 1, 1.0, "ts", 8, 2000, 6000))
+    split = SplitSpec(gallery=np.arange(2000), probe=np.arange(2000, 6000))
+    tracemalloc.start()
+    try:
+        identification_sweep(lambda d: fx, ds, [split], [2, 8])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4000 * 2000 * 8 / 4
+
+
 def test_nn_exact_match_wins():
     gallery = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     labels = np.array([5, 6, 7])
@@ -447,8 +581,8 @@ def test_identification_rejects_short_extractor():
     [
         (6, 2, "^data dimension 8 does not match the model dimension 6$"),
         (10, 2, "^data dimension 8 does not match the model dimension 10$"),
-        # d is checked against the data before the factory is called
-        (10, 9, "^d=9 exceeds the data dimension 8$"),
+        # the mismatch is the fault even when d also exceeds the data dimension
+        (10, 9, "^data dimension 8 does not match the model dimension 10$"),
     ],
 )
 def test_identification_rejects_an_extractor_of_another_dimension(model_dim, d, message):
@@ -460,6 +594,13 @@ def test_identification_rejects_an_extractor_of_another_dimension(model_dim, d, 
     splits = make_gallery_probe_splits(ds, 1)
     with pytest.raises(ConfigError, match=message):
         identification_sweep(lambda d: fixed, ds, splits, [d])
+
+
+def test_identification_training_factory_refuses_d_above_the_data_dimension():
+    ds = generate_synthetic(SynthSpec(4, 2, 4, 8, seed=0))
+    splits = make_gallery_probe_splits(ds, 1)
+    with pytest.raises(ConfigError, match="^d=9 exceeds the data dimension 8$"):
+        identification_sweep(train_factory(ds), ds, splits, [2, 9])
 
 
 # ------------------------------------------------------------------ verification

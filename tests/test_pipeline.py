@@ -1,7 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from conftest import geometric_noise_dataset
 
+import wssda
 from wssda import (
     ConfigError,
     FeatureExtractor,
@@ -50,6 +56,43 @@ def test_train_deterministic_bitwise():
     _, _, fx_a, _ = trained(seed=9)
     _, _, fx_b, _ = trained(seed=9)
     assert np.array_equal(fx_a.projection, fx_b.projection)
+
+
+# trains a dense set (n=400 >= dim=300) large enough for OpenBLAS to thread its
+# GEMMs, saves the projection to argv[1] and prints the identification curve
+THREADED_RUN = """
+import json, sys
+import numpy as np
+from wssda import (SynthSpec, TrainConfig, TreeParams, generate_synthetic,
+    identification_sweep, make_gallery_probe_splits, partition_dataset, train)
+ds = generate_synthetic(SynthSpec(20, 2, 10, 300, seed=0))
+fx = train(ds, partition_dataset(ds, TreeParams(h=2, seed=0), "kd"), TrainConfig(d=24))
+np.save(sys.argv[1], fx.projection)
+splits = make_gallery_probe_splits(ds, 3)
+print(json.dumps(identification_sweep(lambda d: fx, ds, splits, [2, 4, 8, 16, 24]).curve))
+"""
+
+
+def test_train_and_identify_agree_across_blas_thread_counts(tmp_path):
+    # bytes are promised for one BLAS build and thread count only: a threaded
+    # GEMM sums in another order, so the projections may differ in the last bits
+    src = os.path.dirname(os.path.dirname(wssda.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    projections, curves = [], []
+    for threads in ("1", "2"):
+        out = tmp_path / f"projection{threads}.npy"
+        proc = subprocess.run(
+            [sys.executable, "-c", THREADED_RUN, str(out)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert proc.returncode == 0, proc.stderr
+        projections.append(np.load(out))
+        curves.append(json.loads(proc.stdout))
+    one, two = projections
+    assert np.linalg.norm(one - two) <= 1e-12 * np.linalg.norm(one)
+    assert curves[0] == curves[1]
 
 
 def test_train_nested_d_slices_exactly():
