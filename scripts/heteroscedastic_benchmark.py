@@ -9,6 +9,9 @@ the very subspace that separates the classes; subclass partitions keep it.
 Usage:
     python3 scripts/heteroscedastic_benchmark.py --seeds 10
     python3 scripts/heteroscedastic_benchmark.py --d-sweep 5,10,20,40 --out bench.csv
+
+Acceptance criterion 6 (tests/test_acceptance.py) imports its data and its
+error curve from here.
 """
 
 import argparse
@@ -19,10 +22,20 @@ from wssda import LabeledDataset, SplitSpec, TrainConfig, TreeParams, partition_
 from wssda.evaluation import identification_sweep
 
 
-def make_instance(seed, classes, dim, q, radius, train_per_sub, eval_per_sub):
+def heteroscedastic_instance(
+    seed, c=20, dim=50, q=12, radius=12.0, train_per_sub=10, eval_per_sub=4
+):
+    """Bimodal classes on a hypersphere in a shared low-dimensional subspace.
+
+    Each class owns two far-apart modes with different diagonal covariances,
+    so pooled within-class scatter both inflates along the mode chords and
+    misstates every mode's shape.  Identity is directional, which is what a
+    cosine 1-NN can read.  Returns the training set and the held-out rows
+    with their class labels.
+    """
     rng = np.random.default_rng(seed)
     tr_rows, tr_cls, ev_rows, ev_cls = [], [], [], []
-    for i in range(classes):
+    for i in range(c):
         for j in (0, 1):
             u = rng.normal(size=q)
             mean = np.zeros(dim)
@@ -42,6 +55,7 @@ def make_instance(seed, classes, dim, q, radius, train_per_sub, eval_per_sub):
 
 
 def error_curve(train_ds, eval_rows, eval_cls, strategy, h, d_values, seed):
+    """Identification error at each d, held-out rows probing the training rows."""
     part = partition_dataset(train_ds, TreeParams(h=h, seed=seed), strategy)
     fx = train(train_ds, part, TrainConfig(d=max(d_values)))
     combined = LabeledDataset(
@@ -77,7 +91,7 @@ def main():
 
     errors = {name: np.zeros((args.seeds, len(d_values))) for name, _, _ in pipelines}
     for seed in range(args.seeds):
-        tds, ev, evc = make_instance(
+        tds, ev, evc = heteroscedastic_instance(
             seed, args.classes, args.dim, args.subspace, args.radius,
             args.train_per_sub, args.eval_per_sub,
         )

@@ -10,6 +10,9 @@ assigns the null directions a finite weight.
 Usage:
     python3 scripts/null_space_demo.py
     python3 scripts/null_space_demo.py --seeds 25 --d 3
+
+Acceptance criterion 5 (tests/test_acceptance.py) imports its data and its
+error rate from here.
 """
 
 import argparse
@@ -19,11 +22,15 @@ import numpy as np
 from wssda import LabeledDataset, TrainConfig, TreeParams, partition_dataset, train_detailed
 
 
-def make_instance(seed, classes=4, dim=16, sigma=0.5, gamma=5.0, delta=2.0):
+def null_space_instance(seed, c=4, dim=16, sigma=0.5, gamma=5.0, delta=2.0):
+    """Tiny-sample classes whose identity lives outside the range of the
+    within-subclass scatter: noise spans coords 0-3 only, class identity
+    sits on coords 4-7, subclass offsets on coords 8-11.  Returns the
+    training set, the probe rows and their class labels."""
     rng = np.random.default_rng(seed)
-    rows, labels, subs = [], [], []
+    rows, classes, subs = [], [], []
     probes, probe_labels = [], []
-    for i in range(classes):
+    for i in range(c):
         center = np.zeros(dim)
         center[4 + i] = gamma  # class identity: constant within the class
         for j, count in ((0, 2), (1, 1)):
@@ -33,23 +40,24 @@ def make_instance(seed, classes=4, dim=16, sigma=0.5, gamma=5.0, delta=2.0):
                 x = mean.copy()
                 x[:4] += sigma * rng.normal(size=4)  # the only varying coords
                 rows.append(x)
-                labels.append(i)
+                classes.append(i)
                 subs.append(j)
             for _ in range(2):
                 x = mean.copy()
                 x[:4] += sigma * rng.normal(size=4)
                 probes.append(x)
                 probe_labels.append(i)
-    ds = LabeledDataset(np.asarray(rows), np.asarray(labels), np.asarray(subs))
+    ds = LabeledDataset(np.asarray(rows), np.asarray(classes), np.asarray(subs))
     return ds, np.asarray(probes), np.asarray(probe_labels)
 
 
-def probe_error(fx, ds, probes, probe_labels):
-    gal = ds.samples @ fx.projection
+def cosine_probe_error(fx, gallery_ds, probes, probe_labels):
+    """Error rate of cosine 1-NN matching of the probes against the gallery."""
+    gal = gallery_ds.samples @ fx.projection
     pro = probes @ fx.projection
-    gal /= np.linalg.norm(gal, axis=1, keepdims=True)
-    pro /= np.linalg.norm(pro, axis=1, keepdims=True)
-    pred = ds.class_labels[np.argmin(1.0 - pro @ gal.T, axis=1)]
+    gn = gal / np.linalg.norm(gal, axis=1, keepdims=True)
+    pn = pro / np.linalg.norm(pro, axis=1, keepdims=True)
+    pred = gallery_ds.class_labels[np.argmin(1.0 - pn @ gn.T, axis=1)]
     return float(np.mean(pred != probe_labels))
 
 
@@ -62,12 +70,12 @@ def main():
     print(f"{'seed':>4}  {'rank/dim':>8}  {'regularized':>11}  {'truncated':>9}")
     reg_errs, trunc_errs = [], []
     for seed in range(args.seeds):
-        ds, probes, plabels = make_instance(seed)
+        ds, probes, plabels = null_space_instance(seed)
         part = partition_dataset(ds, TreeParams(h=2, seed=0), "provided")
         fx_reg, details = train_detailed(ds, part, TrainConfig(d=args.d, mode="regularized"))
         fx_tr, _ = train_detailed(ds, part, TrainConfig(d=args.d, mode="truncated"))
-        e_reg = probe_error(fx_reg, ds, probes, plabels)
-        e_tr = probe_error(fx_tr, ds, probes, plabels)
+        e_reg = cosine_probe_error(fx_reg, ds, probes, plabels)
+        e_tr = cosine_probe_error(fx_tr, ds, probes, plabels)
         reg_errs.append(e_reg)
         trunc_errs.append(e_tr)
         rank = details.spectrum.rank

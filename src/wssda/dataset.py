@@ -245,37 +245,48 @@ def _int_label(cell: str) -> int:
     return int(value)
 
 
-# the label of a pairs-file line, its last field, in the integer form the table parse reads
-_PAIR_LABELS = (
-    (re.compile(r",[^\S\n]*same[^\S\n]*$", re.MULTILINE), ",1"),
-    (re.compile(r",[^\S\n]*diff[^\S\n]*$", re.MULTILINE), ",0"),
-)
+# a pairs-file line: two sample indices, parsed as loadtxt parses integers, and the label cell
+_PAIR_ROW = np.dtype([("index", np.int64, (2,)), ("label", object)])
 _BLANK_LINES = re.compile(r"^[^\S\n]+$", re.MULTILINE)
+
+
+def _pair_table(text: str) -> np.ndarray:
+    """The _PAIR_ROW records of a pairs file's text.  loadtxt skips empty lines
+    but reads a whitespace-only line as a row of one cell, so a text it rejects
+    is parsed once more with such lines emptied."""
+
+    def parse(text: str) -> np.ndarray:
+        return np.loadtxt(
+            io.StringIO(text), dtype=_PAIR_ROW, delimiter=",", comments=None, ndmin=1
+        )
+
+    with warnings.catch_warnings():
+        # a file without pairs gets its own error
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            return parse(text)
+        except ValueError:
+            return parse(_BLANK_LINES.sub("", text))
 
 
 def load_pairs(path: str | os.PathLike, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(P, 2) int64 sample indices in [0, n) and (P,) same-class flags of a
-    pairs file, parsed as one integer table once the labels are rewritten as
-    1 and 0; a file that is rejected is scanned only to name the faulty line."""
+    pairs file, parsed as one table of two integer columns and a label
+    column; a file that is rejected is scanned only to name the faulty line."""
     with open(path, encoding="utf-8") as fh:
-        text = _BLANK_LINES.sub("", fh.read())
-    labelled = 0
-    for pattern, code in _PAIR_LABELS:
-        text, count = pattern.subn(code, text)
-        labelled += count
-    if labelled == 0:  # no pair to parse; loadtxt would only warn of empty input
-        raise _pairs_fault(path, n)
+        text = fh.read()
     try:
-        table = np.loadtxt(
-            io.StringIO(text), dtype=np.int64, delimiter=",", comments=None, ndmin=2
-        )
+        table = _pair_table(text)
     except ValueError as exc:
         raise _pairs_fault(path, n) from exc
-    # a line whose label was not rewritten leaves fewer labels than rows
-    index = table[:, :2]
-    if table.shape != (labelled, 3) or not ((index >= 0) & (index < n)).all():
+    index, labels = table["index"].copy(), table["label"]
+    same, diff = labels == "same", labels == "diff"
+    if not (same | diff).all():  # labels padded with whitespace, which the fault scan strips
+        labels = np.array([label.strip() for label in labels.tolist()], dtype=object)
+        same, diff = labels == "same", labels == "diff"
+    if table.size == 0 or not (same | diff).all() or not ((index >= 0) & (index < n)).all():
         raise _pairs_fault(path, n)
-    return index, table[:, 2] == 1
+    return index, same
 
 
 def _pairs_fault(path: str | os.PathLike, n: int, check=None) -> DataFormatError:

@@ -10,13 +10,17 @@ gallery matrix.
 
 Verification: threshold sweep over all observed pair scores (higher score
 means more likely same), exact ROC staircase, equal error rate by linear
-interpolation between the two operating points where FAR crosses FRR.  The
-staircase comes from one descending sort of the scores plus cumulative
-same/different counts, O(P log P) in the pair count; resampling onto a
-uniform FAR grid lives in kfold_pairwise.  pair_similarity is the per-pair
-call, costing about its three BLAS dot products.  For many pairs of one
-feature matrix use pair_scores: bit for bit the same scores, gathering a
-fixed block of rows at a time so memory stays flat in the pair count.
+interpolation between the two operating points where FAR crosses FRR.
+verification_roc and kfold_pairwise take the pairs as two arrays, a float
+score and a bool same-class flag per pair, and return the curve as far and
+tar arrays.  The staircase comes from one descending sort of the scores
+plus cumulative same/different counts, O(P log P) in the pair count;
+resampling onto a uniform FAR grid lives in kfold_pairwise.
+pair_similarity is the per-pair call, costing about its three BLAS dot
+products.  For many pairs of one feature matrix use pair_scores: bit for
+bit the same scores, gathering a fixed block of rows at a time so memory
+stays flat in the pair count.  A list of (score, is_same) pairs is still
+accepted in place of the two arrays, for the benchmark's library workloads.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ from .dataset import LabeledDataset, SplitSpec
 from .errors import ConfigError, ProtocolError
 from .pipeline import FeatureExtractor
 
-# A scored verification trial: (similarity score, is_same_class).
+# A scored verification trial: (similarity score, is_same_class), the list
+# form of verification_roc's and kfold_pairwise's input.
 Pair = tuple[float, bool]
 
 
@@ -249,18 +254,30 @@ def identification_sweep(
     return IdentificationReport(curve=curve, per_split=errors)
 
 
-@dataclass
+@dataclass(eq=False)  # == on the far and tar arrays has no single truth value
 class RocReport:
-    points: list[tuple[float, float]]  # (far, tar), far non-decreasing
+    far: np.ndarray  # false accept rate at each threshold, non-decreasing
+    tar: np.ndarray  # true accept rate at each threshold, non-decreasing
     eer: float
     threshold_at_eer: float
     thresholds: list[float]  # one per point, descending from a sentinel above the top score
 
+    @property
+    def points(self) -> list[tuple[float, float]]:
+        """The staircase as (far, tar) tuples."""
+        return list(zip(self.far.tolist(), self.tar.tolist()))
 
-def _pair_arrays(pairs: Sequence[Pair]) -> tuple[np.ndarray, np.ndarray]:
-    """Scores and same-class flags of a pair list as a float and a bool array."""
-    scores = np.array([score for score, _ in pairs], dtype=np.float64)
-    return scores, np.array([flag for _, flag in pairs], dtype=bool)
+
+def _score_arrays(scores, same) -> tuple[np.ndarray, np.ndarray]:
+    """scores and same as a float and a bool vector of one length."""
+    if same is None:  # scores is a list of Pair, as perfbench/ still passes
+        same = [flag for _, flag in scores]
+        scores = [score for score, _ in scores]
+    scores = np.asarray(scores, dtype=np.float64)
+    same = np.asarray(same, dtype=bool)
+    if scores.ndim != 1 or same.shape != scores.shape:
+        raise ValueError("scores and same must be vectors of one length")
+    return scores, same
 
 
 def _roc_staircase(scores: np.ndarray, same: np.ndarray):
@@ -300,53 +317,63 @@ def _grid_readout(fars, tars, grid):
     return tars[np.maximum(idx, 0)]
 
 
-def verification_roc(pairs: Sequence[Pair]) -> RocReport:
-    """Exact ROC over the observed scores, one point per distinct score plus
-    the (0, 0) sentinel, from one sort in O(P log P).  Resampling onto a
-    uniform FAR grid is kfold_pairwise's job (folds=1 for a single ROC)."""
-    thresholds, fars, tars = _roc_staircase(*_pair_arrays(pairs))
+def verification_roc(scores, same=None) -> RocReport:
+    """Exact ROC of pairs with these scores and same-class flags: one point
+    per distinct score plus the (0, 0) sentinel, from one sort in O(P log P).
+    Resampling onto a uniform FAR grid is kfold_pairwise's job (folds=1 for
+    a single ROC)."""
+    thresholds, fars, tars = _roc_staircase(*_score_arrays(scores, same))
     eer, thr = _eer_from_staircase(thresholds, fars, tars)
-    points = list(zip(fars.tolist(), tars.tolist()))
-    return RocReport(points=points, eer=eer, threshold_at_eer=thr, thresholds=thresholds.tolist())
+    return RocReport(
+        far=fars, tar=tars, eer=eer, threshold_at_eer=thr, thresholds=thresholds.tolist()
+    )
 
 
-@dataclass
+@dataclass(eq=False)  # as RocReport
 class KFoldReport:
-    points: list[tuple[float, float]]  # common FAR grid, fold-averaged TAR
+    far: np.ndarray  # the common FAR grid
+    tar: np.ndarray  # fold-averaged TAR at each grid FAR
     fold_eers: list[float]
     eer_mean: float
     eer_std: float
+    thresholds: list[float]  # every fold's staircase thresholds, fold after fold
+
+    @property
+    def points(self) -> list[tuple[float, float]]:
+        """The averaged curve as (far, tar) tuples."""
+        return list(zip(self.far.tolist(), self.tar.tolist()))
 
 
-def kfold_pairwise(
-    pairs: Sequence[Pair], folds: int = 10, resolution: int = 101
-) -> KFoldReport:
-    """Split the pair list into contiguous folds, compute a ROC per fold, and
+def kfold_pairwise(scores, same=None, *, folds: int = 10, resolution: int = 101) -> KFoldReport:
+    """Split the pairs into contiguous folds, compute a ROC per fold, and
     average TAR on a shared FAR grid.  Pair order is the fold assignment, so
-    shuffle beforehand if the list is structured."""
+    shuffle beforehand if the pairs are structured."""
+    scores, same = _score_arrays(scores, same)
     if folds < 1:
         raise ValueError("folds must be at least 1")
-    if len(pairs) < folds:
-        raise ProtocolError(f"cannot split {len(pairs)} pairs into {folds} folds")
+    if scores.size < folds:
+        raise ProtocolError(f"cannot split {scores.size} pairs into {folds} folds")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     grid = np.linspace(0.0, 1.0, resolution)
-    scores, same = _pair_arrays(pairs)
     chunks = zip(np.array_split(scores, folds), np.array_split(same, folds))
     eers = []
     tar_rows = []
+    thresholds = []
     for f, (fold_scores, fold_same) in enumerate(chunks):
         try:
-            thresholds, fars, tars = _roc_staircase(fold_scores, fold_same)
+            fold_thresholds, fars, tars = _roc_staircase(fold_scores, fold_same)
         except ProtocolError as exc:
             raise ProtocolError(f"fold {f}: {exc}") from exc
-        eer, _ = _eer_from_staircase(thresholds, fars, tars)
+        eer, _ = _eer_from_staircase(fold_thresholds, fars, tars)
         eers.append(eer)
         tar_rows.append(_grid_readout(fars, tars, grid))
-    mean_tar = np.mean(tar_rows, axis=0)
+        thresholds += fold_thresholds.tolist()
     return KFoldReport(
-        points=list(zip(grid.tolist(), mean_tar.tolist())),
+        far=grid,
+        tar=np.mean(tar_rows, axis=0),
         fold_eers=eers,
         eer_mean=float(np.mean(eers)),
         eer_std=float(np.std(eers)),
+        thresholds=thresholds,
     )

@@ -32,6 +32,11 @@ an arbitrary choice.  Second-stage eigenvectors come out in descending
 eigenvalue order, and the projection is computed at every column before it
 is cut to d, so the leading d' columns of a d-column extractor equal the
 extractor trained directly at d', bit for bit.
+
+Data whose within-subclass scatter, or the spectrum model fitted to it,
+leaves the float64 range raises a TrainingError that names the data scale,
+in place of a LAPACK failure or a zero scatter taken for singleton
+subclasses.
 """
 
 from __future__ import annotations
@@ -164,7 +169,17 @@ class TrainingDetails:
     second_stage_rank: int
 
 
-def _spectrum_model(es: Eigenspectrum, config: TrainConfig) -> SpectrumModel:
+def _spectrum_model(ds: LabeledDataset, es: Eigenspectrum, config: TrainConfig) -> SpectrumModel:
+    """The spectrum model of config.mode for the within-subclass spectrum es of ds."""
+    model = _fit_spectrum(es, config)
+    # fit_model multiplies two eigenvalues, which leaves the float64 range for
+    # a spectrum past the square root of either end of it
+    if not (np.isfinite(model.lambda_reg).all() and np.isfinite(model.weights).all()):
+        raise _range_error(ds)
+    return model
+
+
+def _fit_spectrum(es: Eigenspectrum, config: TrainConfig) -> SpectrumModel:
     if config.mode == TRUNCATED:
         model = truncated_weights(es)
         if not model.usable:
@@ -188,10 +203,35 @@ def _spectrum_model(es: Eigenspectrum, config: TrainConfig) -> SpectrumModel:
     return regularize(es, pivot.m, alpha, beta)
 
 
+def _range_error(ds: LabeledDataset) -> TrainingError:
+    scale = float(np.abs(ds.samples).max())
+    return TrainingError(
+        f"samples of magnitude up to {scale:.3g} take the within-subclass scatter "
+        "or its spectrum model outside the float64 range; rescale the data"
+    )
+
+
+def _check_range(ds: LabeledDataset, part: SubclassPartition, scatter: np.ndarray) -> None:
+    """_range_error(ds) where float64 cannot hold the within-subclass scatter
+    of ds, or its Gram matrix: an entry overflowed, or every entry fell below
+    the smallest normal float64 although some subclass holds two distinct
+    rows.  The largest entry of a positive semidefinite matrix lies on its
+    diagonal."""
+    peak = np.diagonal(scatter).max()
+    if peak < np.finfo(np.float64).tiny:  # NaN is not below it
+        if not within_subclass_rows(ds, part).any():
+            return  # a true zero scatter, which _spectrum_model reports
+    elif np.isfinite(peak):
+        return
+    raise _range_error(ds)
+
+
 def _dense(ds: LabeledDataset, part: SubclassPartition, config: TrainConfig):
     """Both stages as dim x dim eigendecompositions (n >= dim)."""
-    es = eig_symmetric_full(within_subclass_scatter(ds, part))
-    model = _spectrum_model(es, config)
+    scatter = within_subclass_scatter(ds, part)
+    _check_range(ds, part, scatter.matrix)
+    es = eig_symmetric_full(scatter)
+    model = _spectrum_model(ds, es, config)
 
     whitener = es.eigenvectors * model.weights
     whitened = ds.samples @ whitener
@@ -211,11 +251,17 @@ def _dense(ds: LabeledDataset, part: SubclassPartition, config: TrainConfig):
     return es, model, projection, es2.eigenvalues, es2.rank
 
 
-def _gram_eig(rows: np.ndarray) -> tuple[Eigenspectrum, np.ndarray]:
-    """Eigensystem of B B^T for weighted rows B, and the orthonormal range
-    basis B^T Q_r Lambda_r^{-1/2} of B^T B, one column per non-zero eigenvalue."""
+def _gram(rows: np.ndarray) -> np.ndarray:
+    """B B^T of weighted rows B, symmetrized."""
     product = rows @ rows.T
-    gram = eig_symmetric_full((product + product.T) / 2.0)
+    return (product + product.T) / 2.0
+
+
+def _gram_eig(rows: np.ndarray, product: np.ndarray) -> tuple[Eigenspectrum, np.ndarray]:
+    """Eigensystem of the Gram matrix product = B B^T of weighted rows B, and
+    the orthonormal range basis B^T Q_r Lambda_r^{-1/2} of B^T B, one column
+    per non-zero eigenvalue."""
+    gram = eig_symmetric_full(product)
     r = gram.rank
     return gram, rows.T @ (gram.eigenvectors[:, :r] / np.sqrt(gram.eigenvalues[:r]))
 
@@ -226,9 +272,12 @@ def _padded(values: np.ndarray, dim: int) -> np.ndarray:
 
 def _dual(ds: LabeledDataset, part: SubclassPartition, config: TrainConfig):
     """Both stages through n x n Gram matrices (n < dim); no dim x dim array."""
-    gram, basis = _gram_eig(within_subclass_rows(ds, part))
+    rows = within_subclass_rows(ds, part)
+    product = _gram(rows)
+    _check_range(ds, part, product)
+    gram, basis = _gram_eig(rows, product)
     es = Eigenspectrum(_padded(gram.eigenvalues, ds.dim), basis, gram.rank)
-    model = _spectrum_model(es, config)
+    model = _spectrum_model(ds, es, config)
     # W = U diag(w_r) U^T + w_null (I - U U^T) for the range basis U, applied to rows
     w_null = model.weights[es.rank]
     lift = model.weights[: es.rank] - w_null
@@ -242,7 +291,7 @@ def _dual(ds: LabeledDataset, part: SubclassPartition, config: TrainConfig):
         rows = total_subclass_rows(whitened, ds.class_labels, global_mean)
     else:
         rows = between_subclass_rows(_subclass_means(whitened, part), global_mean)
-    gram2, basis2 = _gram_eig(rows)
+    gram2, basis2 = _gram_eig(rows, _gram(rows))
     # computed at every column of the second-stage rank whatever d is, so the
     # leading columns do not depend on d; columns past that rank stay zero
     columns = orient_columns(whiten(basis2.T).T)

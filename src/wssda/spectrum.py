@@ -81,6 +81,8 @@ def eig_symmetric_full(scatter: ScatterMatrix | np.ndarray) -> Eigenspectrum:
     matrix = scatter.matrix if isinstance(scatter, ScatterMatrix) else np.asarray(scatter)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("input must be a square matrix")
+    if not np.isfinite(matrix).all():
+        raise ValueError("matrix has non-finite entries")
     norm = np.linalg.norm(matrix)
     if np.linalg.norm(matrix - matrix.T) > SYMMETRY_RTOL * max(norm, 1e-300):
         raise ValueError("matrix is not symmetric within tolerance")
@@ -99,9 +101,16 @@ def eig_symmetric_full(scatter: ScatterMatrix | np.ndarray) -> Eigenspectrum:
 def orient_columns(vectors: np.ndarray) -> np.ndarray:
     """Flip columns in place so that each one's largest-magnitude entry is
     positive (the first such entry on ties); returns vectors."""
-    peaks = np.argmax(np.abs(vectors), axis=0)
-    flip = vectors[peaks, np.arange(vectors.shape[1])] < 0
-    vectors[:, flip] *= -1.0
+    top = vectors.max(axis=0)
+    low = vectors.min(axis=0)
+    flip = -low > top
+    # a column whose largest and most negative entries tie in magnitude goes
+    # by whichever of them comes first
+    tied = np.flatnonzero(-low == top)
+    if tied.size:
+        columns = vectors[:, tied]
+        flip[tied] = columns[np.argmax(np.abs(columns), axis=0), np.arange(tied.size)] < 0
+    vectors *= np.where(flip, -1.0, 1.0)
     return vectors
 
 

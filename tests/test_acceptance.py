@@ -16,10 +16,11 @@ import numpy as np
 from scipy import stats
 
 from conftest import ACCEPTANCE_RESULTS, geometric_noise_dataset
+from heteroscedastic_benchmark import error_curve, heteroscedastic_instance
+from null_space_demo import cosine_probe_error, null_space_instance
 from wssda import (
     Eigenspectrum,
     LabeledDataset,
-    SplitSpec,
     TrainConfig,
     TreeParams,
     eig_symmetric_full,
@@ -34,7 +35,6 @@ from wssda import (
     within_subclass_scatter,
 )
 from wssda.cli import main as cli_main
-from wssda.evaluation import identification_sweep
 
 
 @contextlib.contextmanager
@@ -156,43 +156,6 @@ def test_criterion_04_variance_decomposition():
 # ------------------------------------------------------------ criterion 5
 
 
-def null_space_instance(seed, c=4, dim=16, sigma=0.5, gamma=5.0, delta=2.0):
-    """Tiny-sample classes whose identity lives outside the range of the
-    within-subclass scatter: noise spans coords 0-3 only, class identity
-    sits on coords 4-7, subclass offsets on coords 8-11."""
-    rng = np.random.default_rng(seed)
-    rows, classes, subs = [], [], []
-    probes, probe_labels = [], []
-    for i in range(c):
-        center = np.zeros(dim)
-        center[4 + i] = gamma
-        for j, count in ((0, 2), (1, 1)):
-            mean = center.copy()
-            mean[8 + i] = delta if j == 0 else -delta
-            for _ in range(count):
-                x = mean.copy()
-                x[:4] += sigma * rng.normal(size=4)
-                rows.append(x)
-                classes.append(i)
-                subs.append(j)
-            for _ in range(2):
-                x = mean.copy()
-                x[:4] += sigma * rng.normal(size=4)
-                probes.append(x)
-                probe_labels.append(i)
-    ds = LabeledDataset(np.asarray(rows), np.asarray(classes), np.asarray(subs))
-    return ds, np.asarray(probes), np.asarray(probe_labels)
-
-
-def cosine_probe_error(fx, gallery_ds, probes, probe_labels):
-    gal = gallery_ds.samples @ fx.projection
-    pro = probes @ fx.projection
-    gn = gal / np.linalg.norm(gal, axis=1, keepdims=True)
-    pn = pro / np.linalg.norm(pro, axis=1, keepdims=True)
-    pred = gallery_ds.class_labels[np.argmin(1.0 - pn @ gn.T, axis=1)]
-    return float(np.mean(pred != probe_labels))
-
-
 def test_criterion_05_null_space_value():
     with criterion(5, "regularized beats truncated when identity lies in the null space"):
         reg_errs, trunc_errs = [], []
@@ -223,48 +186,6 @@ def test_criterion_05_null_space_value():
 # ------------------------------------------------------------ criterion 6
 
 
-def heteroscedastic_instance(seed, c=20, dim=50, q=12, radius=12.0,
-                             train_per_sub=10, eval_per_sub=4):
-    """Bimodal classes on a hypersphere in a shared low-dimensional subspace.
-
-    Each class owns two far-apart modes with different diagonal covariances,
-    so pooled within-class scatter both inflates along the mode chords and
-    misstates every mode's shape.  Identity is directional, which is what a
-    cosine 1-NN can read.
-    """
-    rng = np.random.default_rng(seed)
-    tr_rows, tr_cls, ev_rows, ev_cls = [], [], [], []
-    for i in range(c):
-        for j in (0, 1):
-            u = rng.normal(size=q)
-            mean = np.zeros(dim)
-            mean[:q] = radius * u / np.linalg.norm(u)
-            lo, hi = (0.5, 1.0) if j == 0 else (1.0, 1.8)
-            axis_scale = rng.uniform(lo, hi, size=dim)
-            for k in range(train_per_sub + eval_per_sub):
-                x = mean + axis_scale * rng.normal(size=dim)
-                if k < train_per_sub:
-                    tr_rows.append(x)
-                    tr_cls.append(i)
-                else:
-                    ev_rows.append(x)
-                    ev_cls.append(i)
-    train_ds = LabeledDataset(np.asarray(tr_rows), np.asarray(tr_cls))
-    return train_ds, np.asarray(ev_rows), np.asarray(ev_cls)
-
-
-def sweep_mean_error(train_ds, eval_rows, eval_cls, strategy, h, d_values):
-    part = partition_dataset(train_ds, TreeParams(h=h, seed=0), strategy)
-    fx = train(train_ds, part, TrainConfig(d=max(d_values)))
-    combined = LabeledDataset(
-        np.vstack([train_ds.samples, eval_rows]),
-        np.concatenate([train_ds.class_labels, eval_cls]),
-    )
-    split = SplitSpec(gallery=np.arange(train_ds.n), probe=np.arange(train_ds.n, combined.n))
-    report = identification_sweep(lambda d: fx, combined, [split], d_values)
-    return float(np.mean([err for _, err in report.curve]))
-
-
 def test_criterion_06_heteroscedastic_advantage():
     with criterion(6, "kmeans subclasses beat the h=1 pipeline on bimodal data"):
         start = time.perf_counter()
@@ -272,8 +193,8 @@ def test_criterion_06_heteroscedastic_advantage():
         h2_means, h1_means = [], []
         for seed in range(20):
             tds, ev, evc = heteroscedastic_instance(seed)
-            h2_means.append(sweep_mean_error(tds, ev, evc, "kmeans", 2, d_values))
-            h1_means.append(sweep_mean_error(tds, ev, evc, "kd", 1, d_values))
+            for means, strategy, h in ((h2_means, "kmeans", 2), (h1_means, "kd", 1)):
+                means.append(np.mean(error_curve(tds, ev, evc, strategy, h, d_values, seed=0)))
         h2_means = np.asarray(h2_means)
         h1_means = np.asarray(h1_means)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wssda.cli
@@ -79,6 +80,34 @@ def test_eval_id_records_the_identify_span(perfbench, tmp_path):
         assert wssda.cli.main(argv) == 0
     identify = [s for s in tracer.spans if s["name"] == "evaluation.identify"]
     assert len(identify) == 1 and identify[0]["end"] > identify[0]["start"]
+
+
+@pytest.mark.parametrize("folds", ["1", "10"])
+def test_eval_verify_records_the_roc_span_with_its_counts(perfbench, tmp_path, folds):
+    # evaluation.roc_pairs and roc_thresholds read len(args[0]) and
+    # len(out.thresholds) of this span: a ROC the CLI stops calling by the
+    # wrapped name reads as 0, and thresholds held as an ndarray would raise
+    spans, workloads = perfbench
+    data = ["--synth", "--classes", "4", "--dim", "12", "--out-dir", str(tmp_path)]
+    assert wssda.cli.main(["train", *data, "--d", "3"]) == 0
+    index = np.argwhere(np.triu(np.ones((80, 80), dtype=bool), k=1))
+    index = index[np.random.default_rng(0).permutation(len(index))]
+    labels = np.repeat(np.arange(4), 20)  # 2 subclasses x 10 samples per class
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text(
+        "".join(
+            f"{a},{b},{'same' if labels[a] == labels[b] else 'diff'}\n" for a, b in index.tolist()
+        )
+    )
+    argv = ["eval-verify", *data, "--model", str(tmp_path / "model.wssda")]
+    argv += ["--pairs", str(pairs), "--folds", folds]
+    tracer = spans.Tracer()
+    with tracer.installed(workloads.make_api()):
+        assert wssda.cli.main(argv) == 0
+    roc = [s for s in tracer.spans if s["name"] == "evaluation.roc"]
+    assert len(roc) == 1
+    assert roc[0]["counts"]["pairs"] == len(index)
+    assert roc[0]["counts"]["thresholds"] > 0
 
 
 def test_every_cli_name_the_tracer_wraps_is_bound(perfbench):

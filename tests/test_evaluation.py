@@ -633,6 +633,63 @@ def test_roc_matches_brute_force():
         assert rep.thresholds == thresholds, name
 
 
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def roc_input_cases():
+    """(scores, same) arrays with ties, all-equal scores, a lone same or
+    different pair, and a single pair of each kind."""
+    rng = np.random.default_rng(21)
+    same = rng.integers(0, 2, 120).astype(bool)
+    scores = rng.normal(size=120) + same
+    return {
+        "distinct": (scores, same),
+        "tied": (np.round(scores, 1), same),
+        "all equal": (np.full(120, 0.25), same),
+        "one same pair": (scores, np.arange(120) == 17),
+        "one different pair": (scores, np.arange(120) != 17),
+        "one pair of each kind": (np.array([0.3, 0.7]), np.array([True, False])),
+    }
+
+
+def test_roc_of_arrays_equals_the_roc_of_the_pair_list_bit_for_bit():
+    for name, (scores, same) in roc_input_cases().items():
+        got = verification_roc(scores, same)
+        expect = verification_roc(list(zip(scores.tolist(), same.tolist())))
+        assert got.points == expect.points, name
+        assert bits(got.points) == bits(expect.points), name
+        assert bits(got.thresholds) == bits(expect.thresholds), name
+        assert isinstance(got.thresholds, list), name
+        assert bits([got.eer, got.threshold_at_eer]) == bits(
+            [expect.eer, expect.threshold_at_eer]
+        ), name
+
+
+@pytest.mark.parametrize("folds, grid", [(1, {}), (2, {}), (3, {"resolution": 57})])
+def test_kfold_of_arrays_equals_the_kfold_of_the_pair_list_bit_for_bit(folds, grid):
+    for name, (scores, same) in roc_input_cases().items():
+        if scores.size < folds:
+            continue
+        outcomes = []
+        for args in ((scores, same), (list(zip(scores.tolist(), same.tolist())),)):
+            try:
+                rep = kfold_pairwise(*args, folds=folds, **grid)
+            except ProtocolError as exc:  # a fold without one of the kinds
+                outcomes.append(str(exc))
+            else:
+                fields = [rep.points, rep.fold_eers, [rep.eer_mean, rep.eer_std], rep.thresholds]
+                outcomes.append([bits(field) for field in fields])
+        assert outcomes[0] == outcomes[1], name
+
+
+def test_roc_rejects_scores_and_flags_of_two_lengths():
+    with pytest.raises(ValueError, match="one length"):
+        verification_roc(np.array([0.1, 0.2, 0.3]), np.array([True, False]))
+    with pytest.raises(ValueError, match="one length"):
+        kfold_pairwise(np.zeros((2, 2)), np.zeros((2, 2), dtype=bool), folds=1)
+
+
 def test_roc_identical_distributions_eer_half():
     eers = []
     for seed in range(12):

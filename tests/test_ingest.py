@@ -209,7 +209,7 @@ def csv_files(draw):
         lines.insert(int(rng.integers(len(lines) + 1)), "")
     if fault == "blank-space":
         lines.insert(int(rng.integers(len(lines) + 1)), "   ")
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return with_sub, "".join(line + newline for line in lines)
 
 
@@ -238,8 +238,13 @@ def test_load_csv_matches_the_per_cell_loader(tmp_path_factory, case):
 
 PAIR_N = 5
 INDEX_FORMS = ["{}", " {} ", "+{}", "0{}"]
-LABEL_WORDS = ["same", "diff", " same ", "diff  "]
-PAIR_FAULTS = [None, None, "sim", "1", "3.0", "x", "same-index", "two", "four", "range", "empty"]
+# padding of any length, tabs and Unicode spaces are stripped like spaces
+LABEL_WORDS = [
+    "same", "diff", " same ", "diff  ", "\tsame", "diff\t", "same" + " " * 12, "\u3000diff",
+]
+PAIR_FAULTS = [
+    None, None, "sim", "1", "3.0", "x", "same-index", "two", "four", "range", "empty", "nul",
+]
 
 
 @st.composite
@@ -254,6 +259,8 @@ def pairs_files(draw):
     r = int(rng.integers(count))
     if fault in ("sim", "1"):
         lines[r][2] = fault
+    elif fault == "nul":  # a NUL is no whitespace, though a fixed-width string drops it
+        lines[r][2] += "\0"
     elif fault in ("3.0", "x", "same-index"):
         lines[r][int(rng.integers(2))] = "same" if fault == "same-index" else fault
     elif fault == "range":

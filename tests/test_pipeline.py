@@ -175,6 +175,39 @@ def test_train_zero_scatter_raises():
         train(ds, part, TrainConfig(d=2, mode="truncated"))
 
 
+def gaussian_rows(n, dim, scale, classes=3):
+    x = np.random.default_rng(0).normal(size=(n, dim)) * scale
+    ds = LabeledDataset(x, np.arange(n) % classes)
+    return ds, partition_dataset(ds, TreeParams(h=2, seed=0), "kd")
+
+
+BOTH_MODES = ("regularized", "truncated")
+SCALE_ERROR = r"magnitude up to \d\.\d+e[+-]\d+ .* rescale the data"
+
+
+@pytest.mark.parametrize(
+    "n, dim, scale, modes",
+    [
+        (60, 8, 1e155, BOTH_MODES),
+        (60, 8, 1e-170, BOTH_MODES),
+        (24, 40, 1e160, BOTH_MODES),
+        (24, 40, 1e-170, BOTH_MODES),
+        # the scatter holds, but fit_model's product of two eigenvalues underflows
+        (60, 8, 1e-100, ("regularized",)),
+    ],
+    ids=["dense overflow", "dense underflow", "dual overflow", "dual underflow", "model underflow"],
+)
+def test_train_out_of_float64_range_names_the_data_scale(n, dim, scale, modes):
+    # overflow used to reach LAPACK ("Eigenvalues did not converge") and an
+    # underflowed scatter was reported as one of singleton subclasses
+    ds, part = gaussian_rows(n, dim, scale)
+    assert min(min(counts) for counts in part.subclass_counts) >= 2
+    for mode in modes:
+        # NumPy warns of the overflow on the way
+        with np.errstate(all="ignore"), pytest.raises(TrainingError, match=SCALE_ERROR):
+            train(ds, part, TrainConfig(d=2, mode=mode))
+
+
 def test_train_flat_spectrum_gate():
     # one class, subclass mean zero, samples +-e_k: the scatter is exactly
     # isotropic, so the spectrum is flat at rank 3 and hits the pivot path

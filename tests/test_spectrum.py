@@ -13,6 +13,7 @@ from wssda import (
     short_tail_model,
     truncated_weights,
 )
+from wssda.spectrum import orient_columns
 
 
 def spectrum_from(eigenvalues, dim=None):
@@ -98,6 +99,63 @@ def test_eig_matches_power_iteration_oracle():
 def test_eig_rejects_asymmetric():
     with pytest.raises(ValueError, match="symmetric"):
         eig_symmetric_full(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_eig_rejects_non_finite_entries(bad):
+    # NaN fails the symmetry comparison, so it used to reach LAPACK
+    s = np.eye(3)
+    s[0, 1] = s[1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        eig_symmetric_full(s)
+
+
+def oracle_orient_columns(vectors: np.ndarray) -> np.ndarray:
+    """The earlier body of orient_columns, kept verbatim as the oracle."""
+    peaks = np.argmax(np.abs(vectors), axis=0)
+    flip = vectors[peaks, np.arange(vectors.shape[1])] < 0
+    vectors[:, flip] *= -1.0
+    return vectors
+
+
+@st.composite
+def sign_matrices(draw):
+    """Matrices whose columns tie in magnitude between a positive and a
+    negative entry, in either order, or are zero or of one repeated value."""
+    rows, cols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    values = draw(st.sampled_from([[1.0, -1.0, 0.5], [0.0, -0.0], [2.0, -2.0, 0.0, 3.0]]))
+    if draw(st.booleans()):
+        x = rng.choice(values, size=(rows, cols))
+    else:
+        x = rng.normal(size=(rows, cols))
+    x[:, rng.random(cols) < 0.2] = 0.0
+    return x
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        np.array([[-2.0]]),
+        np.array([[-0.0]]),
+        np.array([[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0]]),  # ties: the first entry decides
+        np.random.default_rng(1).normal(size=(50, 3)),
+        np.random.default_rng(2).normal(size=(3, 50)),
+    ],
+    ids=["1x1", "negative zero", "ties and a zero column", "tall", "wide"],
+)
+def test_orient_columns_matches_the_oracle_on_planted_cases(x):
+    got = orient_columns(x.copy())
+    assert got.tobytes() == oracle_orient_columns(x.copy()).tobytes()
+
+
+@given(sign_matrices())
+@settings(max_examples=300, deadline=None)
+def test_orient_columns_matches_the_argmax_oracle_bit_for_bit(x):
+    expect = oracle_orient_columns(x.copy())
+    got = x.copy()
+    assert orient_columns(got) is got
+    assert got.tobytes() == expect.tobytes()
 
 
 def test_eig_sign_convention():
