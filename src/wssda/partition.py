@@ -22,6 +22,7 @@ from .errors import PartitionError
 
 STRATEGIES = ("kd", "rp", "pca", "kmeans", "provided")
 TREE_STRATEGIES = ("kd", "rp", "pca")
+RANDOM_STRATEGIES = ("rp", "kmeans")  # the strategies that draw from a generator
 
 KMEANS_MAX_ITER = 100
 # tree strategies split to depth log2(h), so this caps h at 2**MAX_TREE_DEPTH
@@ -209,7 +210,7 @@ def partition_class(
         seed = int(rng.integers(2**32)) if rng is not None else params.seed
         return cluster_kmeans(points, params.h, seed), False
 
-    if rng is None:
+    if rng is None and strategy == "rp":
         rng = np.random.default_rng(params.seed)
     depth = params.h.bit_length() - 1
     leaves: list[np.ndarray] = []
@@ -235,7 +236,8 @@ def partition_class(
 def partition_dataset(
     ds: LabeledDataset, params: TreeParams, strategy: str
 ) -> SubclassPartition:
-    """Partition every class of a dataset; per-class RNG streams derive from (seed, class)."""
+    """Partition every class of a dataset; per-class RNG streams derive from
+    (seed, class), built only for the strategies that draw from them."""
     params.validate(strategy)
     if strategy == "provided":
         if ds.subclass_labels is None:
@@ -247,7 +249,9 @@ def partition_dataset(
     deficient: list[int] = []
     order = np.argsort(ds.class_labels, kind="stable")
     for i, idx in enumerate(np.split(order, np.cumsum(ds.class_sizes())[:-1])):
-        rng = np.random.default_rng(np.random.SeedSequence([params.seed, i]))
+        rng = None
+        if strategy in RANDOM_STRATEGIES:
+            rng = np.random.default_rng(np.random.SeedSequence([params.seed, i]))
         groups, is_deficient = partition_class(ds.samples[idx], params, strategy, rng=rng)
         if is_deficient:
             deficient.append(i)

@@ -68,6 +68,21 @@ def test_dense_train_records_every_layer_span(perfbench, tmp_path, second_stage)
     assert layers - {s["name"] for s in tracer.spans} == set()
 
 
+def test_dual_train_records_the_train_class_means_and_eig_spans(perfbench, tmp_path):
+    # the dual path builds its rows with names the tracer does not wrap, so
+    # scatter.within_subclass and second_stage read 0 there; the spans it does
+    # record must not drop to 0 unnoticed as well
+    spans, workloads = perfbench
+    tracer = spans.Tracer()
+    argv = ["train", "--synth", "--classes", "4", "--dim", "100", "--d", "3"]
+    with tracer.installed(workloads.make_api()):
+        assert wssda.cli.main([*argv, "--out-dir", str(tmp_path)]) == 0
+    n = len((tmp_path / "partition.csv").read_text().splitlines()) - 1
+    assert 0 < n < 100  # fewer samples than dimensions: the dual path ran
+    names = {s["name"] for s in tracer.spans}
+    assert {"pipeline.train", "scatter.class_means", "spectrum.eig"} - names == set()
+
+
 def test_eval_id_records_the_identify_span(perfbench, tmp_path):
     # evaluation.identify_s reads this span; a sweep the CLI stops calling by
     # the wrapped name would time it as 0

@@ -248,3 +248,16 @@ def test_partition_dataset_matches_a_class_indices_reference(strategy):
     part = partition_dataset(ds, params, strategy)
     assert np.array_equal(part.subclass_labels, expected)
     assert part.deficient_classes == (1,)
+
+
+@pytest.mark.parametrize("strategy", ["kd", "pca"])
+def test_strategies_that_draw_nothing_build_no_generator(strategy, monkeypatch):
+    # a generator costs tens of microseconds per class; rp and kmeans keep
+    # their per-class streams (the class-indices reference above)
+    ds = generate_synthetic(SynthSpec(5, 2, 6, 8, seed=3))
+    built = []
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: built.append(args))
+    part = partition_dataset(ds, TreeParams(h=4, seed=7), strategy)
+    groups, _ = partition_class(ds.samples[:9], TreeParams(h=4), strategy)
+    assert built == []
+    assert part.subclasses_per_class.tolist() == [4] * 5 and len(groups) == 4

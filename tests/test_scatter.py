@@ -1,11 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wssda.pipeline
 from wssda import (
     LabeledDataset,
     SynthSpec,
+    TrainConfig,
     TreeParams,
     between_subclass_scatter,
     class_means,
@@ -14,9 +18,11 @@ from wssda import (
     mean_of_class_means,
     partition_dataset,
     total_subclass_scatter,
+    train_detailed,
     within_class_scatter,
     within_subclass_scatter,
 )
+from wssda import scatter
 
 
 def balanced_ds(seed=0, c=4, h=2, g=5, dim=6):
@@ -284,3 +290,78 @@ def test_builders_match_loop_oracle(seed, sizes, dim):
         total_subclass_scatter(ds.samples, ds.class_labels, center),
         loop_total_subclass(ds.samples, ds.class_labels, center),
     )
+
+
+# ------------------------------------------------------------------ reduceat order
+# group_means sums each group in np.add.reduceat's order, so the bytes of every
+# mean, and of every model trained on them, are those of this expression.
+
+
+def reduceat_group_means(samples, ids, count):
+    sizes = np.bincount(ids, minlength=count)
+    order = np.argsort(ids, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    return np.add.reduceat(samples[order], starts, axis=0) / sizes[:, None]
+
+
+# below 8, the 8 partial sums, their tail, the 128 block edge and the halving
+PAIRWISE_SIZES = [1, 2, 3, 8, 9, 10, 16, 17, 128, 129, 130, 137, 257]
+
+
+@given(
+    st.integers(0, 2**31),
+    st.lists(st.sampled_from(PAIRWISE_SIZES), min_size=1, max_size=5),
+    st.integers(1, 12),
+    st.integers(1, 4),
+)
+@settings(max_examples=80, deadline=None)
+def test_group_means_equal_reduceat_bit_for_bit(seed, sizes, copies, dim):
+    rng = np.random.default_rng(seed)
+    counts = np.repeat(sizes, copies)  # many groups of one size
+    ids = rng.permutation(np.repeat(np.arange(counts.size), counts))
+    samples = rng.normal(size=(ids.size, dim)) * 10.0 ** rng.integers(-150, 151, (ids.size, 1))
+    samples[rng.random(samples.shape) < 0.1] = 0.0
+    samples[rng.random(samples.shape) < 0.1] = -0.0
+    samples[ids == 0] = -0.0  # a group whose sum is -0.0
+    got = group_means(samples, ids, counts.size)
+    assert got.tobytes() == reduceat_group_means(samples, ids, counts.size).tobytes()
+
+
+def test_group_means_sum_groups_of_mixed_sizes_in_one_call():
+    # 40 groups of 3 and 2 of 137, each size summed as one block
+    rng = np.random.default_rng(3)
+    counts = np.array([3] * 40 + [137] * 2)
+    ids = rng.permutation(np.repeat(np.arange(counts.size), counts))
+    samples = rng.normal(size=(ids.size, 64))
+    got = group_means(samples, ids, counts.size)
+    assert got.tobytes() == reduceat_group_means(samples, ids, counts.size).tobytes()
+    with pytest.raises(ValueError, match="no empty group"):
+        group_means(samples, ids, counts.size + 1)
+
+
+def training_bytes(ds, strategy, second_stage):
+    part = partition_dataset(ds, TreeParams(h=2, seed=4), strategy)
+    fx, details = train_detailed(ds, part, TrainConfig(d=5, second_stage=second_stage))
+    es = details.spectrum
+    return [
+        fx.projection.tobytes(),
+        es.eigenvalues.tobytes(),
+        es.eigenvectors.tobytes(),
+        details.model.weights.tobytes(),
+        details.second_stage_eigenvalues.tobytes(),
+    ]
+
+
+@pytest.mark.parametrize("strategy", ["kd", "kmeans"])  # kmeans: uneven subclass sizes
+@pytest.mark.parametrize("second_stage", ["ts", "bs"])
+@pytest.mark.parametrize("shape", [(6, 300), (16, 40)], ids=["dual", "dense"])
+def test_training_on_reduceat_means_keeps_every_byte(shape, second_stage, strategy):
+    classes, dim = shape
+    ds = generate_synthetic(SynthSpec(classes, 2, 5, dim, seed=8))
+    assert (ds.n < ds.dim) == (dim == 300)
+    got = training_bytes(ds, strategy, second_stage)
+    with mock.patch.object(scatter, "group_means", reduceat_group_means), mock.patch.object(
+        wssda.pipeline, "group_means", reduceat_group_means
+    ):
+        expect = training_bytes(ds, strategy, second_stage)
+    assert got == expect
