@@ -18,13 +18,18 @@ The shape alone picks one of two regimes:
   gets one constant weight w_null, so the whitener is basis-free,
   W = U diag(w_r) U^T + w_null (I - U U^T), with U the range basis derived
   from the n x n Gram matrix of the weighted within-subclass rows (the
-  eigenfaces construction).  W is only ever applied to blocks of rows, and
-  the second stage is again an n x n Gram matrix (of the whitened rows), so
-  no dim x dim array is formed and training costs O(n^2 dim).  The
-  largest-magnitude entry of each projection column is positive (the first
-  such entry on ties), so the result does not depend on the eigenbasis the
-  Gram eigensolver picks.  The spectrum keeps dim eigenvalues, zero beyond
-  the n of the Gram matrix.
+  eigenfaces construction).  W is linear and symmetric, so the second stage
+  needs no whitened sample: with Y the second-stage rows of the raw samples
+  (means and centring commute with W), the whitened rows are Y W, their Gram
+  matrix is Y W^2 Y^T, and the final columns, W times their range basis
+  (Y W)^T Q2 Lambda2^{-1/2}, are W^2 Y^T Q2 Lambda2^{-1/2}, where
+  W^2 = U diag(w_r^2 - w_null^2) U^T + w_null^2 I.  That is exact algebra,
+  so it equals whitening first up to rounding; it needs only Y and Y U, so
+  no dim x dim array or whitened copy of the samples is formed, and
+  training costs O(n^2 dim).  The largest-magnitude entry of each projection
+  column is positive (the first such entry on ties), so the result does not
+  depend on the eigenbasis the Gram eigensolver picks.  The spectrum keeps
+  dim eigenvalues, zero beyond the n of the Gram matrix.
 
 In both regimes projection columns past the second-stage rank are zero: the
 null space of that scatter separates nothing, and any basis of it would be
@@ -276,25 +281,29 @@ def _dual(ds: LabeledDataset, part: SubclassPartition, config: TrainConfig):
     product = _gram(rows)
     _check_range(ds, part, product)
     gram, basis = _gram_eig(rows, product)
+    del rows
     es = Eigenspectrum(_padded(gram.eigenvalues, ds.dim), basis, gram.rank)
     model = _spectrum_model(ds, es, config)
-    # W = U diag(w_r) U^T + w_null (I - U U^T) for the range basis U, applied to rows
+    # the second stage by linearity (module docstring): Y W^2 Y^T and W^2 Y^T
+    # from Y U and Y, with W^2 = U diag(s) U^T + w_null^2 I
     w_null = model.weights[es.rank]
-    lift = model.weights[: es.rank] - w_null
-
-    def whiten(rows: np.ndarray) -> np.ndarray:
-        return ((rows @ basis) * lift) @ basis.T + w_null * rows
-
-    whitened = whiten(ds.samples)
-    global_mean = class_means(whitened, ds.class_labels).mean(axis=0)
+    s = (model.weights[: es.rank] - w_null) * (model.weights[: es.rank] + w_null)
+    global_mean = class_means(ds.samples, ds.class_labels).mean(axis=0)
     if config.second_stage == "ts":
-        rows = total_subclass_rows(whitened, ds.class_labels, global_mean)
+        rows = total_subclass_rows(ds.samples, ds.class_labels, global_mean)
     else:
-        rows = between_subclass_rows(_subclass_means(whitened, part), global_mean)
-    gram2, basis2 = _gram_eig(rows, _gram(rows))
+        rows = between_subclass_rows(_subclass_means(ds.samples, part), global_mean)
+    along = rows @ basis
+    product = rows @ rows.T
+    product *= w_null * w_null
+    product += (along * s) @ along.T
+    gram2 = eig_symmetric_full((product + product.T) / 2.0)
     # computed at every column of the second-stage rank whatever d is, so the
     # leading columns do not depend on d; columns past that rank stay zero
-    columns = orient_columns(whiten(basis2.T).T)
+    coeffs = gram2.eigenvectors[:, : gram2.rank] / np.sqrt(gram2.eigenvalues[: gram2.rank])
+    columns = rows.T @ (w_null * w_null * coeffs)
+    columns += basis @ (s[:, None] * (along.T @ coeffs))
+    orient_columns(columns)
     projection = np.zeros((ds.dim, config.d))
     keep = min(config.d, columns.shape[1])
     projection[:, :keep] = columns[:, :keep]

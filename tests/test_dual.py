@@ -2,6 +2,11 @@
 
 The dense path, which eigendecomposes dim x dim scatters, is the oracle.  It
 stays reachable as pipeline._dense, so the same inputs run through both.
+
+The dual path builds its second stage from the raw samples and the squared
+whitener W^2.  oracle_dual below is the dual path it replaced, which whitens
+the samples and the second-stage basis as n x dim products; the two must
+agree within rounding, and their first stages bit for bit.
 """
 
 import tracemalloc
@@ -20,8 +25,25 @@ from wssda import (
     train,
     train_detailed,
 )
-from wssda.pipeline import SECOND_STAGES, _dense, _dual
-from wssda.spectrum import REGULARIZED, TRUNCATED
+from wssda.partition import SubclassPartition
+from wssda.pipeline import (
+    SECOND_STAGES,
+    _check_range,
+    _dense,
+    _dual,
+    _gram,
+    _gram_eig,
+    _padded,
+    _spectrum_model,
+    _subclass_means,
+)
+from wssda.scatter import (
+    between_subclass_rows,
+    class_means,
+    total_subclass_rows,
+    within_subclass_rows,
+)
+from wssda.spectrum import REGULARIZED, TRUNCATED, Eigenspectrum, orient_columns
 
 # second-stage eigenvalues closer than this (relative to the largest) form one
 # cluster, whose eigenvectors either path may rotate within the cluster
@@ -38,7 +60,7 @@ def small_sample_ds(seed, class_sizes, extra_dims, split=None):
     scales = rng.uniform(0.5, 2.0, size=dim)
     classes, subs = [], []
     for i, size in enumerate(class_sizes):
-        first = split[i] if split else int(rng.integers(1, size))
+        first = split[i] if split else int(rng.integers(1, size)) if size > 1 else 1
         classes += [i] * size
         subs += [0] * first + [1] * (size - first)
     classes, subs = np.array(classes), np.array(subs)
@@ -46,6 +68,39 @@ def small_sample_ds(seed, class_sizes, extra_dims, split=None):
     samples = centers[classes, subs] + scales * rng.normal(size=(n, dim))
     order = rng.permutation(n)
     return LabeledDataset(samples[order], classes[order], subs[order])
+
+
+# pipeline._dual before its second stage went by linearity, kept verbatim (but
+# for the name) as the oracle of today's
+def oracle_dual(ds: LabeledDataset, part: SubclassPartition, config: TrainConfig):
+    """Both stages through n x n Gram matrices (n < dim); no dim x dim array."""
+    rows = within_subclass_rows(ds, part)
+    product = _gram(rows)
+    _check_range(ds, part, product)
+    gram, basis = _gram_eig(rows, product)
+    es = Eigenspectrum(_padded(gram.eigenvalues, ds.dim), basis, gram.rank)
+    model = _spectrum_model(ds, es, config)
+    # W = U diag(w_r) U^T + w_null (I - U U^T) for the range basis U, applied to rows
+    w_null = model.weights[es.rank]
+    lift = model.weights[: es.rank] - w_null
+
+    def whiten(rows: np.ndarray) -> np.ndarray:
+        return ((rows @ basis) * lift) @ basis.T + w_null * rows
+
+    whitened = whiten(ds.samples)
+    global_mean = class_means(whitened, ds.class_labels).mean(axis=0)
+    if config.second_stage == "ts":
+        rows = total_subclass_rows(whitened, ds.class_labels, global_mean)
+    else:
+        rows = between_subclass_rows(_subclass_means(whitened, part), global_mean)
+    gram2, basis2 = _gram_eig(rows, _gram(rows))
+    # computed at every column of the second-stage rank whatever d is, so the
+    # leading columns do not depend on d; columns past that rank stay zero
+    columns = orient_columns(whiten(basis2.T).T)
+    projection = np.zeros((ds.dim, config.d))
+    keep = min(config.d, columns.shape[1])
+    projection[:, :keep] = columns[:, :keep]
+    return es, model, projection, _padded(gram2.eigenvalues, ds.dim), gram2.rank
 
 
 def rank_of(values):
@@ -188,3 +243,106 @@ def test_dual_never_allocates_a_dim_by_dim_array():
     assert details.spectrum.eigenvalues.shape == (dim,)
     # one dim x dim float64 matrix alone would be 128 MB
     assert peak < dim * dim * 8 / 10, peak
+    # nor whitened copies of the samples and the second-stage basis, which
+    # would take the peak to 6.5 n x dim blocks
+    assert peak <= 5 * samples.nbytes, peak / samples.nbytes
+
+
+def same_bytes(got, want):
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def assert_first_stage_identical(got, want):
+    (es_b, model_b), (es_a, model_a) = got[:2], want[:2]
+    assert es_b.rank == es_a.rank
+    assert same_bytes(es_b.eigenvalues, es_a.eigenvalues)
+    assert same_bytes(es_b.eigenvectors, es_a.eigenvectors)
+    assert same_bytes(model_b.lambda_reg, model_a.lambda_reg)
+    assert same_bytes(model_b.weights, model_a.weights)
+    fields = ("mode", "pivot", "alpha", "beta", "usable")
+    assert [getattr(model_b, f) for f in fields] == [getattr(model_a, f) for f in fields]
+
+
+def assert_second_stage_close(got, want):
+    """Equal ranks; eigenvalues within 1e-10 relative, or 1e-12 of the largest
+    (an eigenvalue far below it is only accurate to rounding of the largest);
+    projection columns within 1e-10 of the largest entry, up to sign one by
+    one and as a span inside a cluster of tied eigenvalues.
+
+    Column k is W^2 Y^T q_k / sqrt(lambda_k), so it carries half the relative
+    error of lambda_k; it is compared rescaled to the oracle's lambda_k, so
+    that error is not counted twice."""
+    proj_b, second_b, r2 = got[2:]
+    proj_a, second_a, rank_a = want[2:]
+    assert r2 == rank_a == rank_of(second_b) == rank_of(second_a)
+    np.testing.assert_allclose(second_b[:r2], second_a[:r2], rtol=1e-10, atol=1e-12 * second_a[0])
+    assert np.all(proj_b[:, r2:] == 0.0)
+    proj_b = proj_b[:, :r2] * np.sqrt(second_b[:r2] / second_a[:r2])
+    tol = 1e-10 * np.abs(proj_a).max()
+    for group in clusters(second_a, r2):
+        a, b = proj_a[:, group], proj_b[:, group]
+        if len(group) == 1:
+            assert min(np.abs(b - a).max(), np.abs(b + a).max()) <= tol, group
+        else:
+            q, _ = np.linalg.qr(a)
+            assert np.abs(b - q @ (q.T @ b)).max() <= tol, group
+
+
+def outcome(stages, ds, part, config):
+    try:
+        return stages(ds, part, config)
+    except TrainingError as exc:
+        return str(exc)
+
+
+@st.composite
+def oracle_cases(draw):
+    # a class of fewer than h rows is deficient: each row becomes a singleton
+    # subclass (and every subclass may be one, which both paths refuse)
+    seed = draw(st.integers(0, 2**32 - 1))
+    sizes = draw(st.lists(st.integers(1, 8), min_size=2, max_size=5))
+    extra = draw(st.integers(1, 30))
+    h = draw(st.sampled_from([2, 4]))
+    strategy = draw(st.sampled_from(["kd", "kmeans", "provided"]))
+    mode = draw(st.sampled_from([REGULARIZED, TRUNCATED]))
+    stage = draw(st.sampled_from(SECOND_STAGES))
+    return seed, sizes, extra, h, strategy, mode, stage
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(oracle_cases())
+def test_dual_second_stage_by_linearity_matches_the_whitening_oracle(case):
+    seed, sizes, extra, h, strategy, mode, stage = case
+    ds = small_sample_ds(seed, sizes, extra)
+    part = partition_dataset(ds, TreeParams(h=h, seed=seed % 1000), strategy)
+    config = TrainConfig(d=ds.dim, mode=mode, second_stage=stage)
+    want = outcome(oracle_dual, ds, part, config)
+    got = outcome(_dual, ds, part, config)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert_first_stage_identical(got, want)
+    assert_second_stage_close(got, want)
+
+
+@pytest.mark.parametrize("stage", SECOND_STAGES)
+def test_dual_trains_at_the_data_scales_the_oracle_trains_at(stage):
+    # W^2 squares the whitening weights: at every scale the oracle trains at,
+    # the squared form must neither overflow nor underflow
+    base = small_sample_ds(8, [7, 6, 8, 5], 15, split=[2, 4, 3, 1])
+    part = partition_dataset(base, TreeParams(h=2), "provided")
+    config = TrainConfig(d=base.dim, second_stage=stage)
+    trained = []
+    for k in [*range(-90, -70), *range(-5, 6), *range(70, 90)]:
+        ds = LabeledDataset(base.samples * 10.0**k, base.class_labels, base.subclass_labels)
+        want = outcome(oracle_dual, ds, part, config)
+        got = outcome(_dual, ds, part, config)
+        if isinstance(want, str):
+            assert got == want, k
+            continue
+        trained.append(k)
+        assert_first_stage_identical(got, want)
+        assert_second_stage_close(got, want)
+    # the oracle's own range: fit_model's alpha multiplies two eigenvalues
+    assert trained == [*range(-81, -70), *range(-5, 6), *range(70, 77)]
+
