@@ -17,26 +17,30 @@ The shape alone picks one of two regimes:
 * n < dim (dual): the null space of the within-subclass scatter only ever
   gets one constant weight w_null, so the whitener is basis-free,
   W = U diag(w_r) U^T + w_null (I - U U^T), with U the range basis derived
-  from the n x n Gram matrix of the weighted within-subclass rows (the
-  eigenfaces construction).  W is linear and symmetric, so the second stage
-  needs no whitened sample: with Y the second-stage rows of the raw samples
-  (means and centring commute with W), the whitened rows are Y W, their Gram
-  matrix is Y W^2 Y^T, and the final columns, W times their range basis
-  (Y W)^T Q2 Lambda2^{-1/2}, are W^2 Y^T Q2 Lambda2^{-1/2}, where
+  from the Gram matrix R R^T of the within-subclass contrasts R, with
+  R^T R the within-subclass scatter (the eigenfaces construction).  R has
+  n - s rows for s subclasses: each subclass's centred rows sum to zero,
+  and its Helmert contrasts drop that one dependence.  W is linear and
+  symmetric, so the second stage needs no whitened sample: with Y the
+  second-stage rows of the raw samples (means and centring commute with
+  W), the whitened rows are Y W, their Gram matrix is Y W^2 Y^T, and the
+  final columns, W times their range basis (Y W)^T Q2 Lambda2^{-1/2}, are
+  W^2 Y^T Q2 Lambda2^{-1/2}, where
   W^2 = U diag(w_r^2 - w_null^2) U^T + w_null^2 I.  That is exact algebra,
   so it equals whitening first up to rounding; it needs only Y and Y U, so
   no dim x dim array or whitened copy of the samples is formed, and
   training costs O(n^2 dim).  The largest-magnitude entry of each projection
   column is positive (the first such entry on ties), so the result does not
   depend on the eigenbasis the Gram eigensolver picks.  The spectrum keeps
-  dim eigenvalues, zero beyond the n of the Gram matrix.
+  dim eigenvalues, zero beyond the n - s of the Gram matrix.
 
 In both regimes projection columns past the second-stage rank are zero: the
 null space of that scatter separates nothing, and any basis of it would be
 an arbitrary choice.  Second-stage eigenvectors come out in descending
-eigenvalue order, and the projection is computed at every column before it
-is cut to d, so the leading d' columns of a d-column extractor equal the
-extractor trained directly at d', bit for bit.
+eigenvalue order, and the projection is computed in whole blocks of
+COLUMN_BLOCK columns until d is covered, then cut to d: a column's bits
+depend on its block alone, so the leading d' columns of a d-column
+extractor equal the extractor trained directly at d', bit for bit.
 
 Data whose within-subclass scatter, or the spectrum model fitted to it,
 leaves the float64 range raises a TrainingError that names the data scale,
@@ -47,6 +51,7 @@ subclasses.
 from __future__ import annotations
 
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +66,7 @@ from .scatter import (
     group_means,
     total_subclass_rows,
     total_subclass_scatter,
-    within_subclass_rows,
+    within_subclass_contrasts,
     within_subclass_scatter,
 )
 from .spectrum import (
@@ -80,6 +85,10 @@ from .spectrum import (
 )
 
 SECOND_STAGES = ("ts", "bs")
+
+# Projection columns are computed in blocks of this many, and only the blocks
+# that cover d: a column's bits depend on its block alone, never on d.
+COLUMN_BLOCK = 64
 
 MODEL_MAGIC = b"WSSDA1"
 MODEL_VERSION = 1
@@ -165,7 +174,8 @@ class FeatureExtractor:
 @dataclass
 class TrainingDetails:
     """Intermediate products of training; every eigenvalue array has dim
-    entries, zero past n in the dual regime.  Projection columns past
+    entries, zero in the dual regime past the order of its Gram matrix (n - s
+    for the first stage, with s subclasses).  Projection columns past
     second_stage_rank are zero in both regimes."""
 
     spectrum: Eigenspectrum
@@ -176,9 +186,11 @@ class TrainingDetails:
 
 def _spectrum_model(ds: LabeledDataset, es: Eigenspectrum, config: TrainConfig) -> SpectrumModel:
     """The spectrum model of config.mode for the within-subclass spectrum es of ds."""
-    model = _fit_spectrum(es, config)
     # fit_model multiplies two eigenvalues, which leaves the float64 range for
-    # a spectrum past the square root of either end of it
+    # a spectrum past the square root of either end of it; an underflow to zero
+    # makes an infinite weight, reported below
+    with np.errstate(divide="ignore"):
+        model = _fit_spectrum(es, config)
     if not (np.isfinite(model.lambda_reg).all() and np.isfinite(model.weights).all()):
         raise _range_error(ds)
     return model
@@ -216,15 +228,23 @@ def _range_error(ds: LabeledDataset) -> TrainingError:
     )
 
 
-def _check_range(ds: LabeledDataset, part: SubclassPartition, scatter: np.ndarray) -> None:
+def _check_range(
+    ds: LabeledDataset,
+    part: SubclassPartition,
+    scatter: np.ndarray,
+    contrasts: np.ndarray | None = None,
+) -> None:
     """_range_error(ds) where float64 cannot hold the within-subclass scatter
     of ds, or its Gram matrix: an entry overflowed, or every entry fell below
     the smallest normal float64 although some subclass holds two distinct
     rows.  The largest entry of a positive semidefinite matrix lies on its
-    diagonal."""
+    diagonal.  contrasts, within_subclass_contrasts(ds, part), is made here
+    when it is needed and not given."""
     peak = np.diagonal(scatter).max()
     if peak < np.finfo(np.float64).tiny:  # NaN is not below it
-        if not within_subclass_rows(ds, part).any():
+        if contrasts is None:
+            contrasts = within_subclass_contrasts(ds, part)
+        if not contrasts.any():
             return  # a true zero scatter, which _spectrum_model reports
     elif np.isfinite(peak):
         return
@@ -233,7 +253,8 @@ def _check_range(ds: LabeledDataset, part: SubclassPartition, scatter: np.ndarra
 
 def _dense(ds: LabeledDataset, part: SubclassPartition, config: TrainConfig):
     """Both stages as dim x dim eigendecompositions (n >= dim)."""
-    scatter = within_subclass_scatter(ds, part)
+    with np.errstate(over="ignore", invalid="ignore"):  # _check_range reports either
+        scatter = within_subclass_scatter(ds, part)
     _check_range(ds, part, scatter.matrix)
     es = eig_symmetric_full(scatter)
     model = _spectrum_model(ds, es, config)
@@ -247,13 +268,30 @@ def _dense(ds: LabeledDataset, part: SubclassPartition, config: TrainConfig):
     else:
         second = between_subclass_scatter(_subclass_means(whitened, part), global_mean)
     es2 = eig_symmetric_full(second)
-    # full product first, then slice: training at a smaller d must reproduce
-    # the leading columns bit for bit, and BLAS rounds differently per shape;
-    # the copy lets the dim x dim product go
-    projection = (whitener @ es2.eigenvectors)[:, : config.d].copy()
-    if es2.rank < config.d:
-        projection[:, es2.rank :] = 0.0
+
+    def block_columns(start: int, stop: int, out: np.ndarray) -> None:
+        np.matmul(whitener, es2.eigenvectors[:, start:stop], out=out)
+
+    projection = _columns_in_blocks(ds.dim, config.d, es2.rank, block_columns)
     return es, model, projection, es2.eigenvalues, es2.rank
+
+
+def _columns_in_blocks(
+    dim: int, d: int, rank: int, block_columns: Callable[[int, int, np.ndarray], None]
+) -> np.ndarray:
+    """(dim, d) projection: columns [0, min(d, rank)) from block_columns(start,
+    stop, out), which writes columns [start, stop) into out, called on whole
+    COLUMN_BLOCK-wide blocks cut at rank; columns past rank are zero."""
+    projection = np.zeros((dim, d))
+    for start in range(0, min(d, rank), COLUMN_BLOCK):
+        stop = min(start + COLUMN_BLOCK, rank)
+        if stop <= d:
+            block_columns(start, stop, projection[:, start:stop])
+        else:  # the block across d is made whole, so its columns do not depend on d
+            out = np.empty((dim, stop - start))
+            block_columns(start, stop, out)
+            projection[:, start:] = out[:, : d - start]
+    return projection
 
 
 def _gram(rows: np.ndarray) -> np.ndarray:
@@ -276,14 +314,20 @@ def _padded(values: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _dual(ds: LabeledDataset, part: SubclassPartition, config: TrainConfig):
-    """Both stages through n x n Gram matrices (n < dim); no dim x dim array."""
-    rows = within_subclass_rows(ds, part)
-    product = _gram(rows)
-    _check_range(ds, part, product)
-    gram, basis = _gram_eig(rows, product)
+    """Both stages through Gram matrices of at most n rows (n < dim); no dim x
+    dim array."""
+    rows = within_subclass_contrasts(ds, part)
+    if rows.shape[0]:
+        with np.errstate(over="ignore", invalid="ignore"):  # _check_range reports either
+            product = _gram(rows)
+        _check_range(ds, part, product, rows)
+        gram, basis = _gram_eig(rows, product)
+        es = Eigenspectrum(_padded(gram.eigenvalues, ds.dim), basis, gram.rank)
+    else:  # every subclass a singleton: a zero scatter, which _spectrum_model reports
+        es = Eigenspectrum(np.zeros(ds.dim), np.zeros((ds.dim, 0)), 0)
     del rows
-    es = Eigenspectrum(_padded(gram.eigenvalues, ds.dim), basis, gram.rank)
     model = _spectrum_model(ds, es, config)
+    basis = es.eigenvectors
     # the second stage by linearity (module docstring): Y W^2 Y^T and W^2 Y^T
     # from Y U and Y, with W^2 = U diag(s) U^T + w_null^2 I
     w_null = model.weights[es.rank]
@@ -298,15 +342,14 @@ def _dual(ds: LabeledDataset, part: SubclassPartition, config: TrainConfig):
     product *= w_null * w_null
     product += (along * s) @ along.T
     gram2 = eig_symmetric_full((product + product.T) / 2.0)
-    # computed at every column of the second-stage rank whatever d is, so the
-    # leading columns do not depend on d; columns past that rank stay zero
-    coeffs = gram2.eigenvectors[:, : gram2.rank] / np.sqrt(gram2.eigenvalues[: gram2.rank])
-    columns = rows.T @ (w_null * w_null * coeffs)
-    columns += basis @ (s[:, None] * (along.T @ coeffs))
-    orient_columns(columns)
-    projection = np.zeros((ds.dim, config.d))
-    keep = min(config.d, columns.shape[1])
-    projection[:, :keep] = columns[:, :keep]
+
+    def block_columns(start: int, stop: int, out: np.ndarray) -> None:
+        coeffs = gram2.eigenvectors[:, start:stop] / np.sqrt(gram2.eigenvalues[start:stop])
+        np.matmul(rows.T, w_null * w_null * coeffs, out=out)
+        out += basis @ (s[:, None] * (along.T @ coeffs))
+        orient_columns(out)
+
+    projection = _columns_in_blocks(ds.dim, config.d, gram2.rank, block_columns)
     return es, model, projection, _padded(gram2.eigenvalues, ds.dim), gram2.rank
 
 

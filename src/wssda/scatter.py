@@ -11,7 +11,8 @@ are fixed at 1/C and subclass priors at 1/H_i throughout.  The *_scatter
 builders return symmetric positive semidefinite matrices; exact symmetry is
 enforced by averaging the product with its transpose.  The *_rows builders
 return B itself, for callers that work with the n x n Gram matrix B B^T
-instead.
+instead; within_subclass_contrasts returns a shorter B for the same scatter,
+one row fewer per subclass.
 """
 
 from __future__ import annotations
@@ -85,6 +86,15 @@ def _pairwise_sum(block: np.ndarray) -> np.ndarray:
     return total
 
 
+def _sorted_groups(ids: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Size of every group, the stable sort order of the ids and where each
+    group starts in it; every id in [0, count) must occur."""
+    sizes = np.bincount(ids, minlength=count)
+    if sizes.size != count or (sizes == 0).any():
+        raise ValueError(f"group ids must cover [0, {count}) with no empty group")
+    return sizes, np.argsort(ids, kind="stable"), np.cumsum(sizes) - sizes
+
+
 def group_means(samples: np.ndarray, ids: np.ndarray, count: int) -> np.ndarray:
     """(count, dim) means of the rows sharing each group id; every id in
     [0, count) must occur.
@@ -98,11 +108,7 @@ def group_means(samples: np.ndarray, ids: np.ndarray, count: int) -> np.ndarray:
     (group, column), a few rows each; here all groups of one size are summed
     together in that order, one vector add over the groups per step.
     """
-    sizes = np.bincount(ids, minlength=count)
-    if sizes.size != count or (sizes == 0).any():
-        raise ValueError(f"group ids must cover [0, {count}) with no empty group")
-    order = np.argsort(ids, kind="stable")
-    starts = np.cumsum(sizes) - sizes
+    sizes, order, starts = _sorted_groups(ids, count)
     if samples.dtype != np.float64:  # reduceat widens small ints; float64 is the library's
         return np.add.reduceat(samples[order], starts, axis=0) / sizes[:, None]
     dim = samples.shape[1]
@@ -138,6 +144,13 @@ def within_class_scatter(ds: LabeledDataset) -> ScatterMatrix:
     return _scatter(_rows(dev, np.full(ds.n, 1.0 / ds.n)), rank_bound)
 
 
+def _check_partition(ds: LabeledDataset, part: SubclassPartition) -> None:
+    if part.class_labels.shape != ds.class_labels.shape or not np.array_equal(
+        part.class_labels, ds.class_labels
+    ):
+        raise PartitionError("partition does not match the dataset's class labels")
+
+
 def within_subclass_rows(ds: LabeledDataset, part: SubclassPartition) -> np.ndarray:
     """(n, dim) weighted deviations from subclass means, B with
     within_subclass_scatter = B^T B.
@@ -145,15 +158,47 @@ def within_subclass_rows(ds: LabeledDataset, part: SubclassPartition) -> np.ndar
     Each row of subclass (i, j) is weighted 1/(C * H_i * G_ij); rows of
     singleton subclasses are zero.
     """
-    if part.class_labels.shape != ds.class_labels.shape or not np.array_equal(
-        part.class_labels, ds.class_labels
-    ):
-        raise PartitionError("partition does not match the dataset's class labels")
+    _check_partition(ds, part)
     ids = part.group_ids
     sizes = np.concatenate(part.subclass_counts)
-    dev = ds.samples - group_means(ds.samples, ids, sizes.size)[ids]
+    gathered = group_means(ds.samples, ids, sizes.size)[ids]
+    dev = np.subtract(ds.samples, gathered, out=gathered)
     weights = 1.0 / (part.class_count * part.subclasses_per_class[ds.class_labels] * sizes[ids])
     return _rows(dev, weights)
+
+
+def within_subclass_contrasts(ds: LabeledDataset, part: SubclassPartition) -> np.ndarray:
+    """(n - s, dim) rows R with R^T R = within_subclass_scatter, for s subclasses.
+
+    A subclass of G rows x_0 .. x_{G-1} (in dataset order) gives its G - 1
+    Helmert contrasts, row k = (x_0 + ... + x_{k-1} - k x_k) / sqrt(k (k + 1))
+    for k = 1 .. G - 1, weighted like its centred rows by 1/(C * H_i * G).
+    They span the subclass's centred rows without the one linear dependence
+    among them (those rows sum to zero), so a singleton subclass gives no
+    row.  Subclasses of one size are done together, sizes ascending, each in
+    group order.
+    """
+    _check_partition(ds, part)
+    per_class = part.subclasses_per_class
+    sizes, order, starts = _sorted_groups(part.group_ids, int(per_class.sum()))
+    group_weights = 1.0 / (part.class_count * np.repeat(per_class, per_class) * sizes)
+    rows = np.empty((ds.n - sizes.size, ds.dim))
+    at = 0
+    for size in np.unique(sizes[sizes > 1]):
+        groups = np.flatnonzero(sizes == size)
+        block = ds.samples[order[starts[groups, None] + np.arange(size)]]
+        out = rows[at : at + groups.size * (size - 1)].reshape(groups.size, size - 1, ds.dim)
+        # one vector step over all groups per k (cumsum along the middle axis
+        # takes one inner-loop call per group and column)
+        total = block[:, 0]  # x_0 + ... + x_{k-1}, summed in place
+        for k in range(1, size):
+            row = out[:, k - 1]
+            np.multiply(block[:, k], -k, out=row)
+            row += total
+            row *= np.sqrt(group_weights[groups] / (k * (k + 1)))[:, None]
+            total += block[:, k]
+        at += out.shape[0] * out.shape[1]
+    return rows
 
 
 def within_subclass_scatter(ds: LabeledDataset, part: SubclassPartition) -> ScatterMatrix:

@@ -83,9 +83,14 @@ def eig_symmetric_full(scatter: ScatterMatrix | np.ndarray) -> Eigenspectrum:
         raise ValueError("input must be a square matrix")
     if not np.isfinite(matrix).all():
         raise ValueError("matrix has non-finite entries")
-    norm = np.linalg.norm(matrix)
-    if np.linalg.norm(matrix - matrix.T) > SYMMETRY_RTOL * max(norm, 1e-300):
-        raise ValueError("matrix is not symmetric within tolerance")
+    unit = matrix
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(matrix)
+        if np.isinf(norm):  # squares of entries past the float64 range: scale them down
+            unit = matrix / np.abs(matrix).max()
+            norm = np.linalg.norm(unit)
+        if np.linalg.norm(unit - unit.T) > SYMMETRY_RTOL * max(norm, 1e-300):
+            raise ValueError("matrix is not symmetric within tolerance")
 
     values, vectors = np.linalg.eigh(matrix)
     values = values[::-1].copy()

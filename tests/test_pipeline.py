@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,8 +204,8 @@ def test_train_out_of_float64_range_names_the_data_scale(n, dim, scale, modes):
     ds, part = gaussian_rows(n, dim, scale)
     assert min(min(counts) for counts in part.subclass_counts) >= 2
     for mode in modes:
-        # NumPy warns of the overflow on the way
-        with np.errstate(all="ignore"), pytest.raises(TrainingError, match=SCALE_ERROR):
+        # and with no NumPy warning of the overflow on the way
+        with pytest.raises(TrainingError, match=SCALE_ERROR):
             train(ds, part, TrainConfig(d=2, mode=mode))
 
 
@@ -284,9 +285,9 @@ def test_model_truncated_file_rejected(tmp_path):
     _, _, fx, _ = trained(seed=11)
     path = str(tmp_path / "m.bin")
     save_model(fx, path)
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     cut = path + ".cut"
-    open(cut, "wb").write(blob[: len(blob) // 2])
+    Path(cut).write_bytes(blob[: len(blob) // 2])
     with pytest.raises(ModelFormatError, match="truncated"):
         load_model(cut)
 
@@ -295,16 +296,16 @@ def test_model_version_bump_rejected(tmp_path):
     _, _, fx, _ = trained(seed=11)
     path = str(tmp_path / "m.bin")
     save_model(fx, path)
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob[6] = 99  # version field follows the 6-byte magic
-    open(path, "wb").write(bytes(blob))
+    Path(path).write_bytes(bytes(blob))
     with pytest.raises(ModelFormatError, match="version"):
         load_model(path)
 
 
 def test_model_bad_magic_rejected(tmp_path):
     path = str(tmp_path / "m.bin")
-    open(path, "wb").write(b"NOTAMODEL" + bytes(64))
+    Path(path).write_bytes(b"NOTAMODEL" + bytes(64))
     with pytest.raises(ModelFormatError, match="magic"):
         load_model(path)
 
@@ -323,9 +324,9 @@ def test_model_metadata_that_is_not_utf8_rejected(tmp_path):
     _, _, fx, _ = trained(seed=11)
     path = str(tmp_path / "m.bin")
     save_model(fx, path)
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     at = blob.rindex(b"second_stage") + len(b"second_stage") + 4  # the value's first byte
-    open(path, "wb").write(blob[:at] + b"\xff" + blob[at + 1 :])
+    Path(path).write_bytes(blob[:at] + b"\xff" + blob[at + 1 :])
     with pytest.raises(ModelFormatError, match=f"^{path}: missing or malformed metadata$"):
         load_model(path)
 

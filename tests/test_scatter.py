@@ -190,6 +190,28 @@ def test_within_subclass_partition_mismatch():
     part.class_labels[0] = 1  # no longer matches the dataset
     with pytest.raises(Exception, match="partition"):
         within_subclass_scatter(ds, part)
+    with pytest.raises(Exception, match="partition"):
+        scatter.within_subclass_contrasts(ds, part)
+
+
+# one to twelve rows a subclass; under kd or kmeans, a class of fewer rows
+# than h is deficient and falls back to singleton subclasses
+@given(
+    st.integers(0, 2**31),
+    st.lists(st.lists(st.integers(1, 12), min_size=1, max_size=3), min_size=1, max_size=5),
+    st.integers(1, 8),
+    st.sampled_from(["provided", "kd", "kmeans"]),
+    st.sampled_from([2, 4]),
+)
+@settings(max_examples=60, deadline=None)
+def test_within_subclass_contrasts_span_the_scatter(seed, sizes, dim, strategy, h):
+    ds = unbalanced_ds(seed, sizes, dim)
+    part = partition_dataset(ds, TreeParams(h=h, seed=seed % 1000), strategy)
+    rows = scatter.within_subclass_contrasts(ds, part)
+    subclasses = sum(len(counts) for counts in part.subclass_counts)
+    assert rows.shape == (ds.n - subclasses, ds.dim)
+    want = within_subclass_scatter(ds, part).matrix
+    assert np.abs(rows.T @ rows - want).max() <= 1e-12 * np.abs(want).max()
 
 
 # ------------------------------------------------------------------ between/total

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,6 +101,16 @@ def test_eig_matches_power_iteration_oracle():
 def test_eig_rejects_asymmetric():
     with pytest.raises(ValueError, match="symmetric"):
         eig_symmetric_full(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+def test_eig_checks_symmetry_where_the_squares_of_entries_overflow():
+    big = np.array([[2.0, 1.0], [1.0, 3.0]]) * 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        es = eig_symmetric_full(big)
+        with pytest.raises(ValueError, match="symmetric"):
+            eig_symmetric_full(np.array([[1.0, 2.0], [0.0, 1.0]]) * 1e200)
+    np.testing.assert_allclose(es.eigenvalues, np.linalg.eigvalsh(big)[::-1], rtol=1e-12)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
