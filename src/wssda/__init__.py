@@ -4,6 +4,10 @@ Pipeline: partition each class into subclasses, eigendecompose the
 within-subclass scatter, replace the unreliable spectrum tail (null space
 included) with a fitted hyperbolic decay, whiten, and extract features from
 a second-stage scatter of the whitened data.
+
+The root exports that workflow only, as the README's "Public API" lists it;
+the building blocks import from wssda.partition, wssda.scatter and
+wssda.spectrum.
 """
 
 from .dataset import (
@@ -39,17 +43,7 @@ from .evaluation import (
     pair_similarity,
     verification_roc,
 )
-from .partition import (
-    STRATEGIES,
-    SubclassPartition,
-    TreeParams,
-    cluster_kmeans,
-    partition_class,
-    partition_dataset,
-    split_kd,
-    split_pca,
-    split_rp,
-)
+from .partition import SubclassPartition, TreeParams, partition_dataset
 from .pipeline import (
     FeatureExtractor,
     ModelMeta,
@@ -59,27 +53,6 @@ from .pipeline import (
     save_model,
     train,
     train_detailed,
-)
-from .scatter import (
-    ScatterMatrix,
-    between_subclass_scatter,
-    class_means,
-    group_means,
-    mean_of_class_means,
-    total_subclass_scatter,
-    within_class_scatter,
-    within_subclass_scatter,
-)
-from .spectrum import (
-    Eigenspectrum,
-    SpectrumModel,
-    eig_symmetric_full,
-    find_pivot,
-    fit_model,
-    flat_model,
-    regularize,
-    short_tail_model,
-    truncated_weights,
 )
 
 __version__ = "0.1.0"

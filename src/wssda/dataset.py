@@ -47,6 +47,28 @@ def _non_finite_cell(samples: np.ndarray) -> tuple[int, int] | None:
     return (int(bad[0, 0]), int(bad[0, 1])) if bad.size else None
 
 
+def check_count(name: str, value, minimum: int = 1, error: type[Exception] = ValueError) -> None:
+    """Refuse a count knob below minimum or not a Python or NumPy integer (a
+    bool included), which later code would truncate or fail on."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise error(f"{name} must be at least {minimum}, got {value}")
+
+
+def integer_labels(values, role: str, error: type[Exception] = ValueError) -> np.ndarray:
+    """values as int64, refusing at the first such row a bool label or a float
+    that is not an int64 integer, which the cast would truncate."""
+    labels = np.asarray(values)
+    fault = np.full(labels.shape, labels.dtype.kind == "b")
+    if labels.dtype.kind == "f":  # a non-finite label fails both tests
+        fault = (labels != np.trunc(labels)) | ~(np.abs(labels) < 2.0**63)
+    if fault.any():
+        row = int(np.argmax(fault))
+        raise error(f"{role} label at row {row} is not an integer: {labels.flat[row].item()!r}")
+    return labels.astype(np.int64, copy=False)
+
+
 @dataclass(eq=False)
 class LabeledDataset:
     """Immutable-by-convention matrix of labeled sample vectors.
@@ -62,7 +84,7 @@ class LabeledDataset:
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
-        self.class_labels = np.asarray(self.class_labels, dtype=np.int64)
+        self.class_labels = integer_labels(self.class_labels, "class")
         if self.samples.ndim != 2:
             raise ValueError("samples must be a 2-D matrix")
         if self.class_labels.shape != (self.samples.shape[0],):
@@ -76,7 +98,7 @@ class LabeledDataset:
         if not np.array_equal(present, np.arange(len(present))):
             raise ValueError("class labels must be dense in [0, C)")
         if self.subclass_labels is not None:
-            self.subclass_labels = np.asarray(self.subclass_labels, dtype=np.int64)
+            self.subclass_labels = integer_labels(self.subclass_labels, "subclass")
             if self.subclass_labels.shape != self.class_labels.shape:
                 raise ValueError("subclass_labels length must match sample count")
             # dense labels are exactly those that renumbering leaves unchanged
@@ -97,9 +119,6 @@ class LabeledDataset:
     @property
     def class_count(self) -> int:
         return int(self.class_labels.max()) + 1
-
-    def class_indices(self, label: int) -> np.ndarray:
-        return np.flatnonzero(self.class_labels == label)
 
     def class_sizes(self) -> np.ndarray:
         return np.bincount(self.class_labels, minlength=self.class_count)
@@ -142,10 +161,8 @@ class SynthSpec:
     class_center_spread: float = 6.0
 
     def validate(self) -> None:
-        if self.class_count < 1 or self.subclasses_per_class < 1 or self.samples_per_subclass < 1:
-            raise ValueError("all counts must be positive")
-        if self.dim < 1:
-            raise ValueError("dim must be positive")
+        for name in ("class_count", "subclasses_per_class", "samples_per_subclass", "dim"):
+            check_count(name, getattr(self, name))
         if not 0 <= self.subclass_mean_spread < np.inf:
             raise ValueError("subclass_mean_spread must be finite and non-negative")
         lo, hi = self.scale_range
@@ -452,8 +469,7 @@ def make_gallery_probe_splits(ds: LabeledDataset, rotations: int) -> list[SplitS
     Rotation r places the r-th sample of every class (in dataset row order)
     in the gallery; all other samples are probes.
     """
-    if rotations < 1:
-        raise ValueError("rotations must be positive")
+    check_count("rotations", rotations)
     sizes = ds.class_sizes()
     if sizes.min() < rotations:
         short = int(np.argmin(sizes))

@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dataset import LabeledDataset, SplitSpec
+from .dataset import LabeledDataset, SplitSpec, check_count
 from .errors import ConfigError, ProtocolError
 from .pipeline import FeatureExtractor
 
@@ -348,13 +348,11 @@ def kfold_pairwise(scores, same=None, *, folds: int = 10, resolution: int = 101)
     """Split the pairs into contiguous folds, compute a ROC per fold, and
     average TAR on a shared FAR grid.  Pair order is the fold assignment, so
     shuffle beforehand if the pairs are structured."""
+    check_count("folds", folds)
+    check_count("resolution", resolution, 2)
     scores, same = _score_arrays(scores, same)
-    if folds < 1:
-        raise ValueError("folds must be at least 1")
     if scores.size < folds:
         raise ProtocolError(f"cannot split {scores.size} pairs into {folds} folds")
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
     grid = np.linspace(0.0, 1.0, resolution)
     chunks = zip(np.array_split(scores, folds), np.array_split(same, folds))
     eers = []

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import LabeledDataset
+from .dataset import LabeledDataset, check_count, integer_labels
 from .errors import PartitionError
 
 STRATEGIES = ("kd", "rp", "pca", "kmeans", "provided")
@@ -39,14 +39,13 @@ class TreeParams:
     def validate(self, strategy: str) -> None:
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-        if self.h < 1:
-            raise ValueError("h must be at least 1")
+        check_count("h", self.h)
         if strategy in TREE_STRATEGIES:
             if self.h & (self.h - 1):
                 raise ValueError(f"h={self.h} must be a power of two for binary-split trees")
-            if self.h.bit_length() - 1 > MAX_TREE_DEPTH:
+            if self.h > 2**MAX_TREE_DEPTH:
                 raise ValueError(
-                    f"h={self.h} needs depth {self.h.bit_length() - 1}, "
+                    f"h={self.h} needs depth {int(self.h).bit_length() - 1}, "
                     f"exceeding the tree depth cap {MAX_TREE_DEPTH}"
                 )
 
@@ -67,8 +66,8 @@ class SubclassPartition:
     group_ids: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.class_labels = np.asarray(self.class_labels, dtype=np.int64)
-        self.subclass_labels = np.asarray(self.subclass_labels, dtype=np.int64)
+        self.class_labels = integer_labels(self.class_labels, "class", PartitionError)
+        self.subclass_labels = integer_labels(self.subclass_labels, "subclass", PartitionError)
         if self.class_labels.shape != self.subclass_labels.shape:
             raise PartitionError("class and subclass label arrays must have equal length")
         if self.class_labels.min() < 0 or self.subclass_labels.min() < 0:
@@ -93,11 +92,6 @@ class SubclassPartition:
     def subclasses_per_class(self) -> np.ndarray:
         """H_i for every class."""
         return np.asarray([len(g) for g in self.subclass_counts], dtype=np.int64)
-
-    def group_indices(self, class_id: int, subclass_id: int) -> np.ndarray:
-        return np.flatnonzero(
-            (self.class_labels == class_id) & (self.subclass_labels == subclass_id)
-        )
 
 
 def _median_split(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -212,7 +206,7 @@ def partition_class(
 
     if rng is None and strategy == "rp":
         rng = np.random.default_rng(params.seed)
-    depth = params.h.bit_length() - 1
+    depth = int(params.h).bit_length() - 1  # a NumPy integer has no bit_length
     leaves: list[np.ndarray] = []
 
     def recurse(local: np.ndarray, levels: int) -> None:

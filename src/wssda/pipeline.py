@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import LabeledDataset
+from .dataset import LabeledDataset, check_count
 from .errors import ConfigError, ModelFormatError, TrainingError
 from .partition import STRATEGIES, SubclassPartition
 from .scatter import (
@@ -109,8 +109,7 @@ class TrainConfig:
     allow_flat_spectrum: bool = False
 
     def validate(self, dim: int) -> None:
-        if self.d < 1:
-            raise ConfigError("d must be at least 1")
+        check_count("d", self.d, error=ConfigError)
         if self.d > dim:
             raise ConfigError(f"d={self.d} exceeds the data dimension {dim}")
         if self.mode not in (REGULARIZED, TRUNCATED):
@@ -473,6 +472,15 @@ def load_model(path: str) -> FeatureExtractor:
         )
     except (KeyError, ValueError) as exc:
         raise ModelFormatError(f"{path}: missing or malformed metadata") from exc
+    for key, ok in (
+        ("second_stage", meta.second_stage in SECOND_STAGES),
+        ("class_count", meta.class_count >= 1),
+        ("sample_count", meta.sample_count >= 1),
+        ("med_factor", 0 < meta.med_factor < np.inf),  # TrainConfig.validate's rule
+        ("h", meta.h >= 1),
+    ):
+        if not ok:
+            raise ModelFormatError(f"{path}: invalid metadata {key}={getattr(meta, key)!r}")
     try:
         return FeatureExtractor(projection, meta)
     except ValueError as exc:  # a non-finite matrix entry

@@ -29,11 +29,6 @@ from .partition import SubclassPartition
 @dataclass
 class ScatterMatrix:
     matrix: np.ndarray
-    rank_bound: int
-
-
-def _symmetrize(acc: np.ndarray) -> np.ndarray:
-    return (acc + acc.T) / 2.0
 
 
 def _rows(dev: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -43,9 +38,10 @@ def _rows(dev: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return dev
 
 
-def _scatter(rows: np.ndarray, rank_bound: int) -> ScatterMatrix:
+def _scatter(rows: np.ndarray) -> ScatterMatrix:
     """B^T B of weighted rows B, symmetrized."""
-    return ScatterMatrix(_symmetrize(rows.T @ rows), int(rank_bound))
+    product = rows.T @ rows
+    return ScatterMatrix((product + product.T) / 2.0)
 
 
 # NumPy 2 starts the pairwise sum of under 8 rows from -0.0, an identity; a
@@ -129,21 +125,6 @@ def class_means(samples: np.ndarray, class_labels: np.ndarray) -> np.ndarray:
     return group_means(samples, class_labels, int(class_labels.max()) + 1)
 
 
-def mean_of_class_means(samples: np.ndarray, class_labels: np.ndarray) -> np.ndarray:
-    """Global center used by the subclass scatters: the unweighted mean of class means.
-
-    For unbalanced classes this differs from the grand sample mean.
-    """
-    return class_means(samples, class_labels).mean(axis=0)
-
-
-def within_class_scatter(ds: LabeledDataset) -> ScatterMatrix:
-    """Average outer product of deviations from class means, weighted 1/n."""
-    dev = ds.samples - class_means(ds.samples, ds.class_labels)[ds.class_labels]
-    rank_bound = min(ds.dim, ds.n - ds.class_count)
-    return _scatter(_rows(dev, np.full(ds.n, 1.0 / ds.n)), rank_bound)
-
-
 def _check_partition(ds: LabeledDataset, part: SubclassPartition) -> None:
     if part.class_labels.shape != ds.class_labels.shape or not np.array_equal(
         part.class_labels, ds.class_labels
@@ -203,9 +184,7 @@ def within_subclass_contrasts(ds: LabeledDataset, part: SubclassPartition) -> np
 
 def within_subclass_scatter(ds: LabeledDataset, part: SubclassPartition) -> ScatterMatrix:
     """Prior-weighted scatter of deviations from subclass means."""
-    rows = within_subclass_rows(ds, part)
-    groups = sum(len(counts) for counts in part.subclass_counts)
-    return _scatter(rows, min(ds.dim, ds.n - groups))
+    return _scatter(within_subclass_rows(ds, part))
 
 
 def between_subclass_rows(subclass_means: list[np.ndarray], global_mean: np.ndarray) -> np.ndarray:
@@ -222,8 +201,7 @@ def between_subclass_scatter(
     subclass_means: list[np.ndarray], global_mean: np.ndarray
 ) -> ScatterMatrix:
     """Scatter of subclass means about the global center."""
-    rows = between_subclass_rows(subclass_means, global_mean)
-    return _scatter(rows, min(rows.shape[1], rows.shape[0] - 1))
+    return _scatter(between_subclass_rows(subclass_means, global_mean))
 
 
 def total_subclass_rows(
@@ -238,5 +216,4 @@ def total_subclass_scatter(
     samples: np.ndarray, class_labels: np.ndarray, global_mean: np.ndarray
 ) -> ScatterMatrix:
     """Scatter of all samples about the global center."""
-    rows = total_subclass_rows(samples, class_labels, global_mean)
-    return _scatter(rows, min(samples.shape))
+    return _scatter(total_subclass_rows(samples, class_labels, global_mean))

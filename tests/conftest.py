@@ -35,3 +35,16 @@ def geometric_noise_dataset(seed, c=10, h=2, g=4, dim=30, rho=0.6, spread=4.0):
                 classes.append(i)
                 subs.append(j)
     return LabeledDataset(np.asarray(rows), np.asarray(classes), np.asarray(subs))
+
+
+# per-group scans, the references the library's whole-array grouping is checked against
+
+
+def class_indices(ds, label):
+    """Rows of one class, in dataset order."""
+    return np.flatnonzero(ds.class_labels == label)
+
+
+def group_indices(part, class_id, subclass_id):
+    """Rows of one (class, subclass) group, in dataset order."""
+    return np.flatnonzero((part.class_labels == class_id) & (part.subclass_labels == subclass_id))

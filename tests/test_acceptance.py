@@ -15,26 +15,22 @@ import time
 import numpy as np
 from scipy import stats
 
-from conftest import ACCEPTANCE_RESULTS, geometric_noise_dataset
+from conftest import ACCEPTANCE_RESULTS, class_indices, geometric_noise_dataset, group_indices
 from heteroscedastic_benchmark import error_curve, heteroscedastic_instance
 from null_space_demo import cosine_probe_error, null_space_instance
 from wssda import (
-    Eigenspectrum,
     LabeledDataset,
     TrainConfig,
     TreeParams,
-    eig_symmetric_full,
-    find_pivot,
-    fit_model,
-    partition_class,
     partition_dataset,
-    regularize,
     train,
     train_detailed,
     verification_roc,
-    within_subclass_scatter,
 )
 from wssda.cli import main as cli_main
+from wssda.partition import partition_class
+from wssda.scatter import within_subclass_scatter
+from wssda.spectrum import Eigenspectrum, eig_symmetric_full, find_pivot, fit_model, regularize
 
 
 @contextlib.contextmanager
@@ -143,12 +139,12 @@ def test_criterion_04_variance_decomposition():
             for strategy in ("kd", "rp", "pca", "kmeans"):
                 part = partition_dataset(ds, TreeParams(h=h, seed=1), strategy)
                 for i in range(c):
-                    idx = ds.class_indices(i)
+                    idx = class_indices(ds, i)
                     cls = ds.samples[idx]
                     wc = float(np.sum((cls - cls.mean(axis=0)) ** 2))
                     ws = 0.0
                     for j in range(len(part.subclass_counts[i])):
-                        grp = ds.samples[part.group_indices(i, j)]
+                        grp = ds.samples[group_indices(part, i, j)]
                         ws += float(np.sum((grp - grp.mean(axis=0)) ** 2))
                     assert ws <= wc * (1.0 + 1e-10), (strategy, i)
 
@@ -172,8 +168,8 @@ def test_criterion_05_null_space_value():
             es = details.spectrum
             v_range = es.eigenvectors[:, : es.rank]
             for i in range(ds.class_count)[:1]:
-                mu0 = ds.samples[part.group_indices(i, 0)].mean(axis=0)
-                mu1 = ds.samples[part.group_indices(i, 1)].mean(axis=0)
+                mu0 = ds.samples[group_indices(part, i, 0)].mean(axis=0)
+                mu1 = ds.samples[group_indices(part, i, 1)].mean(axis=0)
                 gap = mu0 - mu1
                 null_part = gap - v_range @ (v_range.T @ gap)
                 assert np.linalg.norm(null_part) > 1.0
@@ -241,7 +237,7 @@ def test_criterion_07_partition_contracts():
             ds = LabeledDataset(rng.normal(size=(labels.size, 3)), labels, subs)
             part = partition_dataset(ds, TreeParams(h=2, seed=0), "provided")
             for i in range(20):
-                idx = ds.class_indices(i)
+                idx = class_indices(ds, i)
                 expect = len(np.unique(subs[idx]))
                 assert len(part.subclass_counts[i]) == expect
                 assert int(part.subclass_counts[i].sum()) == idx.size

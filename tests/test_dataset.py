@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import class_indices
 from wssda import (
     DataFormatError,
     LabeledDataset,
@@ -132,6 +133,30 @@ def test_dataset_names_the_lowest_class_with_sparse_subclass_labels():
     sub = np.array([-1, 0, 0, 1, 1, 2, 0, 2])
     with pytest.raises(ValueError, match=r"^subclass labels of class 1 must be dense"):
         LabeledDataset(np.zeros((8, 2)), classes, sub)
+
+
+@pytest.mark.parametrize(
+    "role, labels, row, shown",
+    [
+        ("class", [0.0, 1.7, 0.2], 1, "1.7"),  # was read as classes [0, 1, 0]
+        ("class", [True, False, True], 0, "True"),  # was read as classes [1, 0, 1]
+        ("class", [0.0, np.nan, 1.0], 1, "nan"),
+        ("subclass", [0.9, 0.0, 0.4], 0, "0.9"),  # was read as subclasses [0, 0, 0]
+        ("subclass", [False, True, False], 0, "False"),
+    ],
+)
+def test_dataset_refuses_labels_the_int64_cast_would_truncate(role, labels, row, shown):
+    classes = labels if role == "class" else [0, 0, 0]
+    sub = labels if role == "subclass" else None
+    message = f"^{role} label at row {row} is not an integer: {shown}$"
+    with pytest.raises(ValueError, match=message):
+        LabeledDataset(np.zeros((3, 2)), classes, sub)
+
+
+def test_dataset_keeps_integral_float_labels():
+    ds = LabeledDataset(np.zeros((3, 2)), np.array([0.0, 1.0, 0.0]), [1.0, 0.0, 0.0])
+    assert ds.class_labels.dtype == np.int64 and ds.class_labels.tolist() == [0, 1, 0]
+    assert ds.subclass_labels.tolist() == [1, 0, 0]
 
 
 def _dense_subclasses_oracle(classes, sub):
@@ -351,8 +376,27 @@ def test_synth_degenerate_collapse():
 def test_synth_validation():
     with pytest.raises(ValueError):
         SynthSpec(0, 2, 5, 4).validate()
+    with pytest.raises(ValueError, match="^samples_per_subclass must be at least 1, got 0$"):
+        SynthSpec(2, 2, 0, 4).validate()
     with pytest.raises(ValueError):
         SynthSpec(2, 2, 5, 4, scale_range=(0.0, 1.0)).validate()
+
+
+@pytest.mark.parametrize("value", [2.5, 4.0, True, "4"])
+@pytest.mark.parametrize(
+    "knob", ["class_count", "subclasses_per_class", "samples_per_subclass", "dim"]
+)
+def test_synth_validation_refuses_a_count_that_is_not_an_integer(knob, value):
+    # dim=2.5 failed inside NumPy with a bare TypeError
+    counts = dict(class_count=2, subclasses_per_class=2, samples_per_subclass=5, dim=4)
+    spec = SynthSpec(**{**counts, knob: value})
+    with pytest.raises(ValueError, match=f"^{knob} must be an integer, got {value!r}$"):
+        generate_synthetic(spec)
+
+
+def test_synth_accepts_numpy_integer_counts():
+    ds = generate_synthetic(SynthSpec(np.int64(2), np.int32(2), np.uint8(3), np.int64(4)))
+    assert ds.samples.shape == (12, 4)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -392,11 +436,19 @@ def test_splits_too_many_rotations():
         make_gallery_probe_splits(ds, 4)
 
 
+@pytest.mark.parametrize("rotations", [1.5, 2.0, True])
+def test_splits_refuse_a_rotation_count_that_is_not_an_integer(rotations):
+    ds = generate_synthetic(SynthSpec(2, 2, 2, 3, seed=5))
+    with pytest.raises(ValueError, match=f"^rotations must be an integer, got {rotations!r}$"):
+        make_gallery_probe_splits(ds, rotations)
+    assert len(make_gallery_probe_splits(ds, np.int64(2))) == 2
+
+
 def test_splits_match_a_class_indices_reference():
     rng = np.random.default_rng(8)
     labels = rng.permutation(np.repeat(np.arange(5), [3, 4, 3, 6, 5]))
     ds = LabeledDataset(rng.normal(size=(labels.size, 2)), labels)
-    per_class = [ds.class_indices(i) for i in range(ds.class_count)]
+    per_class = [class_indices(ds, i) for i in range(ds.class_count)]
     for r, sp in enumerate(make_gallery_probe_splits(ds, 3)):
         gallery = np.sort([idx[r] for idx in per_class])
         assert sp.gallery.tolist() == gallery.tolist()

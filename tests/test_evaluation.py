@@ -772,6 +772,16 @@ def test_kfold_fold_missing_kind_raises():
         kfold_pairwise(pairs, folds=4)
 
 
+@pytest.mark.parametrize("knob", ["folds", "resolution"])
+@pytest.mark.parametrize("value", [2.5, 3.0, True])
+def test_kfold_refuses_a_count_that_is_not_an_integer(knob, value):
+    # folds=2.5 silently ran 2 folds; resolution=3.5 failed inside np.linspace
+    pairs = [(0.9, True), (0.2, False)] * 4
+    with pytest.raises(ValueError, match=f"^{knob} must be an integer, got {value!r}$"):
+        kfold_pairwise(pairs, **{"folds": 2, "resolution": 5, knob: value})
+    assert len(kfold_pairwise(pairs, folds=np.int64(2), resolution=np.int32(5)).far) == 5
+
+
 def test_kfold_too_few_pairs():
     with pytest.raises(ProtocolError, match="cannot split"):
         kfold_pairwise([(0.5, True), (0.4, False)], folds=3)

@@ -3,21 +3,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import class_indices
 from wssda import (
     LabeledDataset,
     PartitionError,
     SubclassPartition,
     SynthSpec,
     TreeParams,
-    cluster_kmeans,
     generate_synthetic,
-    partition_class,
     partition_dataset,
+)
+from wssda.partition import (
+    TREE_STRATEGIES,
+    _median_split,
+    cluster_kmeans,
+    partition_class,
     split_kd,
     split_pca,
     split_rp,
 )
-from wssda.partition import TREE_STRATEGIES, _median_split
 
 ALL_TREES = list(TREE_STRATEGIES) + ["kmeans"]
 
@@ -162,9 +166,21 @@ def test_tree_params_require_power_of_two():
     TreeParams(h=3).validate("kmeans")  # flat clustering takes any h
 
 
+@pytest.mark.parametrize("h", [2.0, 2.5, True])
+def test_tree_params_refuse_an_h_that_is_not_an_integer(h):
+    # h=2.0 failed with a bare TypeError from the bit arithmetic
+    ds = generate_synthetic(SynthSpec(3, 2, 4, 3, seed=1))
+    for strategy in ("kd", "kmeans", "provided"):
+        with pytest.raises(ValueError, match=f"^h must be an integer, got {h!r}$"):
+            partition_dataset(ds, TreeParams(h=h), strategy)
+    assert partition_dataset(ds, TreeParams(h=np.int64(2)), "kd").subclass_counts[0].size == 2
+
+
 def test_tree_depth_cap():
     with pytest.raises(ValueError):
         TreeParams(h=512).validate("kd")  # needs depth 9
+    with pytest.raises(ValueError, match="needs depth 9"):  # a NumPy h has no bit_length
+        TreeParams(h=np.int64(512)).validate("kd")
 
 
 @given(
@@ -232,6 +248,21 @@ def test_partition_group_ids_and_typed_errors():
         SubclassPartition(np.array([0, -1]), np.array([0, 0]), "provided")
 
 
+def test_partition_refuses_labels_the_int64_cast_would_truncate():
+    # each of these used to be truncated to a valid partition
+    cases = [
+        ([0, 1.5, 1], [0, 0, 0], "^class label at row 1 is not an integer: 1.5$"),
+        ([0, 0, 1], [0.9, 0.0, 0.4], "^subclass label at row 0 is not an integer: 0.9$"),
+        ([True, False], [0, 0], "^class label at row 0 is not an integer: True$"),
+        ([0, 0], [False, True], "^subclass label at row 0 is not an integer: False$"),
+    ]
+    for classes, subs, message in cases:
+        with pytest.raises(PartitionError, match=message):
+            SubclassPartition(classes, subs, "provided")
+    part = SubclassPartition(np.array([0.0, 1.0, 1.0]), np.array([0.0, 0.0, 1.0]), "provided")
+    assert part.group_ids.tolist() == [0, 1, 2]
+
+
 @pytest.mark.parametrize("strategy", ALL_TREES)
 def test_partition_dataset_matches_a_class_indices_reference(strategy):
     rng = np.random.default_rng(9)
@@ -240,7 +271,7 @@ def test_partition_dataset_matches_a_class_indices_reference(strategy):
     params = TreeParams(h=4, seed=5)
     expected = np.empty(ds.n, dtype=np.int64)
     for i in range(ds.class_count):
-        idx = ds.class_indices(i)
+        idx = class_indices(ds, i)
         class_rng = np.random.default_rng(np.random.SeedSequence([params.seed, i]))
         groups, _ = partition_class(ds.samples[idx], params, strategy, rng=class_rng)
         for j, group in enumerate(groups):

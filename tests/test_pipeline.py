@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +28,8 @@ from wssda import (
     save_model,
     train,
     train_detailed,
-    within_subclass_scatter,
 )
+from wssda.scatter import within_subclass_scatter
 
 
 def trained(seed=0, d=6, c=8, h=2, g=6, dim=16, mode="regularized", strategy="kd", **kw):
@@ -164,6 +166,16 @@ def test_train_rejects_a_med_factor_that_is_not_positive_and_finite(med_factor):
     ds, part, _, _ = trained(seed=1)
     with pytest.raises(ConfigError, match="^med_factor must be positive and finite$"):
         train(ds, part, TrainConfig(d=2, med_factor=med_factor))
+
+
+@pytest.mark.parametrize("d", [3.5, 3.0, True])
+def test_train_refuses_a_d_that_is_not_an_integer(d):
+    # d=3.5 and d=True used to pass validation, run both stages and then fail
+    # with a TypeError while laying out the projection columns
+    ds, part, _, _ = trained(seed=1)
+    with pytest.raises(ConfigError, match=f"^d must be an integer, got {d!r}$"):
+        train(ds, part, TrainConfig(d=d))
+    assert train(ds, part, TrainConfig(d=np.int32(3))).d == 3
 
 
 def test_train_zero_scatter_raises():
@@ -328,6 +340,29 @@ def test_model_metadata_that_is_not_utf8_rejected(tmp_path):
     at = blob.rindex(b"second_stage") + len(b"second_stage") + 4  # the value's first byte
     Path(path).write_bytes(blob[:at] + b"\xff" + blob[at + 1 :])
     with pytest.raises(ModelFormatError, match=f"^{path}: missing or malformed metadata$"):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("second_stage", "zz"),
+        ("class_count", -4),
+        ("class_count", 0),
+        ("sample_count", 0),
+        ("med_factor", float("nan")),
+        ("med_factor", -1.0),
+        ("med_factor", float("inf")),
+        ("h", 0),
+    ],
+)
+def test_model_metadata_values_are_checked_at_load(tmp_path, key, value):
+    # every one of these files used to load without complaint
+    _, _, fx, _ = trained(seed=11)
+    path = str(tmp_path / "m.bin")
+    save_model(FeatureExtractor(fx.projection, replace(fx.meta, **{key: value})), path)
+    message = f"^{re.escape(path)}: invalid metadata {key}={re.escape(repr(value))}$"
+    with pytest.raises(ModelFormatError, match=message):
         load_model(path)
 
 

@@ -6,23 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wssda.pipeline
+from conftest import group_indices
 from wssda import (
     LabeledDataset,
     SynthSpec,
     TrainConfig,
     TreeParams,
-    between_subclass_scatter,
-    class_means,
     generate_synthetic,
-    group_means,
-    mean_of_class_means,
     partition_dataset,
-    total_subclass_scatter,
     train_detailed,
-    within_class_scatter,
-    within_subclass_scatter,
 )
 from wssda import scatter
+from wssda.scatter import (
+    between_subclass_scatter,
+    class_means,
+    group_means,
+    total_subclass_scatter,
+    within_subclass_scatter,
+)
 
 
 def balanced_ds(seed=0, c=4, h=2, g=5, dim=6):
@@ -52,12 +53,13 @@ def loop_group_means(samples, ids, count):
 
 
 def loop_within_class(ds):
+    """Pooled within-class scatter, each row weighted 1/n."""
     acc = np.zeros((ds.dim, ds.dim))
     for i in range(ds.class_count):
         block = ds.samples[ds.class_labels == i]
         centered = block - block.mean(axis=0)
         acc += centered.T @ centered
-    return acc / ds.n, min(ds.dim, ds.n - ds.class_count)
+    return acc / ds.n
 
 
 def subclasses_of(part, i):
@@ -67,21 +69,19 @@ def subclasses_of(part, i):
 def loop_within_subclass(ds, part):
     c = ds.class_count
     acc = np.zeros((ds.dim, ds.dim))
-    rank_bound = 0
     for i in range(c):
         h_i = subclasses_of(part, i)
         for j in range(h_i):
-            idx = part.group_indices(i, j)
+            idx = group_indices(part, i, j)
             centered = ds.samples[idx] - ds.samples[idx].mean(axis=0)
             acc += (centered.T @ centered) / (c * h_i * idx.size)
-            rank_bound += idx.size - 1
-    return acc, min(ds.dim, rank_bound)
+    return acc
 
 
 def loop_subclass_means(ds, part):
     means = []
     for i in range(ds.class_count):
-        groups = [part.group_indices(i, j) for j in range(subclasses_of(part, i))]
+        groups = [group_indices(part, i, j) for j in range(subclasses_of(part, i))]
         means.append(np.stack([ds.samples[idx].mean(axis=0) for idx in groups]))
     return means
 
@@ -92,8 +92,7 @@ def loop_between_subclass(subclass_means, global_mean):
     for means in subclass_means:
         dev = means - global_mean
         acc += (dev.T @ dev) / (c * means.shape[0])
-    total = sum(m.shape[0] for m in subclass_means)
-    return acc, min(global_mean.size, total - 1)
+    return acc
 
 
 def loop_total_subclass(samples, class_labels, global_mean):
@@ -102,36 +101,12 @@ def loop_total_subclass(samples, class_labels, global_mean):
     for i in range(c):
         dev = samples[class_labels == i] - global_mean
         acc += (dev.T @ dev) / (c * dev.shape[0])
-    return acc, min(samples.shape[1], samples.shape[0])
+    return acc
 
 
-def assert_matches_oracle(got, oracle):
-    expect, rank_bound = oracle
+def assert_matches_oracle(got, expect):
     scale = max(float(np.abs(expect).max()), 1.0)
     np.testing.assert_allclose(got.matrix, expect, rtol=1e-12, atol=1e-12 * scale)
-    assert got.rank_bound == rank_bound
-
-
-# ------------------------------------------------------------------ within-class
-
-
-def test_within_class_hand_example():
-    ds = LabeledDataset(np.array([[0.0, 0.0], [2.0, 0.0]]), np.array([0, 0]))
-    sw = within_class_scatter(ds)
-    assert np.allclose(sw.matrix, [[1.0, 0.0], [0.0, 0.0]])
-
-
-def test_within_class_zero_when_samples_equal_means():
-    ds = LabeledDataset(np.array([[1.0, 2.0], [1.0, 2.0], [5.0, 5.0]]), np.array([0, 0, 1]))
-    assert np.allclose(within_class_scatter(ds).matrix, 0.0)
-
-
-def test_within_class_rank_bound():
-    ds = balanced_ds(seed=5, c=3, h=1, g=4, dim=20)
-    sw = within_class_scatter(ds)
-    eigvals = np.linalg.eigvalsh(sw.matrix)
-    rank = int(np.sum(eigvals > eigvals.max() * 1e-10))
-    assert rank <= min(ds.dim, ds.n - ds.class_count) == sw.rank_bound
 
 
 # ------------------------------------------------------------------ within-subclass
@@ -150,6 +125,21 @@ def test_within_subclass_singletons_zero():
     assert np.allclose(within_subclass_scatter(ds, part).matrix, 0.0)
 
 
+def test_within_subclass_zero_when_samples_equal_means():
+    ds = LabeledDataset(np.array([[1.0, 2.0], [1.0, 2.0], [5.0, 5.0]]), np.array([0, 0, 1]))
+    part = partition_dataset(ds, TreeParams(h=1), "kd")
+    assert np.allclose(within_subclass_scatter(ds, part).matrix, 0.0)
+
+
+def test_within_subclass_rank_bound():
+    # each subclass of G rows spans at most G - 1 directions
+    ds = balanced_ds(seed=5, c=3, h=2, g=4, dim=20)
+    part = partition_dataset(ds, TreeParams(h=2), "provided")
+    eigvals = np.linalg.eigvalsh(within_subclass_scatter(ds, part).matrix)
+    rank = int(np.sum(eigvals > eigvals.max() * 1e-10))
+    assert rank <= min(ds.dim, ds.n - 6)
+
+
 def test_within_subclass_h1_equals_class_weighted_scatter():
     ds = balanced_ds(seed=7)
     part = partition_dataset(ds, TreeParams(h=1), "kd")
@@ -162,7 +152,7 @@ def test_within_subclass_h1_equals_class_weighted_scatter():
         expect += centered.T @ centered / (c * len(block))
     assert np.allclose(sws, expect, atol=1e-12)
     # balanced classes: class weighting coincides with the 1/n pooled scatter
-    assert np.allclose(sws, within_class_scatter(ds).matrix, atol=1e-12)
+    assert np.allclose(sws, loop_within_class(ds), atol=1e-12)
 
 
 def test_within_subclass_weighting_matches_formula():
@@ -232,7 +222,7 @@ def test_between_subclass_zero_when_all_means_global():
 def test_mean_of_class_means_differs_from_grand_mean():
     samples = np.array([[0.0], [2.0], [10.0], [10.0], [10.0], [14.0]])
     labels = np.array([0, 0, 1, 1, 1, 1])
-    center = mean_of_class_means(samples, labels)
+    center = class_means(samples, labels).mean(axis=0)  # the subclass scatters' center
     assert np.allclose(center, [6.0])
     assert not np.allclose(center, samples.mean(axis=0))  # grand mean is 46/6
 
@@ -245,7 +235,7 @@ def test_total_subclass_single_sample_zero():
 def test_total_subclass_weighting():
     samples = np.array([[0.0], [2.0], [10.0], [14.0]])
     labels = np.array([0, 0, 1, 1])
-    mu = mean_of_class_means(samples, labels)  # (1 + 12)/2 = 6.5
+    mu = class_means(samples, labels).mean(axis=0)  # (1 + 12)/2 = 6.5
     got = total_subclass_scatter(samples, labels, mu).matrix
     expect = np.zeros((1, 1))
     for i in range(2):
@@ -303,7 +293,6 @@ def test_builders_match_loop_oracle(seed, sizes, dim):
         np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-12)
     center = cmeans.mean(axis=0)
     sub_means = loop_subclass_means(ds, part)
-    assert_matches_oracle(within_class_scatter(ds), loop_within_class(ds))
     assert_matches_oracle(within_subclass_scatter(ds, part), loop_within_subclass(ds, part))
     assert_matches_oracle(
         between_subclass_scatter(sub_means, center), loop_between_subclass(sub_means, center)

@@ -5,17 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wssda import (
-    SpectrumError,
+from wssda import SpectrumError
+from wssda.spectrum import (
     eig_symmetric_full,
     find_pivot,
     fit_model,
     flat_model,
+    orient_columns,
     regularize,
     short_tail_model,
     truncated_weights,
 )
-from wssda.spectrum import orient_columns
 
 
 def spectrum_from(eigenvalues, dim=None):
