@@ -163,6 +163,7 @@ class SynthSpec:
     def validate(self) -> None:
         for name in ("class_count", "subclasses_per_class", "samples_per_subclass", "dim"):
             check_count(name, getattr(self, name))
+        check_count("seed", self.seed, 0)
         if not 0 <= self.subclass_mean_spread < np.inf:
             raise ValueError("subclass_mean_spread must be finite and non-negative")
         lo, hi = self.scale_range

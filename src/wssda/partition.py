@@ -40,6 +40,7 @@ class TreeParams:
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
         check_count("h", self.h)
+        check_count("seed", self.seed, 0)
         if strategy in TREE_STRATEGIES:
             if self.h & (self.h - 1):
                 raise ValueError(f"h={self.h} must be a power of two for binary-split trees")

@@ -8,19 +8,20 @@ whitening matrix and those eigenvectors is the final projection: a feature
 vector is just its transpose applied to a raw sample vector, with no
 centering.
 
-The shape alone picks one of two regimes:
+Both regimes build the first stage from the within-subclass contrasts R,
+n - s rows for s subclasses with R^T R the within-subclass scatter (each
+subclass's centred rows sum to zero, and its Helmert contrasts drop that
+one dependence); class and subclass means are NumPy sums over blocks of
+equal-size groups.  The shape alone picks one of two regimes:
 
-* n >= dim (dense): both scatters are formed as dim x dim matrices and
-  eigendecomposed in full.  Second-stage eigenvectors are signed by
-  eig_symmetric_full, so each final column is signed in the basis LAPACK
-  picked.
+* n >= dim (dense): both scatters are formed as dim x dim matrices, the
+  first as R^T R, and eigendecomposed in full.  Second-stage eigenvectors
+  are signed by eig_symmetric_full, so each final column is signed in the
+  basis LAPACK picked.
 * n < dim (dual): the null space of the within-subclass scatter only ever
   gets one constant weight w_null, so the whitener is basis-free,
   W = U diag(w_r) U^T + w_null (I - U U^T), with U the range basis derived
-  from the Gram matrix R R^T of the within-subclass contrasts R, with
-  R^T R the within-subclass scatter (the eigenfaces construction).  R has
-  n - s rows for s subclasses: each subclass's centred rows sum to zero,
-  and its Helmert contrasts drop that one dependence.  W is linear and
+  from the Gram matrix R R^T (the eigenfaces construction).  W is linear and
   symmetric, so the second stage needs no whitened sample: with Y the
   second-stage rows of the raw samples (means and centring commute with
   W), the whitened rows are Y W, their Gram matrix is Y W^2 Y^T, and the
@@ -58,7 +59,7 @@ import numpy as np
 
 from .dataset import LabeledDataset, check_count
 from .errors import ConfigError, ModelFormatError, TrainingError
-from .partition import STRATEGIES, SubclassPartition
+from .partition import STRATEGIES, SubclassPartition, TreeParams
 from .scatter import (
     between_subclass_rows,
     between_subclass_scatter,
@@ -255,7 +256,7 @@ def _dense(ds: LabeledDataset, part: SubclassPartition, config: TrainConfig):
     with np.errstate(over="ignore", invalid="ignore"):  # _check_range reports either
         scatter = within_subclass_scatter(ds, part)
     _check_range(ds, part, scatter.matrix)
-    es = eig_symmetric_full(scatter)
+    es = eig_symmetric_full(scatter.matrix)
     model = _spectrum_model(ds, es, config)
 
     whitener = es.eigenvectors * model.weights
@@ -266,7 +267,7 @@ def _dense(ds: LabeledDataset, part: SubclassPartition, config: TrainConfig):
         second = total_subclass_scatter(whitened, ds.class_labels, global_mean)
     else:
         second = between_subclass_scatter(_subclass_means(whitened, part), global_mean)
-    es2 = eig_symmetric_full(second)
+    es2 = eig_symmetric_full(second.matrix)
 
     def block_columns(start: int, stop: int, out: np.ndarray) -> None:
         np.matmul(whitener, es2.eigenvectors[:, start:stop], out=out)
@@ -478,9 +479,16 @@ def load_model(path: str) -> FeatureExtractor:
         ("sample_count", meta.sample_count >= 1),
         ("med_factor", 0 < meta.med_factor < np.inf),  # TrainConfig.validate's rule
         ("h", meta.h >= 1),
+        # training puts a sample in every class and in every subclass
+        ("sample_count", meta.sample_count >= meta.class_count),
+        ("h", meta.h <= meta.sample_count),
     ):
         if not ok:
             raise ModelFormatError(f"{path}: invalid metadata {key}={getattr(meta, key)!r}")
+    try:  # a tree strategy trains only at an h it can split to
+        TreeParams(meta.h).validate(meta.strategy)
+    except ValueError as exc:
+        raise ModelFormatError(f"{path}: invalid metadata {exc}") from exc
     try:
         return FeatureExtractor(projection, meta)
     except ValueError as exc:  # a non-finite matrix entry

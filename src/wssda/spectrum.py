@@ -18,7 +18,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SpectrumError
-from .scatter import ScatterMatrix
 
 RANK_RTOL = 1e-12
 SYMMETRY_RTOL = 1e-10
@@ -71,14 +70,13 @@ class SpectrumModel:
     usable: bool = True
 
 
-def eig_symmetric_full(scatter: ScatterMatrix | np.ndarray) -> Eigenspectrum:
+def eig_symmetric_full(matrix: np.ndarray) -> Eigenspectrum:
     """Full descending eigendecomposition of a symmetric PSD matrix.
 
     Negative eigenvalues (numerical noise) are clamped to zero.  Eigenvector
     signs follow a fixed convention: the largest-magnitude component of each
     vector is positive, so repeated runs produce identical bases.
     """
-    matrix = scatter.matrix if isinstance(scatter, ScatterMatrix) else np.asarray(scatter)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("input must be a square matrix")
     if not np.isfinite(matrix).all():

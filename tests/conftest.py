@@ -1,6 +1,6 @@
 import numpy as np
 
-from wssda import LabeledDataset
+from wssda import LabeledDataset, scatter
 
 # filled in by test_acceptance.py; echoed after the run so every criterion
 # gets its own visible pass/fail line
@@ -48,3 +48,86 @@ def class_indices(ds, label):
 def group_indices(part, class_id, subclass_id):
     """Rows of one (class, subclass) group, in dataset order."""
     return np.flatnonzero((part.class_labels == class_id) & (part.subclass_labels == subclass_id))
+
+
+def within_subclass_rows(ds, part):
+    """(n, dim) weighted deviations from subclass means, B with within-subclass
+    scatter B^T B: the factor the dense training path and the first dual path
+    built stage 1 from, before both used the Helmert contrasts.
+
+    Each row of subclass (i, j) is weighted 1/(C * H_i * G_ij); rows of
+    singleton subclasses are zero.  The means come from whatever
+    wssda.scatter.group_means is at call time.
+    """
+    ids = part.group_ids
+    sizes = np.concatenate(part.subclass_counts)
+    dev = ds.samples - scatter.group_means(ds.samples, ids, sizes.size)[ids]
+    weights = 1.0 / (part.class_count * part.subclasses_per_class[ds.class_labels] * sizes[ids])
+    return dev * np.sqrt(weights)[:, None]
+
+
+# ------------------------------------------------------------------ comparing trained models
+# The assert_*_close helpers compare the (spectrum, model, projection,
+# second-stage eigenvalues, second-stage rank) tuples that pipeline._dense and
+# pipeline._dual return.
+
+# second-stage eigenvalues closer than this (relative to the largest) form one
+# cluster, whose eigenvectors either path may rotate within the cluster
+CLUSTER_RTOL = 1e-6
+
+
+def rank_of(values):
+    return int(np.count_nonzero(values > values[0] * 1e-12)) if values[0] > 0 else 0
+
+
+def clusters(values, count):
+    """Runs of near-equal leading eigenvalues, as index ranges over [0, count)."""
+    gap = CLUSTER_RTOL * values[0]
+    edges = [0] + [k for k in range(1, count) if values[k - 1] - values[k] > gap]
+    return [range(a, b) for a, b in zip(edges, edges[1:] + [count])]
+
+
+def assert_first_stage_close(got, want):
+    """Equal rank, mode, pivot and usability; eigenvalues, the modeled spectrum,
+    the weights, alpha and beta within 1e-10 relative, the spectra also within
+    1e-12 of the largest eigenvalue; range projectors within 1e-8."""
+    (es_b, model_b), (es_a, model_a) = got[:2], want[:2]
+    assert es_b.rank == es_a.rank
+    fields = ("mode", "pivot", "usable")
+    assert [getattr(model_b, f) for f in fields] == [getattr(model_a, f) for f in fields]
+    spectrum = dict(rtol=1e-10, atol=1e-12 * es_a.eigenvalues[0])
+    np.testing.assert_allclose(es_b.eigenvalues, es_a.eigenvalues, **spectrum)
+    np.testing.assert_allclose(model_b.lambda_reg, model_a.lambda_reg, **spectrum)
+    np.testing.assert_allclose(model_b.weights, model_a.weights, rtol=1e-10)
+    for got_value, want_value in ((model_b.alpha, model_a.alpha), (model_b.beta, model_a.beta)):
+        assert (got_value is None) == (want_value is None)
+        if want_value is not None:
+            np.testing.assert_allclose(got_value, want_value, rtol=1e-10)
+    assert es_b.eigenvectors.shape == es_a.eigenvectors.shape
+    u_b, u_a = es_b.eigenvectors, es_a.eigenvectors
+    assert np.abs(u_b @ u_b.T - u_a @ u_a.T).max() <= 1e-8
+
+
+def assert_second_stage_close(got, want):
+    """Equal ranks; eigenvalues within 1e-10 relative, or 1e-12 of the largest
+    (an eigenvalue far below it is only accurate to rounding of the largest);
+    projection columns within 1e-10 of the largest entry, up to sign one by
+    one and as a span inside a cluster of tied eigenvalues.
+
+    Column k is W^2 Y^T q_k / sqrt(lambda_k), so it carries half the relative
+    error of lambda_k; it is compared rescaled to the oracle's lambda_k, so
+    that error is not counted twice."""
+    proj_b, second_b, r2 = got[2:]
+    proj_a, second_a, rank_a = want[2:]
+    assert r2 == rank_a == rank_of(second_b) == rank_of(second_a)
+    np.testing.assert_allclose(second_b[:r2], second_a[:r2], rtol=1e-10, atol=1e-12 * second_a[0])
+    assert np.all(proj_b[:, r2:] == 0.0)
+    proj_b = proj_b[:, :r2] * np.sqrt(second_b[:r2] / second_a[:r2])
+    tol = 1e-10 * np.abs(proj_a).max()
+    for group in clusters(second_a, r2):
+        a, b = proj_a[:, group], proj_b[:, group]
+        if len(group) == 1:
+            assert min(np.abs(b - a).max(), np.abs(b + a).max()) <= tol, group
+        else:
+            q, _ = np.linalg.qr(a)
+            assert np.abs(b - q @ (q.T @ b)).max() <= tol, group

@@ -394,6 +394,20 @@ def test_synth_validation_refuses_a_count_that_is_not_an_integer(knob, value):
         generate_synthetic(spec)
 
 
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        (2.5, "^seed must be an integer, got 2.5$"),
+        (True, "^seed must be an integer, got True$"),
+        (-1, "^seed must be at least 0, got -1$"),
+    ],
+)
+def test_synth_refuses_a_seed_that_is_not_a_non_negative_integer(seed, message):
+    # 2.5 and -1 failed inside NumPy's SeedSequence, and True drew seed 1's data
+    with pytest.raises(ValueError, match=message):
+        generate_synthetic(SynthSpec(2, 2, 5, 4, seed=seed))
+
+
 def test_synth_accepts_numpy_integer_counts():
     ds = generate_synthetic(SynthSpec(np.int64(2), np.int32(2), np.uint8(3), np.int64(4)))
     assert ds.samples.shape == (12, 4)

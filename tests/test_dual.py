@@ -19,6 +19,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import (
+    assert_first_stage_close,
+    assert_second_stage_close,
+    clusters,
+    rank_of,
+    within_subclass_rows,
+)
 from wssda import (
     LabeledDataset,
     TrainConfig,
@@ -42,17 +49,8 @@ from wssda.pipeline import (
     _spectrum_model,
     _subclass_means,
 )
-from wssda.scatter import (
-    between_subclass_rows,
-    class_means,
-    total_subclass_rows,
-    within_subclass_rows,
-)
+from wssda.scatter import between_subclass_rows, class_means, total_subclass_rows
 from wssda.spectrum import REGULARIZED, TRUNCATED, Eigenspectrum, orient_columns
-
-# second-stage eigenvalues closer than this (relative to the largest) form one
-# cluster, whose eigenvectors either path may rotate within the cluster
-CLUSTER_RTOL = 1e-6
 
 
 def small_sample_ds(seed, class_sizes, extra_dims, split=None):
@@ -106,17 +104,6 @@ def oracle_dual(ds: LabeledDataset, part: SubclassPartition, config: TrainConfig
     keep = min(config.d, columns.shape[1])
     projection[:, :keep] = columns[:, :keep]
     return es, model, projection, _padded(gram2.eigenvalues, ds.dim), gram2.rank
-
-
-def rank_of(values):
-    return int(np.count_nonzero(values > values[0] * 1e-12)) if values[0] > 0 else 0
-
-
-def clusters(values, count):
-    """Runs of near-equal leading eigenvalues, as index ranges over [0, count)."""
-    gap = CLUSTER_RTOL * values[0]
-    edges = [0] + [k for k in range(1, count) if values[k - 1] - values[k] > gap]
-    return [range(a, b) for a, b in zip(edges, edges[1:] + [count])]
 
 
 def span_projector(columns):
@@ -253,52 +240,6 @@ def test_dual_never_allocates_a_dim_by_dim_array(stage, d):
     # nor whitened copies of the samples and the second-stage basis, which
     # would take the peak to 6.5 n x dim blocks
     assert peak <= 5 * samples.nbytes, peak / samples.nbytes
-
-
-def assert_first_stage_close(got, want):
-    """Equal rank, mode, pivot and usability; eigenvalues, the modeled spectrum,
-    the weights, alpha and beta within 1e-10 relative, the spectra also within
-    1e-12 of the largest eigenvalue; range projectors within 1e-8."""
-    (es_b, model_b), (es_a, model_a) = got[:2], want[:2]
-    assert es_b.rank == es_a.rank
-    fields = ("mode", "pivot", "usable")
-    assert [getattr(model_b, f) for f in fields] == [getattr(model_a, f) for f in fields]
-    spectrum = dict(rtol=1e-10, atol=1e-12 * es_a.eigenvalues[0])
-    np.testing.assert_allclose(es_b.eigenvalues, es_a.eigenvalues, **spectrum)
-    np.testing.assert_allclose(model_b.lambda_reg, model_a.lambda_reg, **spectrum)
-    np.testing.assert_allclose(model_b.weights, model_a.weights, rtol=1e-10)
-    for got_value, want_value in ((model_b.alpha, model_a.alpha), (model_b.beta, model_a.beta)):
-        assert (got_value is None) == (want_value is None)
-        if want_value is not None:
-            np.testing.assert_allclose(got_value, want_value, rtol=1e-10)
-    assert es_b.eigenvectors.shape == es_a.eigenvectors.shape
-    u_b, u_a = es_b.eigenvectors, es_a.eigenvectors
-    assert np.abs(u_b @ u_b.T - u_a @ u_a.T).max() <= 1e-8
-
-
-def assert_second_stage_close(got, want):
-    """Equal ranks; eigenvalues within 1e-10 relative, or 1e-12 of the largest
-    (an eigenvalue far below it is only accurate to rounding of the largest);
-    projection columns within 1e-10 of the largest entry, up to sign one by
-    one and as a span inside a cluster of tied eigenvalues.
-
-    Column k is W^2 Y^T q_k / sqrt(lambda_k), so it carries half the relative
-    error of lambda_k; it is compared rescaled to the oracle's lambda_k, so
-    that error is not counted twice."""
-    proj_b, second_b, r2 = got[2:]
-    proj_a, second_a, rank_a = want[2:]
-    assert r2 == rank_a == rank_of(second_b) == rank_of(second_a)
-    np.testing.assert_allclose(second_b[:r2], second_a[:r2], rtol=1e-10, atol=1e-12 * second_a[0])
-    assert np.all(proj_b[:, r2:] == 0.0)
-    proj_b = proj_b[:, :r2] * np.sqrt(second_b[:r2] / second_a[:r2])
-    tol = 1e-10 * np.abs(proj_a).max()
-    for group in clusters(second_a, r2):
-        a, b = proj_a[:, group], proj_b[:, group]
-        if len(group) == 1:
-            assert min(np.abs(b - a).max(), np.abs(b + a).max()) <= tol, group
-        else:
-            q, _ = np.linalg.qr(a)
-            assert np.abs(b - q @ (q.T @ b)).max() <= tol, group
 
 
 def outcome(stages, ds, part, config):

@@ -176,6 +176,24 @@ def test_tree_params_refuse_an_h_that_is_not_an_integer(h):
     assert partition_dataset(ds, TreeParams(h=np.int64(2)), "kd").subclass_counts[0].size == 2
 
 
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        (2.5, "^seed must be an integer, got 2.5$"),
+        (True, "^seed must be an integer, got True$"),
+        (-1, "^seed must be at least 0, got -1$"),
+    ],
+)
+def test_tree_params_refuse_a_seed_that_is_not_a_non_negative_integer(seed, message):
+    # rp and kmeans failed with NumPy's bare TypeError, kd ignored the seed,
+    # and True trained as seed 1
+    ds = generate_synthetic(SynthSpec(3, 2, 4, 3, seed=1))
+    for strategy in ("kd", "rp", "kmeans"):
+        with pytest.raises(ValueError, match=message):
+            partition_dataset(ds, TreeParams(h=2, seed=seed), strategy)
+    assert partition_dataset(ds, TreeParams(h=2, seed=np.int64(5)), "rp").subclass_counts[0].size == 2
+
+
 def test_tree_depth_cap():
     with pytest.raises(ValueError):
         TreeParams(h=512).validate("kd")  # needs depth 9

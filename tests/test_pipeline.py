@@ -354,16 +354,34 @@ def test_model_metadata_that_is_not_utf8_rejected(tmp_path):
         ("med_factor", -1.0),
         ("med_factor", float("inf")),
         ("h", 0),
+        ("sample_count", 3),
+        ("class_count", 97),
+        ("h", 97),
+        ("h", 3),
     ],
 )
 def test_model_metadata_values_are_checked_at_load(tmp_path, key, value):
-    # every one of these files used to load without complaint
+    # every one of these files used to load without complaint; the last four
+    # break a rule between values of the kd model trained here, with 8
+    # classes, 96 samples and h=2
     _, _, fx, _ = trained(seed=11)
     path = str(tmp_path / "m.bin")
     save_model(FeatureExtractor(fx.projection, replace(fx.meta, **{key: value})), path)
-    message = f"^{re.escape(path)}: invalid metadata {key}={re.escape(repr(value))}$"
+    fault = {
+        ("class_count", 97): "sample_count=96",  # fewer samples than classes
+        ("h", 3): "h=3 must be a power of two for binary-split trees",
+    }.get((key, value), f"{key}={value!r}")
+    message = f"^{re.escape(path)}: invalid metadata {re.escape(fault)}$"
     with pytest.raises(ModelFormatError, match=message):
         load_model(path)
+
+
+def test_model_h_of_a_flat_strategy_need_not_be_a_power_of_two(tmp_path):
+    _, _, fx, _ = trained(seed=11, h=3, strategy="kmeans")
+    assert fx.meta.h == 3
+    path = str(tmp_path / "m.bin")
+    save_model(fx, path)
+    assert load_model(path).meta == fx.meta
 
 
 def test_model_non_finite_matrix_entry_rejected(tmp_path):
