@@ -72,12 +72,24 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
+def _seed(raw: str) -> int:
+    value = int(raw)
+    if value < 0:
+        raise ValueError(f"expected a non-negative integer, got {value}")
+    return value
+
+
 def _int_list(raw: str) -> list[int]:
-    """Comma-separated integers; empty items are skipped, so "," is []."""
-    return [int(tok) for tok in raw.split(",") if tok.strip()]
+    """Comma-separated positive integers; empty items are skipped, so "," is []."""
+    values = [int(tok) for tok in raw.split(",") if tok.strip()]
+    if min(values, default=1) < 1:
+        raise ValueError(f"expected positive integers, got {raw!r}")
+    return values
 
 
-_int_list.__name__ = "integer list"  # argparse names a flag's type in its error
+# argparse names a flag's type in its error
+_seed.__name__ = "non-negative integer"
+_int_list.__name__ = "integer list"
 
 
 def load_config(path: str) -> dict[str, str]:
@@ -439,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, func, help):
         p = sub.add_parser(name, help=help, formatter_class=_HelpFormatter)
         p.add_argument("--config", help="flat key=value config file; flags override it")
-        p.add_argument("--seed", type=int, default=0, help="random seed")
+        p.add_argument("--seed", type=_seed, default=0, help="random seed")
         # main() finds the flags a config file may set through `parser`
         p.set_defaults(func=func, parser=p)
         return p

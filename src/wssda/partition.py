@@ -57,12 +57,14 @@ class SubclassPartition:
 
     Groups are numbered densely class by class: group_ids[r] is the number of
     subclasses in the classes before row r's class plus its subclass label.
+    subclasses_per_class holds H_i for every class.
     """
 
     class_labels: np.ndarray
     subclass_labels: np.ndarray
     strategy: str
     deficient_classes: tuple[int, ...] = ()
+    subclasses_per_class: np.ndarray = field(init=False)
     subclass_counts: list[np.ndarray] = field(init=False)
     group_ids: np.ndarray = field(init=False)
 
@@ -83,16 +85,12 @@ class SubclassPartition:
         if (sizes == 0).any():
             empty = int(np.searchsorted(ends, np.argmin(sizes), side="right"))
             raise PartitionError(f"class {empty} has an empty subclass")
+        self.subclasses_per_class = h
         self.subclass_counts = np.split(sizes, ends[:-1])
 
     @property
     def class_count(self) -> int:
         return len(self.subclass_counts)
-
-    @property
-    def subclasses_per_class(self) -> np.ndarray:
-        """H_i for every class."""
-        return np.asarray([len(g) for g in self.subclass_counts], dtype=np.int64)
 
 
 def _median_split(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

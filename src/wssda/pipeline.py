@@ -43,10 +43,10 @@ COLUMN_BLOCK columns until d is covered, then cut to d: a column's bits
 depend on its block alone, so the leading d' columns of a d-column
 extractor equal the extractor trained directly at d', bit for bit.
 
-Data whose within-subclass scatter, or the spectrum model fitted to it,
-leaves the float64 range raises a TrainingError that names the data scale,
-in place of a LAPACK failure or a zero scatter taken for singleton
-subclasses.
+A zero within-subclass scatter (every subclass a singleton or its rows
+coinciding) raises one TrainingError in both modes; data whose within-subclass
+scatter or spectrum model leaves the float64 range raises one that names the
+data scale, in place of a LAPACK failure.
 """
 
 from __future__ import annotations
@@ -186,38 +186,33 @@ class TrainingDetails:
 
 def _spectrum_model(ds: LabeledDataset, es: Eigenspectrum, config: TrainConfig) -> SpectrumModel:
     """The spectrum model of config.mode for the within-subclass spectrum es of ds."""
+    if es.rank == 0:
+        raise TrainingError(
+            "within-subclass scatter is zero (every subclass is a singleton or its rows "
+            "coincide); nothing to whiten"
+        )
     # fit_model multiplies two eigenvalues, which leaves the float64 range for
     # a spectrum past the square root of either end of it; an underflow to zero
     # makes an infinite weight, reported below
     with np.errstate(divide="ignore"):
-        model = _fit_spectrum(es, config)
+        if config.mode == TRUNCATED:
+            model = truncated_weights(es)
+        elif es.rank < 3:
+            model = short_tail_model(es)
+        else:
+            pivot = find_pivot(es, config.med_factor)
+            if not pivot.flat:
+                model = regularize(es, pivot.m, *fit_model(es, pivot.m))
+            elif config.allow_flat_spectrum:
+                model = flat_model(es)
+            else:
+                raise TrainingError(
+                    "flat within-subclass eigenspectrum: the decay model is degenerate; "
+                    "set allow_flat_spectrum to fall back to uniform weighting"
+                )
     if not (np.isfinite(model.lambda_reg).all() and np.isfinite(model.weights).all()):
         raise _range_error(ds)
     return model
-
-
-def _fit_spectrum(es: Eigenspectrum, config: TrainConfig) -> SpectrumModel:
-    if config.mode == TRUNCATED:
-        model = truncated_weights(es)
-        if not model.usable:
-            raise TrainingError("within-subclass scatter is zero; no usable spectrum")
-        return model
-    if es.rank == 0:
-        raise TrainingError(
-            "within-subclass scatter is zero (every subclass is a singleton); nothing to whiten"
-        )
-    if es.rank < 3:
-        return short_tail_model(es)
-    pivot = find_pivot(es, config.med_factor)
-    if pivot.flat:
-        if not config.allow_flat_spectrum:
-            raise TrainingError(
-                "flat within-subclass eigenspectrum: the decay model is degenerate; "
-                "set allow_flat_spectrum to fall back to uniform weighting"
-            )
-        return flat_model(es)
-    alpha, beta = fit_model(es, pivot.m)
-    return regularize(es, pivot.m, alpha, beta)
 
 
 def _range_error(ds: LabeledDataset) -> TrainingError:
@@ -251,6 +246,20 @@ def _check_range(
     raise _range_error(ds)
 
 
+def _second_stage(
+    samples: np.ndarray, part: SubclassPartition, config: TrainConfig, total, between
+):
+    """The config.second_stage builder's result for samples: total(samples,
+    class labels, global mean) for ts, between(subclass means, H_i, global
+    mean) for bs, with the global mean the mean of the class means.  Callers
+    pass the module's builders (the names perfbench's tracer wraps)."""
+    global_mean = class_means(samples, part.class_labels).mean(axis=0)
+    if config.second_stage == "ts":
+        return total(samples, part.class_labels, global_mean)
+    h = part.subclasses_per_class
+    return between(group_means(samples, part.group_ids, int(h.sum())), h, global_mean)
+
+
 def _dense(ds: LabeledDataset, part: SubclassPartition, config: TrainConfig):
     """Both stages as dim x dim eigendecompositions (n >= dim)."""
     with np.errstate(over="ignore", invalid="ignore"):  # _check_range reports either
@@ -262,11 +271,7 @@ def _dense(ds: LabeledDataset, part: SubclassPartition, config: TrainConfig):
     whitener = es.eigenvectors * model.weights
     whitened = ds.samples @ whitener
 
-    global_mean = class_means(whitened, ds.class_labels).mean(axis=0)
-    if config.second_stage == "ts":
-        second = total_subclass_scatter(whitened, ds.class_labels, global_mean)
-    else:
-        second = between_subclass_scatter(_subclass_means(whitened, part), global_mean)
+    second = _second_stage(whitened, part, config, total_subclass_scatter, between_subclass_scatter)
     es2 = eig_symmetric_full(second.matrix)
 
     def block_columns(start: int, stop: int, out: np.ndarray) -> None:
@@ -332,11 +337,7 @@ def _dual(ds: LabeledDataset, part: SubclassPartition, config: TrainConfig):
     # from Y U and Y, with W^2 = U diag(s) U^T + w_null^2 I
     w_null = model.weights[es.rank]
     s = (model.weights[: es.rank] - w_null) * (model.weights[: es.rank] + w_null)
-    global_mean = class_means(ds.samples, ds.class_labels).mean(axis=0)
-    if config.second_stage == "ts":
-        rows = total_subclass_rows(ds.samples, ds.class_labels, global_mean)
-    else:
-        rows = between_subclass_rows(_subclass_means(ds.samples, part), global_mean)
+    rows = _second_stage(ds.samples, part, config, total_subclass_rows, between_subclass_rows)
     along = rows @ basis
     product = rows @ rows.T
     product *= w_null * w_null
@@ -351,11 +352,6 @@ def _dual(ds: LabeledDataset, part: SubclassPartition, config: TrainConfig):
 
     projection = _columns_in_blocks(ds.dim, config.d, gram2.rank, block_columns)
     return es, model, projection, _padded(gram2.eigenvalues, ds.dim), gram2.rank
-
-
-def _subclass_means(samples: np.ndarray, part: SubclassPartition) -> list[np.ndarray]:
-    ends = np.cumsum(part.subclasses_per_class)
-    return np.split(group_means(samples, part.group_ids, int(ends[-1])), ends[:-1])
 
 
 def train_detailed(

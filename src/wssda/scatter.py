@@ -128,21 +128,20 @@ def within_subclass_scatter(ds: LabeledDataset, part: SubclassPartition) -> Scat
     return _scatter(within_subclass_contrasts(ds, part))
 
 
-def between_subclass_rows(subclass_means: list[np.ndarray], global_mean: np.ndarray) -> np.ndarray:
-    """Subclass means about the global center, each weighted 1/(C * H_i).
-
-    subclass_means holds one (H_i, dim) array per class.
-    """
-    h = np.asarray([means.shape[0] for means in subclass_means])
-    dev = np.concatenate(subclass_means) - global_mean
-    return _rows(dev, np.repeat(1.0 / (len(subclass_means) * h), h))
+def between_subclass_rows(
+    subclass_means: np.ndarray, subclasses_per_class: np.ndarray, global_mean: np.ndarray
+) -> np.ndarray:
+    """The (s, dim) subclass means, class by class, about the global center,
+    each weighted 1/(C * H_i) for H_i = subclasses_per_class[i]."""
+    h = subclasses_per_class
+    return _rows(subclass_means - global_mean, np.repeat(1.0 / (h.size * h), h))
 
 
 def between_subclass_scatter(
-    subclass_means: list[np.ndarray], global_mean: np.ndarray
+    subclass_means: np.ndarray, subclasses_per_class: np.ndarray, global_mean: np.ndarray
 ) -> ScatterMatrix:
     """Scatter of subclass means about the global center."""
-    return _scatter(between_subclass_rows(subclass_means, global_mean))
+    return _scatter(between_subclass_rows(subclass_means, subclasses_per_class, global_mean))
 
 
 def total_subclass_rows(

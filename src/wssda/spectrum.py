@@ -67,7 +67,6 @@ class SpectrumModel:
     pivot: int | None = None
     alpha: float | None = None
     beta: float | None = None
-    usable: bool = True
 
 
 def eig_symmetric_full(matrix: np.ndarray) -> Eigenspectrum:
@@ -204,17 +203,9 @@ def short_tail_model(es: Eigenspectrum) -> SpectrumModel:
 
 
 def truncated_weights(es: Eigenspectrum) -> SpectrumModel:
-    """Baseline scaling: inverse square roots on the range space, zero beyond the rank.
-
-    A zero-rank spectrum yields all-zero weights and is flagged unusable.
-    """
+    """Baseline scaling: inverse square roots on the range space, zero beyond
+    the rank (all zero for a zero-rank spectrum, which training refuses first)."""
     r = es.rank
     weights = np.zeros(es.dim)
-    if r > 0:
-        weights[:r] = 1.0 / np.sqrt(es.eigenvalues[:r])
-    return SpectrumModel(
-        lambda_reg=es.eigenvalues.copy(),
-        weights=weights,
-        mode=TRUNCATED,
-        usable=r > 0,
-    )
+    weights[:r] = 1.0 / np.sqrt(es.eigenvalues[:r])
+    return SpectrumModel(lambda_reg=es.eigenvalues.copy(), weights=weights, mode=TRUNCATED)

@@ -88,12 +88,12 @@ def clusters(values, count):
 
 
 def assert_first_stage_close(got, want):
-    """Equal rank, mode, pivot and usability; eigenvalues, the modeled spectrum,
+    """Equal rank, mode and pivot; eigenvalues, the modeled spectrum,
     the weights, alpha and beta within 1e-10 relative, the spectra also within
     1e-12 of the largest eigenvalue; range projectors within 1e-8."""
     (es_b, model_b), (es_a, model_a) = got[:2], want[:2]
     assert es_b.rank == es_a.rank
-    fields = ("mode", "pivot", "usable")
+    fields = ("mode", "pivot")
     assert [getattr(model_b, f) for f in fields] == [getattr(model_a, f) for f in fields]
     spectrum = dict(rtol=1e-10, atol=1e-12 * es_a.eigenvalues[0])
     np.testing.assert_allclose(es_b.eigenvalues, es_a.eigenvalues, **spectrum)

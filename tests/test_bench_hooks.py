@@ -66,6 +66,12 @@ def test_dense_train_records_every_layer_span(perfbench, tmp_path, second_stage)
         "spectrum.model",
     }
     assert layers - {s["name"] for s in tracer.spans} == set()
+    # the flop count reads the row count off the builder's first argument:
+    # the n = 80 samples for ts, the s = 8 subclass means for bs, at dim 12
+    second = [s for s in tracer.spans if s["name"] == "scatter.second_stage"]
+    assert len(second) == 1
+    rows = 80 if second_stage == "ts" else 8
+    assert second[0]["counts"]["flop"] == 2.0 * rows * 12**2
 
 
 def test_dual_train_records_the_train_class_means_and_eig_spans(perfbench, tmp_path):

@@ -565,6 +565,50 @@ def test_bad_d_sweep_is_reported_before_the_model_is_read(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("sweep", ["0,2", "-1"])
+def test_d_sweep_below_one_is_refused_by_its_flag_and_config_key(tmp_path, capsys, sweep):
+    # the library's check would name d_values, neither the flag nor the key
+    missing = tmp_path / "missing.wssda"
+    argv = ["eval-id", "--synth", "--model", missing, "--out-dir", tmp_path / "out"]
+    with pytest.raises(SystemExit) as exc:
+        main([str(a) for a in argv + ["--d-sweep", sweep]])
+    assert exc.value.code == 2
+    assert f"argument --d-sweep: invalid integer list value: '{sweep}'" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"d_sweep={sweep}\n")
+    code, _, err = run_cli(argv + ["--config", cfg], capsys)
+    assert code == 1
+    assert err == f"error: config key 'd_sweep': expected positive integers, got '{sweep}'\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, args",
+    [
+        ("synth", ["--out", "{out}/d.csv"]),
+        ("partition", ["--synth", "--out-dir", "{out}"]),
+        ("train", ["--synth", "--d", "2", "--out-dir", "{out}"]),
+        ("eval-id", ["--synth", "--model", "{out}/m.wssda", "--out-dir", "{out}"]),
+        ("eval-verify", ["--synth", "--model", "{out}/m.wssda", "--pairs", "{out}/p.csv",
+                         "--out-dir", "{out}"]),
+    ],
+)
+def test_negative_seed_is_refused_by_its_flag_and_config_key(tmp_path, capsys, command, args):
+    # SeedSequence would refuse it later, with a message that names no flag
+    out_dir = tmp_path / "out"
+    argv = [command, *(a.format(out=out_dir) for a in args)]
+    with pytest.raises(SystemExit) as exc:
+        main([str(a) for a in argv + ["--seed", "-1"]])
+    assert exc.value.code == 2
+    assert "argument --seed: invalid non-negative integer value: '-1'" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=-1\n")
+    code, _, err = run_cli(argv + ["--config", cfg], capsys)
+    assert code == 1
+    assert err == "error: config key 'seed': expected a non-negative integer, got -1\n"
+    assert not out_dir.exists()
+
+
 def test_eval_id_without_probes_rejected(tmp_path, capsys):
     csv_path = make_dataset_csv(tmp_path, capsys)
     out_dir, _ = train_small(tmp_path, capsys, csv_path, d=4)

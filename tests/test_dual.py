@@ -47,9 +47,8 @@ from wssda.pipeline import (
     _padded,
     _range_error,
     _spectrum_model,
-    _subclass_means,
 )
-from wssda.scatter import between_subclass_rows, class_means, total_subclass_rows
+from wssda.scatter import between_subclass_rows, class_means, group_means, total_subclass_rows
 from wssda.spectrum import REGULARIZED, TRUNCATED, Eigenspectrum, orient_columns
 
 
@@ -74,7 +73,8 @@ def small_sample_ds(seed, class_sizes, extra_dims, split=None):
 
 
 # pipeline._dual before its second stage went by linearity, kept verbatim (but
-# for the name) as the oracle of today's
+# for the name and the between-subclass builder's arguments) as the oracle of
+# today's
 def oracle_dual(ds: LabeledDataset, part: SubclassPartition, config: TrainConfig):
     """Both stages through n x n Gram matrices (n < dim); no dim x dim array."""
     rows = within_subclass_rows(ds, part)
@@ -95,7 +95,9 @@ def oracle_dual(ds: LabeledDataset, part: SubclassPartition, config: TrainConfig
     if config.second_stage == "ts":
         rows = total_subclass_rows(whitened, ds.class_labels, global_mean)
     else:
-        rows = between_subclass_rows(_subclass_means(whitened, part), global_mean)
+        h = part.subclasses_per_class
+        means = group_means(whitened, part.group_ids, int(h.sum()))
+        rows = between_subclass_rows(means, h, global_mean)
     gram2, basis2 = _gram_eig(rows, _gram(rows))
     # computed at every column of the second-stage rank whatever d is, so the
     # leading columns do not depend on d; columns past that rank stay zero
@@ -171,6 +173,28 @@ def test_dual_all_singletons_raise_the_dense_error(mode):
     with pytest.raises(TrainingError) as dual:
         train(ds, part, config)
     assert str(dual.value) == str(dense.value)
+
+
+@pytest.mark.parametrize("mode", [REGULARIZED, TRUNCATED])
+def test_coinciding_subclass_rows_raise_the_zero_scatter_error(mode):
+    # 3 classes of 2 subclasses, each of 2 identical rows: the contrasts are
+    # rows of zeros, and both regimes report the zero scatter by its causes
+    rng = np.random.default_rng(5)
+    classes = np.repeat([0, 1, 2], 4)
+    subs = np.tile([0, 0, 1, 1], 3)
+    samples = np.repeat(rng.normal(size=(6, 20)), 2, axis=0)
+    part = partition_dataset(LabeledDataset(samples, classes, subs), TreeParams(h=2), "provided")
+    config = TrainConfig(d=4, mode=mode)
+    messages = set()
+    for stages, dim in ((_dense, 12), (_dual, 20)):  # dense needs n >= dim
+        ds = LabeledDataset(samples[:, :dim], classes, subs)
+        with pytest.raises(TrainingError) as exc:
+            stages(ds, part, config)
+        messages.add(str(exc.value))
+    assert messages == {
+        "within-subclass scatter is zero (every subclass is a singleton or its rows "
+        "coincide); nothing to whiten"
+    }
 
 
 def test_dual_projection_ignores_row_order():

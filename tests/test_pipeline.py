@@ -221,6 +221,35 @@ def test_train_out_of_float64_range_names_the_data_scale(n, dim, scale, modes):
             train(ds, part, TrainConfig(d=2, mode=mode))
 
 
+@pytest.mark.parametrize("shape", [(4, 2, 6, 10), (4, 2, 3, 40)], ids=["dense", "dual"])
+@pytest.mark.parametrize("strategy", ["kd", "pca", "kmeans", "rp", "provided"])
+def test_train_is_exactly_equivariant_under_power_of_two_scaling(shape, strategy):
+    # scaling by 2^k changes the exponent of every rounded intermediate and no
+    # mantissa bit, so inside the float64 range the scaled samples give the
+    # same partition, the projection divided by 2^k, the spectrum times 4^k,
+    # its weights times 2^-k, and the second stage of unchanged whitened rows
+    ds = generate_synthetic(SynthSpec(*shape, seed=7))
+    assert (ds.n >= ds.dim) == (shape[3] == 10)
+    params = TreeParams(h=2, seed=7)
+    part = partition_dataset(ds, params, strategy)
+    configs = [TrainConfig(ds.dim, mode, stage) for mode in BOTH_MODES for stage in ("ts", "bs")]
+    trained_at_1 = [train_detailed(ds, part, config) for config in configs]
+    for k in (-40, 7, 40):
+        scale = 2.0**k
+        scaled = LabeledDataset(ds.samples * scale, ds.class_labels, ds.subclass_labels)
+        part_k = partition_dataset(scaled, params, strategy)
+        assert np.array_equal(part_k.subclass_labels, part.subclass_labels)
+        for config, (fx, details) in zip(configs, trained_at_1):
+            fx_k, details_k = train_detailed(scaled, part_k, config)
+            case = (k, config.mode, config.second_stage)
+            assert np.array_equal(fx_k.projection, fx.projection / scale), case
+            spectrum = details.spectrum.eigenvalues
+            assert np.array_equal(details_k.spectrum.eigenvalues, spectrum * scale**2), case
+            assert np.array_equal(details_k.model.weights, details.model.weights / scale), case
+            second = details.second_stage_eigenvalues
+            assert np.array_equal(details_k.second_stage_eigenvalues, second), case
+
+
 def test_train_flat_spectrum_gate():
     # one class, subclass mean zero, samples +-e_k: the scatter is exactly
     # isotropic, so the spectrum is flat at rank 3 and hits the pivot path

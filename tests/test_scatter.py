@@ -214,15 +214,15 @@ def test_within_subclass_contrasts_span_the_scatter(seed, sizes, dim, strategy, 
 
 
 def test_between_subclass_hand_example():
-    means = [np.array([[1.0, 0.0], [-1.0, 0.0]])]
-    got = between_subclass_scatter(means, np.array([0.0, 0.0]))
+    means = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    got = between_subclass_scatter(means, np.array([2]), np.array([0.0, 0.0]))
     assert np.allclose(got.matrix, [[1.0, 0.0], [0.0, 0.0]])
 
 
 def test_between_subclass_zero_when_all_means_global():
     mu = np.array([2.0, 3.0])
-    means = [np.tile(mu, (2, 1)), np.tile(mu, (3, 1))]
-    assert np.allclose(between_subclass_scatter(means, mu).matrix, 0.0)
+    means = np.tile(mu, (5, 1))
+    assert np.allclose(between_subclass_scatter(means, np.array([2, 3]), mu).matrix, 0.0)
 
 
 def test_mean_of_class_means_differs_from_grand_mean():
@@ -301,7 +301,8 @@ def test_builders_match_loop_oracle(seed, sizes, dim):
     sub_means = loop_subclass_means(ds, part)
     assert_matches_oracle(within_subclass_scatter(ds, part), loop_within_subclass(ds, part))
     assert_matches_oracle(
-        between_subclass_scatter(sub_means, center), loop_between_subclass(sub_means, center)
+        between_subclass_scatter(np.concatenate(sub_means), part.subclasses_per_class, center),
+        loop_between_subclass(sub_means, center),
     )
     assert_matches_oracle(
         total_subclass_scatter(ds.samples, ds.class_labels, center),

@@ -313,13 +313,11 @@ def test_truncated_weights_hand_case():
     es = spectrum_from([4.0, 1.0, 0.0])
     model = truncated_weights(es)
     assert model.weights == pytest.approx([0.5, 1.0, 0.0])
-    assert model.usable
 
 
 def test_truncated_weights_zero_rank_unusable():
     es = spectrum_from([0.0, 0.0])
     model = truncated_weights(es)
-    assert not model.usable
     assert np.all(model.weights == 0.0)
 
 
