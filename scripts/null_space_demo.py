@@ -19,7 +19,14 @@ import argparse
 
 import numpy as np
 
-from wssda import LabeledDataset, TrainConfig, TreeParams, partition_dataset, train_detailed
+from wssda import (
+    LabeledDataset,
+    TrainConfig,
+    TreeParams,
+    nn_classify,
+    partition_dataset,
+    train_detailed,
+)
 
 
 def null_space_instance(seed, c=4, dim=16, sigma=0.5, gamma=5.0, delta=2.0):
@@ -53,11 +60,7 @@ def null_space_instance(seed, c=4, dim=16, sigma=0.5, gamma=5.0, delta=2.0):
 
 def cosine_probe_error(fx, gallery_ds, probes, probe_labels):
     """Error rate of cosine 1-NN matching of the probes against the gallery."""
-    gal = gallery_ds.samples @ fx.projection
-    pro = probes @ fx.projection
-    gn = gal / np.linalg.norm(gal, axis=1, keepdims=True)
-    pn = pro / np.linalg.norm(pro, axis=1, keepdims=True)
-    pred = gallery_ds.class_labels[np.argmin(1.0 - pn @ gn.T, axis=1)]
+    pred = nn_classify(fx.extract(gallery_ds.samples), gallery_ds.class_labels, fx.extract(probes))
     return float(np.mean(pred != probe_labels))
 
 

@@ -72,11 +72,23 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def _seed(raw: str) -> int:
-    value = int(raw)
-    if value < 0:
-        raise ValueError(f"expected a non-negative integer, got {value}")
-    return value
+def _bounded(cast, accept, name: str):
+    """A flag type: cast(raw), refused unless accept(value); argparse names it name."""
+
+    def parse(raw: str):
+        value = cast(raw)
+        if not accept(value):  # NaN fails every bound
+            raise ValueError(f"expected a {name}, got {value}")
+        return value
+
+    parse.__name__ = name
+    return parse
+
+
+_seed = _bounded(int, lambda value: value >= 0, "non-negative integer")
+_count = _bounded(int, lambda value: value >= 1, "positive integer")
+_spread = _bounded(float, lambda value: 0 <= value < np.inf, "finite non-negative number")
+_scale = _bounded(float, lambda value: 0 < value < np.inf, "finite positive number")
 
 
 def _int_list(raw: str) -> list[int]:
@@ -88,7 +100,6 @@ def _int_list(raw: str) -> list[int]:
 
 
 # argparse names a flag's type in its error
-_seed.__name__ = "non-negative integer"
 _int_list.__name__ = "integer list"
 
 
@@ -207,6 +218,11 @@ def _float_column(values) -> list[str]:
 
 
 def _synth_spec(args: argparse.Namespace) -> SynthSpec:
+    if args.scale_min > args.scale_max:  # SynthSpec.validate would name scale_range
+        raise ConfigError(
+            f"--scale-min {args.scale_min:g} exceeds --scale-max {args.scale_max:g} "
+            "(config keys 'scale_min' and 'scale_max')"
+        )
     return SynthSpec(
         class_count=args.classes,
         subclasses_per_class=args.subclasses,
@@ -271,7 +287,7 @@ def cmd_synth(args: argparse.Namespace, out: OutputSet) -> None:
     ds = generate_synthetic(_synth_spec(args))
     out.write_file(out_path, lambda tmp: save_csv(ds, tmp))
     # the settings that regenerate the file, as a --config file
-    echo = [(key, "%d" if kind is int else FLOAT_FMT) for key, kind, _, _ in SYNTH_FLAGS]
+    echo = [(key, "%d" if kind is _count else FLOAT_FMT) for key, kind, _, _ in SYNTH_FLAGS]
     echo.append(("seed", "%d"))
     out.write_text(
         out_path + ".cfg", "".join(f"{key}={fmt % getattr(args, key)}\n" for key, fmt in echo)
@@ -298,7 +314,6 @@ def cmd_train(args: argparse.Namespace, out: OutputSet) -> None:
         mode=args.mode,
         second_stage=args.second_stage,
         med_factor=args.med_factor,
-        allow_flat_spectrum=args.allow_flat_spectrum,
     )
     ds = _load_dataset(args)
 
@@ -400,14 +415,14 @@ def cmd_eval_verify(args: argparse.Namespace, out: OutputSet) -> None:
 
 # (config key, type, default, help) of each synthetic-data flag; `synth` echoes them
 SYNTH_FLAGS = (
-    ("classes", int, 20, "number of classes"),
-    ("subclasses", int, 2, "subclasses per class"),
-    ("samples_per_subclass", int, 10, "samples per subclass"),
-    ("dim", int, 50, "sample dimension"),
-    ("spread", float, 3.0, "subclass mean distance from the class center"),
-    ("scale_min", float, 0.5, "smallest subclass noise scale"),
-    ("scale_max", float, 1.5, "largest subclass noise scale"),
-    ("class_spread", float, 6.0, "class center spread"),
+    ("classes", _count, 20, "number of classes"),
+    ("subclasses", _count, 2, "subclasses per class"),
+    ("samples_per_subclass", _count, 10, "samples per subclass"),
+    ("dim", _count, 50, "sample dimension"),
+    ("spread", _spread, 3.0, "subclass mean distance from the class center"),
+    ("scale_min", _scale, 0.5, "smallest subclass noise scale"),
+    ("scale_max", _scale, 1.5, "largest subclass noise scale"),
+    ("class_spread", _spread, 6.0, "class center spread"),
 )
 
 
@@ -473,11 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--second-stage", choices=SECOND_STAGES, default="ts", help="second stage")
     p.add_argument("--med-factor", type=float, default=1.0, help="scales the pivot threshold")
-    p.add_argument(
-        "--allow-flat-spectrum",
-        action="store_true",
-        help="fall back to uniform weights when the spectrum has no decay",
-    )
 
     p = command("eval-id", cmd_eval_id, "closed-set identification error vs d")
     _add_io_flags(p)

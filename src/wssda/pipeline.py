@@ -107,7 +107,6 @@ class TrainConfig:
     mode: str = REGULARIZED
     second_stage: str = "ts"
     med_factor: float = 1.0
-    allow_flat_spectrum: bool = False
 
     def validate(self, dim: int) -> None:
         check_count("d", self.d, error=ConfigError)
@@ -201,15 +200,10 @@ def _spectrum_model(ds: LabeledDataset, es: Eigenspectrum, config: TrainConfig) 
             model = short_tail_model(es)
         else:
             pivot = find_pivot(es, config.med_factor)
-            if not pivot.flat:
-                model = regularize(es, pivot.m, *fit_model(es, pivot.m))
-            elif config.allow_flat_spectrum:
+            if pivot.flat:  # the limit of the fitted hyperbola as lambda_m -> lambda_1
                 model = flat_model(es)
             else:
-                raise TrainingError(
-                    "flat within-subclass eigenspectrum: the decay model is degenerate; "
-                    "set allow_flat_spectrum to fall back to uniform weighting"
-                )
+                model = regularize(es, pivot.m, *fit_model(es, pivot.m))
     if not (np.isfinite(model.lambda_reg).all() and np.isfinite(model.weights).all()):
         raise _range_error(ds)
     return model
@@ -223,23 +217,15 @@ def _range_error(ds: LabeledDataset) -> TrainingError:
     )
 
 
-def _check_range(
-    ds: LabeledDataset,
-    part: SubclassPartition,
-    scatter: np.ndarray,
-    contrasts: np.ndarray | None = None,
-) -> None:
+def _check_range(ds: LabeledDataset, part: SubclassPartition, scatter: np.ndarray) -> None:
     """_range_error(ds) where float64 cannot hold the within-subclass scatter
     of ds, or its Gram matrix: an entry overflowed, or every entry fell below
     the smallest normal float64 although some subclass holds two distinct
     rows.  The largest entry of a positive semidefinite matrix lies on its
-    diagonal.  contrasts, within_subclass_contrasts(ds, part), is made here
-    when it is needed and not given."""
+    diagonal."""
     peak = np.diagonal(scatter).max()
     if peak < np.finfo(np.float64).tiny:  # NaN is not below it
-        if contrasts is None:
-            contrasts = within_subclass_contrasts(ds, part)
-        if not contrasts.any():
+        if not within_subclass_contrasts(ds, part).any():
             return  # a true zero scatter, which _spectrum_model reports
     elif np.isfinite(peak):
         return
@@ -325,7 +311,7 @@ def _dual(ds: LabeledDataset, part: SubclassPartition, config: TrainConfig):
     if rows.shape[0]:
         with np.errstate(over="ignore", invalid="ignore"):  # _check_range reports either
             product = _gram(rows)
-        _check_range(ds, part, product, rows)
+        _check_range(ds, part, product)
         gram, basis = _gram_eig(rows, product)
         es = Eigenspectrum(_padded(gram.eigenvalues, ds.dim), basis, gram.rank)
     else:  # every subclass a singleton: a zero scatter, which _spectrum_model reports

@@ -178,7 +178,7 @@ def regularize(es: Eigenspectrum, m: int, alpha: float, beta: float) -> Spectrum
 
 
 def flat_model(es: Eigenspectrum) -> SpectrumModel:
-    """Degenerate model for flat spectra: every direction gets lambda_1."""
+    """Flat spectrum model: lambda_1 everywhere, the hyperbola's limit as lambda_m -> lambda_1."""
     lam1 = float(es.eigenvalues[0])
     if lam1 <= 0:
         raise SpectrumError("cannot model an all-zero spectrum")

@@ -204,7 +204,7 @@ def test_config_keys_and_flags_write_the_same_bytes(tmp_path, capsys, command):
             "--dim", 10, "--spread", 2.5, "--scale-min", 0.25, "--scale-max", 2,
             "--class-spread", 4, "--with-subclasses", "--strategy", "kmeans", "--h", 3,
             "--seed", 9, "--d", 6, "--mode", "truncated", "--second-stage", "bs",
-            "--med-factor", 1.5, "--allow-flat-spectrum",
+            "--med-factor", 1.5,
         ]
         outputs = ("model.wssda", "partition.csv", "spectrum.csv")
     else:
@@ -582,7 +582,8 @@ def test_d_sweep_below_one_is_refused_by_its_flag_and_config_key(tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize(
+# every command that takes the synthetic source, with the flags it needs
+SYNTH_COMMANDS = pytest.mark.parametrize(
     "command, args",
     [
         ("synth", ["--out", "{out}/d.csv"]),
@@ -593,20 +594,87 @@ def test_d_sweep_below_one_is_refused_by_its_flag_and_config_key(tmp_path, capsy
                          "--out-dir", "{out}"]),
     ],
 )
-def test_negative_seed_is_refused_by_its_flag_and_config_key(tmp_path, capsys, command, args):
-    # SeedSequence would refuse it later, with a message that names no flag
+
+
+def assert_refused_by_flag_and_key(tmp_path, capsys, command, args, key, raw, kind, value):
+    """--key raw exits 2 naming the flag and kind, key=raw in --config exits 1
+    naming the key and value, and neither writes anything."""
     out_dir = tmp_path / "out"
     argv = [command, *(a.format(out=out_dir) for a in args)]
+    flag = "--" + key.replace("_", "-")
     with pytest.raises(SystemExit) as exc:
-        main([str(a) for a in argv + ["--seed", "-1"]])
+        main([str(a) for a in argv + [flag, raw]])
     assert exc.value.code == 2
-    assert "argument --seed: invalid non-negative integer value: '-1'" in capsys.readouterr().err
+    assert f"argument {flag}: invalid {kind} value: '{raw}'" in capsys.readouterr().err
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("seed=-1\n")
+    cfg.write_text(f"{key}={raw}\n")
     code, _, err = run_cli(argv + ["--config", cfg], capsys)
     assert code == 1
-    assert err == "error: config key 'seed': expected a non-negative integer, got -1\n"
+    assert err == f"error: config key '{key}': expected a {kind}, got {value}\n"
     assert not out_dir.exists()
+
+
+@SYNTH_COMMANDS
+def test_negative_seed_is_refused_by_its_flag_and_config_key(tmp_path, capsys, command, args):
+    # SeedSequence would refuse it later, with a message that names no flag
+    assert_refused_by_flag_and_key(
+        tmp_path, capsys, command, args, "seed", "-1", "non-negative integer", -1
+    )
+
+
+@SYNTH_COMMANDS
+@pytest.mark.parametrize(
+    "key, raw, kind, value",
+    [
+        ("classes", "-1", "positive integer", -1),
+        ("subclasses", "0", "positive integer", 0),
+        ("samples_per_subclass", "0", "positive integer", 0),
+        ("dim", "0", "positive integer", 0),
+        ("spread", "-1", "finite non-negative number", -1.0),
+        ("spread", "nan", "finite non-negative number", "nan"),
+        ("scale_min", "0", "finite positive number", 0.0),
+        ("scale_max", "inf", "finite positive number", "inf"),
+        ("class_spread", "-2", "finite non-negative number", -2.0),
+    ],
+)
+def test_bad_synth_knob_is_refused_by_its_flag_and_config_key(
+    tmp_path, capsys, command, args, key, raw, kind, value
+):
+    # SynthSpec.validate would refuse it later, naming its field, not the flag
+    assert_refused_by_flag_and_key(tmp_path, capsys, command, args, key, raw, kind, value)
+
+
+@pytest.mark.parametrize("command", ["synth", "train"])
+def test_scale_min_above_scale_max_names_both_flags_and_keys(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    argv = {
+        "synth": ["synth", "--out", out / "d.csv"],
+        "train": ["train", "--synth", "--d", 2, "--out-dir", out],
+    }[command]
+    want = "error: --scale-min 3 exceeds --scale-max 2 (config keys 'scale_min' and 'scale_max')\n"
+    code, _, err = run_cli(argv + ["--scale-min", 3, "--scale-max", 2], capsys)
+    assert (code, err) == (1, want)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scale_min=3\nscale_max=2\n")
+    code, _, err = run_cli(argv + ["--config", cfg], capsys)
+    assert (code, err) == (1, want)
+    # train makes its --out-dir before it reads the data; no file is left in it
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_allow_flat_spectrum_is_neither_a_flag_nor_a_config_key(tmp_path, capsys):
+    # a flat spectrum takes the flat model with no opt-in
+    out = tmp_path / "out"
+    argv = ["train", "--synth", "--d", 2, "--out-dir", out]
+    with pytest.raises(SystemExit) as exc:
+        main([str(a) for a in argv + ["--allow-flat-spectrum"]])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --allow-flat-spectrum" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("allow_flat_spectrum=1\n")
+    code, _, err = run_cli(argv + ["--config", cfg], capsys)
+    assert (code, err) == (1, "error: unknown config keys: allow_flat_spectrum\n")
+    assert not out.exists()
 
 
 def test_eval_id_without_probes_rejected(tmp_path, capsys):

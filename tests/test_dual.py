@@ -49,7 +49,7 @@ from wssda.pipeline import (
     _spectrum_model,
 )
 from wssda.scatter import between_subclass_rows, class_means, group_means, total_subclass_rows
-from wssda.spectrum import REGULARIZED, TRUNCATED, Eigenspectrum, orient_columns
+from wssda.spectrum import REGULARIZED, TRUNCATED, Eigenspectrum, flat_model, orient_columns
 
 
 def small_sample_ds(seed, class_sizes, extra_dims, split=None):
@@ -195,6 +195,36 @@ def test_coinciding_subclass_rows_raise_the_zero_scatter_error(mode):
         "within-subclass scatter is zero (every subclass is a singleton or its rows "
         "coincide); nothing to whiten"
     }
+
+
+@pytest.mark.parametrize("stage", SECOND_STAGES)
+def test_flat_spectrum_trains_alike_on_both_paths(stage):
+    # 4 classes of 2 subclasses of rows mean +- e_g, one axis g per subclass:
+    # the within-subclass scatter is isotropic on 8 axes, a flat spectrum of
+    # rank 8, and both paths whiten with flat_model's weights; the uniform
+    # whitener leaves runs of tied second-stage eigenvalues, compared as spans
+    classes = np.repeat(np.arange(4), 4)
+    subs = np.tile([0, 0, 1, 1], 4)
+    groups = 2 * classes + subs
+    rows = np.arange(16)
+    samples = np.zeros((16, 20))
+    samples[rows, groups] = np.tile([1.0, -1.0], 8)
+    samples[rows, 8 + classes] = 5.0  # class centres
+    samples[rows, 12 + groups] = 2.0  # subclass offsets
+    ds = LabeledDataset(samples, classes, subs)
+    part = partition_dataset(ds, TreeParams(h=2), "provided")
+    config = TrainConfig(d=ds.dim, second_stage=stage)
+    want = list(_dense(ds, part, config))
+    got = _dual(ds, part, config)
+    for es, model in (want[:2], got[:2]):
+        assert es.rank == 8 and model.pivot is None
+        assert np.array_equal(model.weights, flat_model(es).weights)
+    assert max(map(len, clusters(want[3], want[4]))) > 1
+    # the dense basis past the rank spans the null space, which dual keeps none of
+    es = want[0]
+    want[0] = Eigenspectrum(es.eigenvalues, es.eigenvectors[:, : es.rank], es.rank)
+    assert_first_stage_close(got, want)
+    assert_second_stage_close(got, want)
 
 
 def test_dual_projection_ignores_row_order():

@@ -30,6 +30,7 @@ from wssda import (
     train_detailed,
 )
 from wssda.scatter import within_subclass_scatter
+from wssda.spectrum import flat_model
 
 
 def trained(seed=0, d=6, c=8, h=2, g=6, dim=16, mode="regularized", strategy="kd", **kw):
@@ -250,16 +251,19 @@ def test_train_is_exactly_equivariant_under_power_of_two_scaling(shape, strategy
             assert np.array_equal(details_k.second_stage_eigenvalues, second), case
 
 
-def test_train_flat_spectrum_gate():
+def test_train_flat_spectrum_takes_the_flat_model():
     # one class, subclass mean zero, samples +-e_k: the scatter is exactly
-    # isotropic, so the spectrum is flat at rank 3 and hits the pivot path
-    wide = np.vstack([np.eye(3), -np.eye(3)])
-    ds3 = LabeledDataset(wide, np.zeros(6, dtype=int), np.zeros(6, dtype=int))
-    part3 = partition_dataset(ds3, TreeParams(h=1), "provided")
-    with pytest.raises(TrainingError, match="flat"):
-        train(ds3, part3, TrainConfig(d=2))
-    fx = train(ds3, part3, TrainConfig(d=2, allow_flat_spectrum=True))
-    assert fx.projection.shape == (3, 2)
+    # isotropic, so the spectrum is flat at rank 3 and hits the pivot path;
+    # embedded in 8 dimensions the 6 rows train on the dual path
+    labels = np.zeros(6, dtype=int)
+    for dim in (3, 8):
+        wide = np.vstack([np.eye(3, dim), -np.eye(3, dim)])
+        ds = LabeledDataset(wide, labels, labels)
+        part = partition_dataset(ds, TreeParams(h=1), "provided")
+        fx, details = train_detailed(ds, part, TrainConfig(d=2))
+        assert fx.projection.shape == (dim, 2)
+        assert details.spectrum.rank == 3 and details.model.pivot is None
+        assert np.array_equal(details.model.weights, flat_model(details.spectrum).weights), dim
 
 
 def test_train_short_rank_fallback():

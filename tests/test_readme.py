@@ -1,6 +1,7 @@
 """The README's library examples and API list, checked against the package."""
 
 import contextlib
+import dataclasses
 import inspect
 import io
 import re
@@ -39,3 +40,9 @@ def test_package_root_exports_exactly_the_listed_names():
     }
     assert public == listed
     assert len(public) == 38
+
+
+def test_train_config_knobs_paragraph_names_exactly_its_fields():
+    knobs = re.search(r"^`TrainConfig` knobs: (.*?\))\.", README, re.S | re.M).group(1)
+    named = re.findall(r"`(\w+)`\s\(", knobs)
+    assert named == [field.name for field in dataclasses.fields(wssda.TrainConfig)]

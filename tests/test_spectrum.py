@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from wssda import SpectrumError
 from wssda.spectrum import (
+    Eigenspectrum,
     eig_symmetric_full,
     find_pivot,
     fit_model,
@@ -325,6 +326,22 @@ def test_flat_model_uniform():
     es = spectrum_from([3.0, 3.0, 3.0], dim=5)
     model = flat_model(es)
     assert model.lambda_reg == pytest.approx(np.full(5, 3.0))
+
+
+@pytest.mark.parametrize("eps", [1.5e-12, 1e-11])
+@pytest.mark.parametrize("rank, dim", [(8, 8), (8, 64), (64, 2048)])
+def test_fitted_model_just_short_of_flat_is_the_flat_model(eps, rank, dim):
+    # lambda_2..lambda_r = lambda_1 (1 - eps) is just past find_pivot's flat
+    # test, so the hyperbola is fitted; it must be within rounding of its
+    # limit, flat_model, which training takes on the flat side
+    lam = np.zeros(dim)
+    lam[0] = 2.5
+    lam[1:rank] = 2.5 * (1.0 - eps)
+    es = Eigenspectrum(lam, np.eye(dim, rank), rank)
+    pivot = find_pivot(es)
+    assert not pivot.flat
+    fitted = regularize(es, pivot.m, *fit_model(es, pivot.m))
+    np.testing.assert_allclose(fitted.weights, flat_model(es).weights, rtol=1e-9, atol=0)
 
 
 def test_short_tail_model_extends_last_eigenvalue():
