@@ -5,9 +5,8 @@ and default are declared once, in its add_argument call.  Every value flag
 can also come from a flat key=value config file (--config): a key is the
 flag's long name with underscores, cast by the flag's type, and the values
 become the command's defaults, so explicit flags win.  Output files are
-written atomically (temp file, then rename) and any files already produced
-by a failing run are removed, so an output directory never holds a partial
-result.
+written atomically (temp file, then rename), and a failing run removes the
+files and directories it made, so no output directory holds a partial result.
 
 Seeds are namespaced per purpose: the user-facing --seed is combined with
 the consumer name (synth, partition) through a hash so that, say, adding a
@@ -17,6 +16,7 @@ partition step never shifts the synthetic data stream.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import zlib
@@ -27,7 +27,6 @@ from .dataset import (
     FLOAT_FMT,
     LabeledDataset,
     SynthSpec,
-    _pairs_fault,
     generate_synthetic,
     load_csv,
     load_pairs,
@@ -40,8 +39,8 @@ from .evaluation import (
     identification_sweep,
     kfold_pairwise,
     pair_scores,
-    # locates a failed score; perfbench --trace 1 also wraps wssda.cli.pair_similarity
-    pair_similarity,
+    # not called here: perfbench --trace 1 wraps wssda.cli.pair_similarity
+    pair_similarity,  # noqa: F401
     verification_roc,
 )
 from .partition import STRATEGIES, TreeParams, partition_dataset
@@ -154,10 +153,20 @@ def _require(args: argparse.Namespace, name: str):
 
 
 class OutputSet:
-    """Atomic writes plus rollback of everything written by a failed command."""
+    """Atomic writes plus rollback of the files and directories a failed command made."""
 
     def __init__(self):
         self._written: list[str] = []
+        self._made: list[str] = []
+
+    def make_dir(self, path: str) -> str:
+        """Make directory path and its missing parents, each recorded for discard."""
+        level = os.path.abspath(path)
+        while not os.path.exists(level):
+            self._made.append(level)
+            level = os.path.dirname(level)
+        os.makedirs(path, exist_ok=True)
+        return path
 
     def write_file(self, path: str, writer) -> None:
         tmp = path + ".part"
@@ -178,11 +187,14 @@ class OutputSet:
 
     def discard(self) -> None:
         for path in self._written:
-            try:
+            with contextlib.suppress(FileNotFoundError):
                 os.unlink(path)
-            except FileNotFoundError:
-                pass
+        # deepest first; a directory that holds a file this command did not write stays
+        for path in sorted(self._made, key=len, reverse=True):
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
         self._written.clear()
+        self._made.clear()
 
 
 def _table(header: str, *columns: list[str]) -> str:
@@ -246,10 +258,9 @@ def _load_dataset(args: argparse.Namespace) -> LabeledDataset:
     return generate_synthetic(_synth_spec(args))
 
 
-def _out_dir(args: argparse.Namespace) -> str:
-    out = os.environ.get(ENV_OUT_DIR, ".") if args.out_dir is None else args.out_dir
-    os.makedirs(out, exist_ok=True)
-    return out
+def _out_dir(args: argparse.Namespace, out: OutputSet) -> str:
+    path = os.environ.get(ENV_OUT_DIR, ".") if args.out_dir is None else args.out_dir
+    return out.make_dir(path)
 
 
 def _partition_csv(part) -> str:
@@ -296,7 +307,7 @@ def cmd_synth(args: argparse.Namespace, out: OutputSet) -> None:
 
 
 def cmd_partition(args: argparse.Namespace, out: OutputSet) -> None:
-    out_dir = _out_dir(args)
+    out_dir = _out_dir(args, out)
     params = TreeParams(h=args.h, seed=_subseed(args.seed, "partition"))
     ds = _load_dataset(args)
     part = partition_dataset(ds, params, args.strategy)
@@ -307,7 +318,7 @@ def cmd_partition(args: argparse.Namespace, out: OutputSet) -> None:
 
 
 def cmd_train(args: argparse.Namespace, out: OutputSet) -> None:
-    out_dir = _out_dir(args)
+    out_dir = _out_dir(args, out)
     params = TreeParams(h=args.h, seed=_subseed(args.seed, "partition"))
     config = TrainConfig(
         d=_require(args, "d"),
@@ -356,7 +367,7 @@ def _load_eval_common(args: argparse.Namespace):
 
 
 def cmd_eval_id(args: argparse.Namespace, out: OutputSet) -> None:
-    out_dir = _out_dir(args)
+    out_dir = _out_dir(args, out)
     fx, ds = _load_eval_common(args)
     d_values = [fx.d] if args.d_sweep is None else args.d_sweep
     splits = make_gallery_probe_splits(ds, args.rotations)
@@ -370,7 +381,7 @@ def cmd_eval_id(args: argparse.Namespace, out: OutputSet) -> None:
 
 
 def cmd_eval_verify(args: argparse.Namespace, out: OutputSet) -> None:
-    out_dir = _out_dir(args)
+    out_dir = _out_dir(args, out)
     pairs_path = _require(args, "pairs")
     if args.resolution is not None and args.folds == 1:
         raise ConfigError(
@@ -380,12 +391,7 @@ def cmd_eval_verify(args: argparse.Namespace, out: OutputSet) -> None:
     fx, ds = _load_eval_common(args)
 
     index, same = load_pairs(pairs_path, ds.n)
-    feats = ds.samples @ fx.projection
-    try:
-        scores = pair_scores(feats, index[:, 0], index[:, 1])
-    except ValueError as exc:
-        score = lambda a, b: pair_similarity(feats[a], feats[b])  # noqa: E731
-        raise _pairs_fault(pairs_path, ds.n, score) from exc
+    scores = pair_scores(ds.samples @ fx.projection, index[:, 0], index[:, 1])
 
     if args.folds == 1:
         curve = verification_roc(scores, same)
@@ -522,9 +528,11 @@ def main(argv=None) -> int:
             args.parser.set_defaults(**_config_defaults(args.parser, cfg))
             args = parser.parse_args(argv)
         args.func(args, out)
-    except (WSSDAError, ValueError, OSError) as exc:
+    except BaseException as exc:
         out.discard()
-        print(f"error: {exc}", file=sys.stderr)
+        if not isinstance(exc, (WSSDAError, ValueError, OSError, MemoryError)):
+            raise
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0
 

@@ -185,25 +185,17 @@ def load_csv(path: str | os.PathLike, with_subclasses: bool = False) -> LabeledD
     lead = 2 if with_subclasses else 1
     try:
         with open(path, newline="") as fh, warnings.catch_warnings():
-            # an empty file gets its own error below
+            # an empty file gets its own error from _csv_fault
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             table = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
+        if table.shape[1] <= lead:
+            raise ValueError("no sample columns")
+        labels = integer_labels(table[:, :lead], "class")
+        _, dense = np.unique(labels[:, 0], return_inverse=True)
+        sub = _dense_subclasses(dense, labels[:, 1]) if with_subclasses else None
+        return LabeledDataset(np.ascontiguousarray(table[:, lead:]), dense, sub)
     except ValueError as exc:
         raise _csv_fault(path, lead) from exc
-    labels = table[:, :lead]
-    # labels must be int64 values; a non-finite one fails the equality
-    integral = (labels == np.trunc(labels)).all() and (np.abs(labels) < 2.0**63).all()
-    if table.shape[0] == 0 or table.shape[1] <= lead or not integral:
-        raise _csv_fault(path, lead)
-    samples = np.ascontiguousarray(table[:, lead:])
-    if _non_finite_cell(samples) is not None:
-        raise _csv_fault(path, lead)
-
-    _, dense = np.unique(labels[:, 0].astype(np.int64), return_inverse=True)
-    sub = None
-    if with_subclasses:
-        sub = _dense_subclasses(dense, labels[:, 1].astype(np.int64))
-    return LabeledDataset(samples, dense, sub)
 
 
 def _csv_fault(path: str | os.PathLike, lead: int) -> DataFormatError:
@@ -225,8 +217,7 @@ def _csv_fault(path: str | os.PathLike, lead: int) -> DataFormatError:
                     f"{path}: ragged row {lineno} ({len(row)} columns, expected {width})"
                 )
             try:
-                for cell in row[:lead]:
-                    _int_label(cell)
+                integer_labels([float(_plain_cell(cell)) for cell in row[:lead]], "class")
             except ValueError:
                 return DataFormatError(f"{path}: non-integer label at row {lineno}")
             for col, cell in enumerate(row[lead:], start=lead):
@@ -254,13 +245,6 @@ def _plain_cell(cell: str) -> str:
     if "_" in cell or not cell.strip().isascii():
         raise ValueError(f"{cell!r} is not a plain ASCII number")
     return cell
-
-
-def _int_label(cell: str) -> int:
-    value = float(_plain_cell(cell))
-    if not (value.is_integer() and abs(value) < 2.0**63):
-        raise ValueError(f"label {cell!r} is not an int64 integer")
-    return int(value)
 
 
 # a pairs-file line: two sample indices, parsed as loadtxt parses integers, and the label cell
@@ -307,9 +291,9 @@ def load_pairs(path: str | os.PathLike, n: int) -> tuple[np.ndarray, np.ndarray]
     return index, same
 
 
-def _pairs_fault(path: str | os.PathLike, n: int, check=None) -> DataFormatError:
+def _pairs_fault(path: str | os.PathLike, n: int) -> DataFormatError:
     """The located error for a pairs file that load_pairs rejected: its first
-    faulty line, where a line is also faulty if check(a, b) raises ValueError."""
+    faulty line."""
     found = False
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -327,11 +311,6 @@ def _pairs_fault(path: str | os.PathLike, n: int, check=None) -> DataFormatError
                 return DataFormatError(f"{path}:{lineno}: label must be same or diff")
             if not (0 <= a < n and 0 <= b < n):
                 return DataFormatError(f"{path}:{lineno}: sample index out of range 0..{n - 1}")
-            if check is not None:
-                try:
-                    check(a, b)
-                except ValueError as exc:
-                    return DataFormatError(f"{path}:{lineno}: {exc}")
             found = True
     if not found:
         return DataFormatError(f"{path}: no pairs found")

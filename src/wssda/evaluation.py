@@ -81,9 +81,10 @@ def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def pair_scores(features: np.ndarray, index_a, index_b) -> np.ndarray:
     """pair_similarity(features[a], features[b]) for every pair (a, b) of the
     two index vectors, bit for bit, computed PAIR_BLOCK pairs at a time.
-    A pair with a zero vector raises ValueError, as pair_similarity does, and
-    so does an index outside [0, rows), which NumPy would wrap, or a non-empty
-    index vector of floats or bools, which NumPy refuses or takes as a mask."""
+    The first pair that holds a zero vector raises ValueError naming the pair
+    and the sample, as does an index outside [0, rows), which NumPy would
+    wrap, or a non-empty index vector of floats or bools, which NumPy refuses
+    or takes as a mask."""
     features = np.asarray(features, dtype=np.float64)
     index_a = np.asarray(index_a)
     index_b = np.asarray(index_b)
@@ -108,7 +109,12 @@ def pair_scores(features: np.ndarray, index_a, index_b) -> np.ndarray:
         norm_a = np.sqrt(_dots(a, a))
         norm_b = np.sqrt(_dots(b, b))
         if not (norm_a.all() and norm_b.all()):
-            raise ValueError("cosine similarity is undefined for zero vectors")
+            p = int(np.argmax((norm_a == 0) | (norm_b == 0)))
+            zero = index_a[start + p] if norm_a[p] == 0 else index_b[start + p]
+            raise ValueError(
+                f"pair {start + p}: sample {zero} is a zero vector; "
+                "cosine similarity is undefined for zero vectors"
+            )
         cosine = _dots(a, b) / (norm_a * norm_b)
         scores[block] = 1.0 - np.clip(1.0 - cosine, 0.0, 2.0)
     return scores

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import wssda
+import wssda.cli
 from wssda.cli import ENV_OUT_DIR, _float_column, _subseed, _table, load_config, main
 from wssda.dataset import FLOAT_FMT, load_csv, make_gallery_probe_splits, save_csv, subset
 from wssda.evaluation import identification_sweep
@@ -895,7 +896,8 @@ def test_pairs_file_errors_name_the_line(tmp_path, capsys):
     assert "same or diff" in err
 
 
-def test_pairs_zero_feature_vector_names_the_line(tmp_path, capsys):
+def test_pairs_zero_feature_vector_names_the_pair_and_sample(tmp_path, capsys):
+    # the fault is sample 3's features under this model, not a line of the pairs file
     csv_path = make_dataset_csv(tmp_path, capsys)
     out_dir, _ = train_small(tmp_path, capsys, csv_path, d=4)
     ds = load_csv(csv_path, with_subclasses=True)
@@ -904,7 +906,7 @@ def test_pairs_zero_feature_vector_names_the_line(tmp_path, capsys):
     save_csv(ds, zero_csv)
     pairs = tmp_path / "pairs.csv"
     pairs.write_text("0,1,same\n\n2,3,diff\n")
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         [
             "eval-verify", "--csv", zero_csv, "--with-subclasses",
             "--model", os.path.join(out_dir, "model.wssda"),
@@ -913,8 +915,13 @@ def test_pairs_zero_feature_vector_names_the_line(tmp_path, capsys):
         capsys,
     )
     assert code == 1
-    assert "pairs.csv:3: cosine similarity is undefined for zero vectors" in err
+    assert out == ""
+    assert err == (
+        "error: pair 1: sample 3 is a zero vector; "
+        "cosine similarity is undefined for zero vectors\n"
+    )
     assert not os.path.exists(os.path.join(out_dir, "roc.csv"))
+    assert not os.path.exists(os.path.join(out_dir, "eer.csv"))
 
 
 def test_pairs_index_out_of_range(tmp_path, capsys):
@@ -983,6 +990,95 @@ def test_failed_run_rolls_back_outputs(tmp_path, capsys):
     assert not (out_dir / "model.wssda").exists()
     assert not (out_dir / "partition.csv").exists()
     assert not (out_dir / "spectrum.csv.part").exists()
+
+
+def _failing_commands(tmp_path, capsys):
+    """argv of partition, train, eval-id and eval-verify runs that each fail
+    after making their output directory: a missing CSV, a missing model, and
+    a pair whose sample 3 has a zero feature vector."""
+    csv_path = make_dataset_csv(tmp_path, capsys)
+    out_dir, _ = train_small(tmp_path, capsys, csv_path, d=4)
+    model = os.path.join(out_dir, "model.wssda")
+    ds = load_csv(csv_path, with_subclasses=True)
+    ds.samples[3] = 0.0
+    zero_csv = str(tmp_path / "zero.csv")
+    save_csv(ds, zero_csv)
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("0,1,same\n2,3,diff\n")
+    missing = str(tmp_path / "missing.csv")
+    return {
+        "partition": ["partition", "--csv", missing],
+        "train": ["train", "--csv", missing, "--d", 2],
+        "eval-id": ["eval-id", "--csv", csv_path, "--model", str(tmp_path / "none.wssda")],
+        "eval-verify": [
+            "eval-verify", "--csv", zero_csv, "--with-subclasses", "--model", model,
+            "--pairs", pairs,
+        ],
+    }
+
+
+@pytest.mark.parametrize("command", ["partition", "train", "eval-id", "eval-verify"])
+def test_failed_run_removes_the_directories_it_made(tmp_path, capsys, command):
+    argv = _failing_commands(tmp_path, capsys)[command]
+    new = tmp_path / "new"
+    code, _, err = run_cli([*argv, "--out-dir", new / "a" / "b"], capsys)
+    assert code == 1
+    assert err.startswith("error: ")
+    assert not new.exists()
+    assert tmp_path.is_dir()
+
+
+def test_failed_run_keeps_a_directory_holding_a_file_it_did_not_write(
+    tmp_path, capsys, monkeypatch
+):
+    new = tmp_path / "new"
+
+    def train_detailed(*args):
+        # another writer puts a file in a directory this run made
+        (new / "a" / "other.txt").write_text("kept")
+        raise ValueError("training failed")
+
+    monkeypatch.setattr(wssda.cli, "train_detailed", train_detailed)
+    argv = ["train", "--synth", "--classes", 2, "--dim", 3, "--d", 1]
+    code, _, err = run_cli([*argv, "--out-dir", new / "a" / "b"], capsys)
+    assert code == 1
+    assert err == "error: training failed\n"
+    assert sorted(p.relative_to(new).as_posix() for p in new.rglob("*")) == ["a", "a/other.txt"]
+
+
+@pytest.mark.parametrize(
+    "raised, message",
+    [
+        (MemoryError("Unable to allocate 7.45 GiB"), "Unable to allocate 7.45 GiB"),
+        (MemoryError(), "MemoryError"),
+    ],
+)
+def test_memory_error_is_one_error_line_and_rolls_back(
+    tmp_path, capsys, monkeypatch, raised, message
+):
+    def train_detailed(*args):
+        raise raised
+
+    monkeypatch.setattr(wssda.cli, "train_detailed", train_detailed)
+    new = tmp_path / "new"
+    argv = ["train", "--synth", "--classes", 2, "--dim", 3, "--d", 1]
+    code, out, err = run_cli([*argv, "--out-dir", new / "a" / "b"], capsys)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert not new.exists()
+
+
+# train_detailed fails before any file is written; _partition_csv after model.wssda is
+@pytest.mark.parametrize("name", ["train_detailed", "_partition_csv"])
+def test_unexpected_exception_rolls_back_and_propagates(tmp_path, capsys, monkeypatch, name):
+    def fail(*args):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(wssda.cli, name, fail)
+    new = tmp_path / "new"
+    argv = ["train", "--synth", "--classes", 2, "--dim", 3, "--d", 1]
+    with pytest.raises(RuntimeError, match="^bug$"):
+        main([str(a) for a in [*argv, "--out-dir", new / "a" / "b"]])
+    assert not new.exists()
 
 
 def test_module_entry_point(tmp_path):

@@ -212,16 +212,21 @@ def test_pair_scores_equal_pair_similarity_bit_for_bit(seed, count, rows, dim, s
     assert pair_scores(features, index_a, index_b).tolist() == expect
 
 
+@pytest.mark.parametrize("side", ["index_a", "index_b"])
 @pytest.mark.parametrize("position", [0, PAIR_BLOCK - 1, PAIR_BLOCK + 3])
-def test_pair_scores_zero_vector_rejected(position):
+def test_pair_scores_zero_vector_rejected(position, side):
     rng = np.random.default_rng(0)
     features = rng.normal(size=(6, 5))
     features[4] = 0.0
-    index_a = rng.integers(0, 4, PAIR_BLOCK + 10)
-    index_b = rng.integers(0, 4, PAIR_BLOCK + 10)
-    index_b[position] = 4
-    with pytest.raises(ValueError, match="zero vectors"):
-        pair_scores(features, index_a, index_b)
+    index = {name: rng.integers(0, 4, PAIR_BLOCK + 10) for name in ("index_a", "index_b")}
+    index[side][position] = 4
+    index[side][position + 5] = 4  # a later zero pair is not the one named
+    message = (
+        f"^pair {position}: sample 4 is a zero vector; "
+        "cosine similarity is undefined for zero vectors$"
+    )
+    with pytest.raises(ValueError, match=message):
+        pair_scores(features, **index)
 
 
 @pytest.mark.parametrize(
