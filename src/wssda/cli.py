@@ -260,6 +260,13 @@ def _load_dataset(args: argparse.Namespace) -> LabeledDataset:
 
 def _out_dir(args: argparse.Namespace, out: OutputSet) -> str:
     path = os.environ.get(ENV_OUT_DIR, ".") if args.out_dir is None else args.out_dir
+    if args.pgm_dir:  # an output folder inside the tree would be read as a class folder
+        inner, root = os.path.realpath(path), os.path.realpath(args.pgm_dir)
+        if inner != root and os.path.commonpath([inner, root]) == root:
+            raise ConfigError(
+                f"--out-dir {path} lies inside --pgm-dir {args.pgm_dir} "
+                "(config keys 'out_dir' and 'pgm_dir'); write the outputs outside the image tree"
+            )
     return out.make_dir(path)
 
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .dataset import LabeledDataset, check_count, integer_labels
 from .errors import PartitionError
+from .spectrum import orient_columns
 
 STRATEGIES = ("kd", "rp", "pca", "kmeans", "provided")
 TREE_STRATEGIES = ("kd", "rp", "pca")
@@ -131,11 +132,7 @@ def split_pca(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     centered = points - points.mean(axis=0)
     # Top right-singular vector of the centered matrix = top covariance eigenvector.
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    axis = vt[0]
-    peak = np.argmax(np.abs(axis))
-    if axis[peak] < 0:
-        axis = -axis
-    return _median_split(points @ axis)
+    return _median_split(points @ orient_columns(vt[:1].T)[:, 0])
 
 
 def cluster_kmeans(points: np.ndarray, h: int, seed: int = 0) -> list[np.ndarray]:

@@ -12,28 +12,28 @@ Both regimes build the first stage from the within-subclass contrasts R,
 n - s rows for s subclasses with R^T R the within-subclass scatter (each
 subclass's centred rows sum to zero, and its Helmert contrasts drop that
 one dependence); class and subclass means are NumPy sums over blocks of
-equal-size groups.  The shape alone picks one of two regimes:
+equal-size groups.  Neither whitens a copy of the samples: W is linear, so
+for Y the second-stage rows of the raw samples (means and centring commute
+with W) the whitened rows Y W have scatter W^T (Y^T Y) W and Gram matrix
+Y W W^T Y^T, exact algebra that equals whitening first up to rounding.
+The shape alone picks the side each eigensystem is solved on:
 
-* n >= dim (dense): both scatters are formed as dim x dim matrices, the
-  first as R^T R, and eigendecomposed in full.  Second-stage eigenvectors
-  are signed by eig_symmetric_full, so each final column is signed in the
-  basis LAPACK picked.
-* n < dim (dual): the null space of the within-subclass scatter only ever
-  gets one constant weight w_null, so the whitener is basis-free,
-  W = U diag(w_r) U^T + w_null (I - U U^T), with U the range basis derived
-  from the Gram matrix R R^T (the eigenfaces construction).  W is linear and
-  symmetric, so the second stage needs no whitened sample: with Y the
-  second-stage rows of the raw samples (means and centring commute with
-  W), the whitened rows are Y W, their Gram matrix is Y W^2 Y^T, and the
-  final columns, W times their range basis (Y W)^T Q2 Lambda2^{-1/2}, are
-  W^2 Y^T Q2 Lambda2^{-1/2}, where
-  W^2 = U diag(w_r^2 - w_null^2) U^T + w_null^2 I.  That is exact algebra,
-  so it equals whitening first up to rounding; it needs only Y and Y U, so
-  no dim x dim array or whitened copy of the samples is formed, and
-  training costs O(n^2 dim).  The largest-magnitude entry of each projection
-  column is positive (the first such entry on ties), so the result does not
-  depend on the eigenbasis the Gram eigensolver picks.  The spectrum keeps
-  dim eigenvalues, zero beyond the n - s of the Gram matrix.
+* n >= dim (dense): the scatter side, dim x dim eigendecompositions of
+  R^T R and of W^T S W, for S the builder's scatter of the raw samples and
+  W = U diag(w), U the full eigenbasis.  The final columns, W times the
+  second-stage eigenvectors, are signed by eig_symmetric_full in the basis
+  LAPACK picked.
+* n < dim (dual): the Gram side.  The within-subclass null space only
+  ever gets one weight w_null, so W = U diag(w_r) U^T + w_null (I - U U^T)
+  is basis-free and symmetric, for U the range basis from the Gram matrix
+  R R^T (the eigenfaces construction).  The second stage solves
+  Y W^2 Y^T, and the final columns, W times its range basis
+  (Y W)^T Q2 Lambda2^{-1/2}, are W^2 Y^T Q2 Lambda2^{-1/2} for
+  W^2 = U diag(w_r^2 - w_null^2) U^T + w_null^2 I: that needs only Y and
+  Y U, no dim x dim array, and O(n^2 dim) time.  Each column's
+  largest-magnitude entry is positive (the first on ties), so no column
+  depends on the basis the Gram eigensolver picks.  The spectrum keeps dim
+  eigenvalues, zero past the n - s of the Gram matrix.
 
 In both regimes projection columns past the second-stage rank are zero: the
 null space of that scatter separates nothing, and any basis of it would be
@@ -233,17 +233,17 @@ def _check_range(ds: LabeledDataset, part: SubclassPartition, scatter: np.ndarra
 
 
 def _second_stage(
-    samples: np.ndarray, part: SubclassPartition, config: TrainConfig, total, between
+    ds: LabeledDataset, part: SubclassPartition, config: TrainConfig, total, between
 ):
-    """The config.second_stage builder's result for samples: total(samples,
-    class labels, global mean) for ts, between(subclass means, H_i, global
-    mean) for bs, with the global mean the mean of the class means.  Callers
-    pass the module's builders (the names perfbench's tracer wraps)."""
-    global_mean = class_means(samples, part.class_labels).mean(axis=0)
+    """The config.second_stage builder's result for the raw samples: total(samples,
+    class labels, global mean) for ts, between(subclass means, H_i, global mean)
+    for bs, with the global mean the mean of the class means.  Callers pass
+    the module's builders (the names perfbench's tracer wraps)."""
+    global_mean = class_means(ds.samples, part.class_labels).mean(axis=0)
     if config.second_stage == "ts":
-        return total(samples, part.class_labels, global_mean)
+        return total(ds.samples, part.class_labels, global_mean)
     h = part.subclasses_per_class
-    return between(group_means(samples, part.group_ids, int(h.sum())), h, global_mean)
+    return between(group_means(ds.samples, part.group_ids, int(h.sum())), h, global_mean)
 
 
 def _dense(ds: LabeledDataset, part: SubclassPartition, config: TrainConfig):
@@ -254,11 +254,11 @@ def _dense(ds: LabeledDataset, part: SubclassPartition, config: TrainConfig):
     es = eig_symmetric_full(scatter.matrix)
     model = _spectrum_model(ds, es, config)
 
+    # the second stage by linearity (module docstring): W^T S W, S of the raw samples
     whitener = es.eigenvectors * model.weights
-    whitened = ds.samples @ whitener
-
-    second = _second_stage(whitened, part, config, total_subclass_scatter, between_subclass_scatter)
-    es2 = eig_symmetric_full(second.matrix)
+    second = _second_stage(ds, part, config, total_subclass_scatter, between_subclass_scatter)
+    product = whitener.T @ second.matrix @ whitener
+    es2 = eig_symmetric_full((product + product.T) / 2.0)
 
     def block_columns(start: int, stop: int, out: np.ndarray) -> None:
         np.matmul(whitener, es2.eigenvectors[:, start:stop], out=out)
@@ -323,7 +323,7 @@ def _dual(ds: LabeledDataset, part: SubclassPartition, config: TrainConfig):
     # from Y U and Y, with W^2 = U diag(s) U^T + w_null^2 I
     w_null = model.weights[es.rank]
     s = (model.weights[: es.rank] - w_null) * (model.weights[: es.rank] + w_null)
-    rows = _second_stage(ds.samples, part, config, total_subclass_rows, between_subclass_rows)
+    rows = _second_stage(ds, part, config, total_subclass_rows, between_subclass_rows)
     along = rows @ basis
     product = rows @ rows.T
     product *= w_null * w_null

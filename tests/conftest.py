@@ -1,6 +1,6 @@
 import numpy as np
 
-from wssda import LabeledDataset, scatter
+from wssda import LabeledDataset, TrainingError, scatter
 
 # filled in by test_acceptance.py; echoed after the run so every criterion
 # gets its own visible pass/fail line
@@ -71,6 +71,14 @@ def within_subclass_rows(ds, part):
 # second-stage eigenvalues, second-stage rank) tuples that pipeline._dense and
 # pipeline._dual return.
 
+
+def outcome(stages, ds, part, config):
+    """stages(ds, part, config), or the text of the TrainingError it raises."""
+    try:
+        return stages(ds, part, config)
+    except TrainingError as exc:
+        return str(exc)
+
 # second-stage eigenvalues closer than this (relative to the largest) form one
 # cluster, whose eigenvectors either path may rotate within the cluster
 CLUSTER_RTOL = 1e-6
@@ -108,21 +116,25 @@ def assert_first_stage_close(got, want):
     assert np.abs(u_b @ u_b.T - u_a @ u_a.T).max() <= 1e-8
 
 
-def assert_second_stage_close(got, want):
+def assert_second_stage_close(got, want, scaled=True):
     """Equal ranks; eigenvalues within 1e-10 relative, or 1e-12 of the largest
     (an eigenvalue far below it is only accurate to rounding of the largest);
     projection columns within 1e-10 of the largest entry, up to sign one by
     one and as a span inside a cluster of tied eigenvalues.
 
-    Column k is W^2 Y^T q_k / sqrt(lambda_k), so it carries half the relative
-    error of lambda_k; it is compared rescaled to the oracle's lambda_k, so
-    that error is not counted twice."""
+    A dual column k is W^2 Y^T q_k / sqrt(lambda_k), so it carries half the
+    relative error of lambda_k; with scaled set, got's columns are compared
+    rescaled to the oracle's lambda_k, so that error is not counted twice.  A
+    dense column W v_k, for a unit eigenvector v_k, carries none of it, and
+    is compared as it is (scaled=False)."""
     proj_b, second_b, r2 = got[2:]
     proj_a, second_a, rank_a = want[2:]
     assert r2 == rank_a == rank_of(second_b) == rank_of(second_a)
     np.testing.assert_allclose(second_b[:r2], second_a[:r2], rtol=1e-10, atol=1e-12 * second_a[0])
     assert np.all(proj_b[:, r2:] == 0.0)
-    proj_b = proj_b[:, :r2] * np.sqrt(second_b[:r2] / second_a[:r2])
+    proj_b = proj_b[:, :r2]
+    if scaled:
+        proj_b = proj_b * np.sqrt(second_b[:r2] / second_a[:r2])
     tol = 1e-10 * np.abs(proj_a).max()
     for group in clusters(second_a, r2):
         a, b = proj_a[:, group], proj_b[:, group]

@@ -473,6 +473,55 @@ def test_out_dir_from_environment(tmp_path, capsys, monkeypatch):
     assert (env_dir / "model.wssda").exists()
 
 
+def write_pgm_tree(root, classes=2, images=6):
+    rng = np.random.default_rng(0)
+    for c in range(classes):
+        (root / f"class{c}").mkdir(parents=True)
+        for k in range(images):
+            raster = rng.integers(0, 256, size=6, dtype=np.uint8).tobytes()
+            (root / f"class{c}" / f"img{k}.pgm").write_bytes(b"P5\n3 2\n255\n" + raster)
+
+
+@pytest.mark.parametrize(
+    "command, args",
+    [
+        ("partition", []),
+        ("train", ["--d", 1]),
+        ("eval-id", ["--model", "model.wssda"]),
+        ("eval-verify", ["--model", "model.wssda", "--pairs", "pairs.csv"]),
+    ],
+)
+def test_out_dir_inside_pgm_dir_is_refused_before_anything_is_read(
+    tmp_path, capsys, command, args
+):
+    # the output folder would be listed as one more class folder, one without
+    # images; the model and pairs files do not exist, so nothing may be read
+    faces = tmp_path / "faces"
+    write_pgm_tree(faces)
+    run_dir = faces / "run" / "sub"
+    want = (
+        f"error: --out-dir {run_dir} lies inside --pgm-dir {faces} (config keys 'out_dir' "
+        "and 'pgm_dir'); write the outputs outside the image tree\n"
+    )
+    code, _, err = run_cli([command, "--pgm-dir", faces, "--out-dir", run_dir, *args], capsys)
+    assert (code, err) == (1, want)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"pgm_dir={faces}\nout_dir={run_dir}\n")
+    code, _, err = run_cli([command, "--config", cfg, *args], capsys)
+    assert (code, err) == (1, want)
+    assert sorted(p.name for p in faces.iterdir()) == ["class0", "class1"]
+
+
+def test_out_dir_beside_or_at_the_pgm_dir_root_is_accepted(tmp_path, capsys):
+    faces = tmp_path / "faces"
+    write_pgm_tree(faces)
+    for out_dir in (tmp_path / "faces-run", faces):  # the loader lists folders only
+        argv = ["train", "--pgm-dir", faces, "--out-dir", out_dir, "--d", 1, "--h", 1]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 0, err
+        assert (out_dir / "model.wssda").exists()
+
+
 # ---------------------------------------------------------------- eval-id
 
 

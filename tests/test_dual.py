@@ -23,6 +23,7 @@ from conftest import (
     assert_first_stage_close,
     assert_second_stage_close,
     clusters,
+    outcome,
     rank_of,
     within_subclass_rows,
 )
@@ -294,13 +295,6 @@ def test_dual_never_allocates_a_dim_by_dim_array(stage, d):
     # nor whitened copies of the samples and the second-stage basis, which
     # would take the peak to 6.5 n x dim blocks
     assert peak <= 5 * samples.nbytes, peak / samples.nbytes
-
-
-def outcome(stages, ds, part, config):
-    try:
-        return stages(ds, part, config)
-    except TrainingError as exc:
-        return str(exc)
 
 
 @st.composite

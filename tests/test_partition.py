@@ -22,6 +22,7 @@ from wssda.partition import (
     split_pca,
     split_rp,
 )
+from wssda.spectrum import orient_columns
 
 ALL_TREES = list(TREE_STRATEGIES) + ["kmeans"]
 
@@ -104,6 +105,41 @@ def test_pca_split_diagonal_direction():
     pts = np.outer(t, np.array([1.0, 1.0]) / np.sqrt(2))
     left, right = split_pca(pts)
     assert left.tolist() == [0, 1] and right.tolist() == [2, 3]
+
+
+def argmax_abs_sign(axis):
+    """split_pca's own sign rule before it took orient_columns: flip the axis
+    when its first largest-magnitude entry is negative."""
+    peak = np.argmax(np.abs(axis))
+    if axis[peak] < 0:
+        axis = -axis
+    return axis
+
+
+# small integers make ties between the largest and the most negative entry common
+tied_vectors = st.lists(
+    st.sampled_from([-3.0, -2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0]), min_size=1
+)
+
+
+@given(tied_vectors)
+@settings(max_examples=300, deadline=None)
+def test_orient_columns_signs_a_vector_as_the_argmax_abs_rule_did(values):
+    axis = np.array(values)
+    want = argmax_abs_sign(axis.copy())
+    got = orient_columns(axis[:, None].copy())[:, 0]
+    assert got.tobytes() == want.tobytes()
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(1, 4))
+@settings(max_examples=100, deadline=None)
+def test_pca_split_is_the_split_of_the_argmax_abs_rule(seed, m, dim):
+    # integer points, often with tied coordinates and tied projections
+    pts = np.random.default_rng(seed).integers(-2, 3, size=(m, dim)).astype(np.float64)
+    _, _, vt = np.linalg.svd(pts - pts.mean(axis=0), full_matrices=False)
+    want = _median_split(pts @ argmax_abs_sign(vt[0]))
+    got = split_pca(pts)
+    assert [side.tolist() for side in got] == [side.tolist() for side in want]
 
 
 # ------------------------------------------------------------------ k-means
