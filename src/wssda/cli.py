@@ -331,7 +331,6 @@ def cmd_train(args: argparse.Namespace, out: OutputSet) -> None:
         d=_require(args, "d"),
         mode=args.mode,
         second_stage=args.second_stage,
-        med_factor=args.med_factor,
     )
     ds = _load_dataset(args)
 
@@ -390,11 +389,6 @@ def cmd_eval_id(args: argparse.Namespace, out: OutputSet) -> None:
 def cmd_eval_verify(args: argparse.Namespace, out: OutputSet) -> None:
     out_dir = _out_dir(args, out)
     pairs_path = _require(args, "pairs")
-    if args.resolution is not None and args.folds == 1:
-        raise ConfigError(
-            "--resolution sets the FAR grid of fold averaging and needs --folds above 1; "
-            "one fold writes the exact ROC"
-        )
     fx, ds = _load_eval_common(args)
 
     index, same = load_pairs(pairs_path, ds.n)
@@ -404,9 +398,7 @@ def cmd_eval_verify(args: argparse.Namespace, out: OutputSet) -> None:
         curve = verification_roc(scores, same)
         fold_eers, mean, std = [curve.eer], curve.eer, 0.0
     else:
-        # no --resolution: kfold_pairwise's own grid
-        grid = {} if args.resolution is None else {"resolution": args.resolution}
-        curve = kfold_pairwise(scores, same, folds=args.folds, **grid)
+        curve = kfold_pairwise(scores, same, folds=args.folds)
         fold_eers, mean, std = curve.fold_eers, curve.eer_mean, curve.eer_std
 
     roc_path = os.path.join(out_dir, "roc.csv")
@@ -500,7 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode", choices=(REGULARIZED, TRUNCATED), default=REGULARIZED, help="spectrum model"
     )
     p.add_argument("--second-stage", choices=SECOND_STAGES, default="ts", help="second stage")
-    p.add_argument("--med-factor", type=float, default=1.0, help="scales the pivot threshold")
 
     p = command("eval-id", cmd_eval_id, "closed-set identification error vs d")
     _add_io_flags(p)
@@ -517,9 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="trained model file")
     p.add_argument("--pairs", help="pairs file: index_a,index_b,same|diff per line")
     p.add_argument("--folds", type=int, default=1, help="folds; 1 writes the exact ROC")
-    p.add_argument(
-        "--resolution", type=int, help="FAR grid size of fold averaging (needs --folds above 1)"
-    )
 
     return parser
 

@@ -350,16 +350,15 @@ class KFoldReport:
         return list(zip(self.far.tolist(), self.tar.tolist()))
 
 
-def kfold_pairwise(scores, same=None, *, folds: int = 10, resolution: int = 101) -> KFoldReport:
+def kfold_pairwise(scores, same=None, *, folds: int = 10) -> KFoldReport:
     """Split the pairs into contiguous folds, compute a ROC per fold, and
-    average TAR on a shared FAR grid.  Pair order is the fold assignment, so
-    shuffle beforehand if the pairs are structured."""
+    average TAR on the FAR grid 0, 0.01, ..., 1.  Pair order is the fold
+    assignment, so shuffle beforehand if the pairs are structured."""
     check_count("folds", folds)
-    check_count("resolution", resolution, 2)
     scores, same = _score_arrays(scores, same)
     if scores.size < folds:
         raise ProtocolError(f"cannot split {scores.size} pairs into {folds} folds")
-    grid = np.linspace(0.0, 1.0, resolution)
+    grid = np.linspace(0.0, 1.0, 101)
     chunks = zip(np.array_split(scores, folds), np.array_split(same, folds))
     eers = []
     tar_rows = []

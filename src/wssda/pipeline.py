@@ -43,10 +43,14 @@ COLUMN_BLOCK columns until d is covered, then cut to d: a column's bits
 depend on its block alone, so the leading d' columns of a d-column
 extractor equal the extractor trained directly at d', bit for bit.
 
-A zero within-subclass scatter (every subclass a singleton or its rows
-coinciding) raises one TrainingError in both modes; data whose within-subclass
-scatter or spectrum model leaves the float64 range raises one that names the
-data scale, in place of a LAPACK failure.
+Where every row equals its subclass's first row (every subclass a singleton
+or its rows coinciding) the within-subclass scatter is zero, and both regimes
+raise one TrainingError.  Both stages run with NumPy's floating-point warnings
+off, and one range rule reports what they would have said: every eigensolver
+input must be finite, the first stage's largest diagonal entry must not fall
+below the smallest normal float64, and the spectrum model must be finite.
+Data that breaks it raises a TrainingError that names the data scale, in
+place of a warning or a LAPACK failure.
 """
 
 from __future__ import annotations
@@ -97,6 +101,7 @@ _HEADER = struct.Struct("<6sIIIBBI")
 _U32 = struct.Struct("<I")
 _MODE_CODES = {REGULARIZED: 0, TRUNCATED: 1}
 _STRATEGY_CODES = {name: code for code, name in enumerate(STRATEGIES)}
+_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True)
@@ -106,7 +111,6 @@ class TrainConfig:
     d: int
     mode: str = REGULARIZED
     second_stage: str = "ts"
-    med_factor: float = 1.0
 
     def validate(self, dim: int) -> None:
         check_count("d", self.d, error=ConfigError)
@@ -116,8 +120,6 @@ class TrainConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.second_stage not in SECOND_STAGES:
             raise ConfigError(f"unknown second stage {self.second_stage!r}")
-        if not 0 < self.med_factor < np.inf:  # NaN fails too
-            raise ConfigError("med_factor must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -125,7 +127,6 @@ class ModelMeta:
     mode: str
     strategy: str
     h: int
-    med_factor: float
     second_stage: str
     dim: int
     class_count: int
@@ -185,25 +186,18 @@ class TrainingDetails:
 
 def _spectrum_model(ds: LabeledDataset, es: Eigenspectrum, config: TrainConfig) -> SpectrumModel:
     """The spectrum model of config.mode for the within-subclass spectrum es of ds."""
-    if es.rank == 0:
-        raise TrainingError(
-            "within-subclass scatter is zero (every subclass is a singleton or its rows "
-            "coincide); nothing to whiten"
-        )
-    # fit_model multiplies two eigenvalues, which leaves the float64 range for
-    # a spectrum past the square root of either end of it; an underflow to zero
-    # makes an infinite weight, reported below
-    with np.errstate(divide="ignore"):
-        if config.mode == TRUNCATED:
-            model = truncated_weights(es)
-        elif es.rank < 3:
-            model = short_tail_model(es)
+    if config.mode == TRUNCATED:
+        model = truncated_weights(es)
+    elif es.rank < 3:
+        model = short_tail_model(es)
+    else:
+        pivot = find_pivot(es)
+        if pivot.flat:  # the limit of the fitted hyperbola as lambda_m -> lambda_1
+            model = flat_model(es)
         else:
-            pivot = find_pivot(es, config.med_factor)
-            if pivot.flat:  # the limit of the fitted hyperbola as lambda_m -> lambda_1
-                model = flat_model(es)
-            else:
-                model = regularize(es, pivot.m, *fit_model(es, pivot.m))
+            model = regularize(es, pivot.m, *fit_model(es, pivot.m))
+    # fit_model multiplies two eigenvalues, which leaves the float64 range for
+    # a spectrum past the square root of either end of it
     if not (np.isfinite(model.lambda_reg).all() and np.isfinite(model.weights).all()):
         raise _range_error(ds)
     return model
@@ -212,24 +206,31 @@ def _spectrum_model(ds: LabeledDataset, es: Eigenspectrum, config: TrainConfig) 
 def _range_error(ds: LabeledDataset) -> TrainingError:
     scale = float(np.abs(ds.samples).max())
     return TrainingError(
-        f"samples of magnitude up to {scale:.3g} take the within-subclass scatter "
-        "or its spectrum model outside the float64 range; rescale the data"
+        f"samples of magnitude up to {scale:.3g} take a training scatter "
+        "or the spectrum model outside the float64 range; rescale the data"
     )
 
 
-def _check_range(ds: LabeledDataset, part: SubclassPartition, scatter: np.ndarray) -> None:
-    """_range_error(ds) where float64 cannot hold the within-subclass scatter
-    of ds, or its Gram matrix: an entry overflowed, or every entry fell below
-    the smallest normal float64 although some subclass holds two distinct
-    rows.  The largest entry of a positive semidefinite matrix lies on its
-    diagonal."""
-    peak = np.diagonal(scatter).max()
-    if peak < np.finfo(np.float64).tiny:  # NaN is not below it
-        if not within_subclass_contrasts(ds, part).any():
-            return  # a true zero scatter, which _spectrum_model reports
-    elif np.isfinite(peak):
-        return
-    raise _range_error(ds)
+def _refuse_zero_scatter(ds: LabeledDataset, part: SubclassPartition) -> None:
+    """The zero-scatter TrainingError where every row of ds equals its
+    subclass's first row.  The rule is exact: the contrasts of seven or more
+    coinciding rows can round to non-zero."""
+    _, first = np.unique(part.group_ids, return_index=True)
+    if np.array_equal(ds.samples, ds.samples[first[part.group_ids]]):
+        raise TrainingError(
+            "within-subclass scatter is zero (every subclass is a singleton or its rows "
+            "coincide); nothing to whiten"
+        )
+
+
+def _eig(ds: LabeledDataset, matrix: np.ndarray, floor: float = -np.inf) -> Eigenspectrum:
+    """eig_symmetric_full(matrix), or _range_error(ds) where float64 did not
+    hold the matrix: an entry is not finite, or its largest diagonal entry
+    (the largest entry of a positive semidefinite matrix) is below floor.
+    A first stage passes _TINY, since _refuse_zero_scatter found it non-zero."""
+    if not np.isfinite(matrix).all() or np.diagonal(matrix).max() < floor:
+        raise _range_error(ds)
+    return eig_symmetric_full(matrix)
 
 
 def _second_stage(
@@ -248,17 +249,16 @@ def _second_stage(
 
 def _dense(ds: LabeledDataset, part: SubclassPartition, config: TrainConfig):
     """Both stages as dim x dim eigendecompositions (n >= dim)."""
-    with np.errstate(over="ignore", invalid="ignore"):  # _check_range reports either
-        scatter = within_subclass_scatter(ds, part)
-    _check_range(ds, part, scatter.matrix)
-    es = eig_symmetric_full(scatter.matrix)
+    scatter = within_subclass_scatter(ds, part)
+    _refuse_zero_scatter(ds, part)
+    es = _eig(ds, scatter.matrix, _TINY)
     model = _spectrum_model(ds, es, config)
 
     # the second stage by linearity (module docstring): W^T S W, S of the raw samples
     whitener = es.eigenvectors * model.weights
     second = _second_stage(ds, part, config, total_subclass_scatter, between_subclass_scatter)
     product = whitener.T @ second.matrix @ whitener
-    es2 = eig_symmetric_full((product + product.T) / 2.0)
+    es2 = _eig(ds, (product + product.T) / 2.0)
 
     def block_columns(start: int, stop: int, out: np.ndarray) -> None:
         np.matmul(whitener, es2.eigenvectors[:, start:stop], out=out)
@@ -291,15 +291,6 @@ def _gram(rows: np.ndarray) -> np.ndarray:
     return (product + product.T) / 2.0
 
 
-def _gram_eig(rows: np.ndarray, product: np.ndarray) -> tuple[Eigenspectrum, np.ndarray]:
-    """Eigensystem of the Gram matrix product = B B^T of weighted rows B, and
-    the orthonormal range basis B^T Q_r Lambda_r^{-1/2} of B^T B, one column
-    per non-zero eigenvalue."""
-    gram = eig_symmetric_full(product)
-    r = gram.rank
-    return gram, rows.T @ (gram.eigenvectors[:, :r] / np.sqrt(gram.eigenvalues[:r]))
-
-
 def _padded(values: np.ndarray, dim: int) -> np.ndarray:
     return np.concatenate([values, np.zeros(dim - values.size)])
 
@@ -308,17 +299,15 @@ def _dual(ds: LabeledDataset, part: SubclassPartition, config: TrainConfig):
     """Both stages through Gram matrices of at most n rows (n < dim); no dim x
     dim array."""
     rows = within_subclass_contrasts(ds, part)
-    if rows.shape[0]:
-        with np.errstate(over="ignore", invalid="ignore"):  # _check_range reports either
-            product = _gram(rows)
-        _check_range(ds, part, product)
-        gram, basis = _gram_eig(rows, product)
-        es = Eigenspectrum(_padded(gram.eigenvalues, ds.dim), basis, gram.rank)
-    else:  # every subclass a singleton: a zero scatter, which _spectrum_model reports
-        es = Eigenspectrum(np.zeros(ds.dim), np.zeros((ds.dim, 0)), 0)
+    _refuse_zero_scatter(ds, part)
+    gram = _eig(ds, _gram(rows), _TINY)
+    # the range basis U = R^T Q_r Lambda_r^{-1/2} of R^T R, one column per
+    # non-zero eigenvalue of the Gram matrix R R^T
+    r = gram.rank
+    basis = rows.T @ (gram.eigenvectors[:, :r] / np.sqrt(gram.eigenvalues[:r]))
     del rows
+    es = Eigenspectrum(_padded(gram.eigenvalues, ds.dim), basis, r)
     model = _spectrum_model(ds, es, config)
-    basis = es.eigenvectors
     # the second stage by linearity (module docstring): Y W^2 Y^T and W^2 Y^T
     # from Y U and Y, with W^2 = U diag(s) U^T + w_null^2 I
     w_null = model.weights[es.rank]
@@ -328,7 +317,7 @@ def _dual(ds: LabeledDataset, part: SubclassPartition, config: TrainConfig):
     product = rows @ rows.T
     product *= w_null * w_null
     product += (along * s) @ along.T
-    gram2 = eig_symmetric_full((product + product.T) / 2.0)
+    gram2 = _eig(ds, (product + product.T) / 2.0)
 
     def block_columns(start: int, stop: int, out: np.ndarray) -> None:
         coeffs = gram2.eigenvectors[:, start:stop] / np.sqrt(gram2.eigenvalues[start:stop])
@@ -346,13 +335,13 @@ def train_detailed(
     """Run the full pipeline and keep the intermediate products for inspection."""
     config.validate(ds.dim)
     stages = _dual if ds.n < ds.dim else _dense
-    es, model, projection, second_values, second_rank = stages(ds, part, config)
+    with np.errstate(all="ignore"):  # _eig and _spectrum_model report what a warning would
+        es, model, projection, second_values, second_rank = stages(ds, part, config)
 
     meta = ModelMeta(
         mode=config.mode,
         strategy=part.strategy,
         h=int(part.subclasses_per_class.max()),
-        med_factor=config.med_factor,
         second_stage=config.second_stage,
         dim=ds.dim,
         class_count=ds.class_count,
@@ -386,7 +375,6 @@ def save_model(fx: FeatureExtractor, path: str) -> None:
         meta.h,
     )
     pairs = {
-        "med_factor": "%.17g" % meta.med_factor,
         "second_stage": meta.second_stage,
         "class_count": str(meta.class_count),
         "sample_count": str(meta.sample_count),
@@ -447,7 +435,6 @@ def load_model(path: str) -> FeatureExtractor:
             mode=modes[mode_code],
             strategy=strategies[strategy_code],
             h=h,
-            med_factor=float(pairs["med_factor"]),
             second_stage=pairs["second_stage"],
             dim=dim,
             class_count=int(pairs["class_count"]),
@@ -459,7 +446,6 @@ def load_model(path: str) -> FeatureExtractor:
         ("second_stage", meta.second_stage in SECOND_STAGES),
         ("class_count", meta.class_count >= 1),
         ("sample_count", meta.sample_count >= 1),
-        ("med_factor", 0 < meta.med_factor < np.inf),  # TrainConfig.validate's rule
         ("h", meta.h >= 1),
         # training puts a sample in every class and in every subclass
         ("sample_count", meta.sample_count >= meta.class_count),

@@ -116,21 +116,18 @@ def orient_columns(vectors: np.ndarray) -> np.ndarray:
     return vectors
 
 
-def find_pivot(es: Eigenspectrum, med_factor: float = 1.0) -> PivotResult:
+def find_pivot(es: Eigenspectrum) -> PivotResult:
     """Locate the pivot index m (1-based) separating trusted from modeled eigenvalues.
 
-    m is the smallest k with lambda_k below med_factor times the median of
-    the non-null eigenvalues, clamped into [2, r - 1].  A spectrum whose
-    first and pivot eigenvalues coincide is reported as flat.
+    m is the smallest k with lambda_k below the median of the non-null
+    eigenvalues, clamped into [2, r - 1].  A spectrum whose first and pivot
+    eigenvalues coincide is reported as flat.
     """
     r = es.rank
     if r < 3:
         raise SpectrumError(f"spectrum rank {r} is too short to locate a pivot (need >= 3)")
-    if not 0 < med_factor < np.inf:  # NaN fails too
-        raise ValueError("med_factor must be positive and finite")
     nonzero = es.eigenvalues[:r]
-    threshold = med_factor * np.median(nonzero)
-    below = np.flatnonzero(nonzero < threshold)
+    below = np.flatnonzero(nonzero < np.median(nonzero))
     m = int(below[0]) + 1 if below.size else r - 1
     m = min(max(m, 2), r - 1)
     flat = es.eigenvalues[m - 1] >= es.eigenvalues[0] * (1.0 - RANK_RTOL)

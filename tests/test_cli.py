@@ -18,7 +18,7 @@ import wssda
 import wssda.cli
 from wssda.cli import ENV_OUT_DIR, _float_column, _subseed, _table, load_config, main
 from wssda.dataset import FLOAT_FMT, load_csv, make_gallery_probe_splits, save_csv, subset
-from wssda.evaluation import identification_sweep
+from wssda.evaluation import _grid_readout, identification_sweep
 from wssda.pipeline import load_model
 
 
@@ -205,7 +205,6 @@ def test_config_keys_and_flags_write_the_same_bytes(tmp_path, capsys, command):
             "--dim", 10, "--spread", 2.5, "--scale-min", 0.25, "--scale-max", 2,
             "--class-spread", 4, "--with-subclasses", "--strategy", "kmeans", "--h", 3,
             "--seed", 9, "--d", 6, "--mode", "truncated", "--second-stage", "bs",
-            "--med-factor", 1.5,
         ]
         outputs = ("model.wssda", "partition.csv", "spectrum.csv")
     else:
@@ -215,7 +214,7 @@ def test_config_keys_and_flags_write_the_same_bytes(tmp_path, capsys, command):
         flags = [
             "--csv", csv_path, "--with-subclasses", "--seed", 2,
             "--model", os.path.join(model_dir, "model.wssda"),
-            "--pairs", write_pairs(tmp_path / "pairs.csv", ds), "--folds", 3, "--resolution", 7,
+            "--pairs", write_pairs(tmp_path / "pairs.csv", ds), "--folds", 3,
         ]
         outputs = ("roc.csv", "eer.csv")
     by_flags, by_config = tmp_path / "flags", tmp_path / "config"
@@ -274,7 +273,7 @@ def test_help_shows_each_flag_default(capsys):
         "--classes CLASSES number of classes (default: 20)",
         "--strategy {kd,rp,pca,kmeans,provided} partition strategy (default: kd)",
         "--h H subclasses per class (default: 2)",
-        "--med-factor MED_FACTOR scales the pivot threshold (default: 1.0)",
+        "--scale-min SCALE_MIN smallest subclass noise scale (default: 0.5)",
         "--d D feature dimension --mode",  # no default: required
     ):
         assert shown in text
@@ -391,18 +390,6 @@ def test_train_requires_d(tmp_path, capsys):
     )
     assert code == 1
     assert "--d" in err
-
-
-def test_train_rejects_nan_med_factor(tmp_path, capsys):
-    csv_path = make_dataset_csv(tmp_path, capsys)
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("med_factor=nan\n")
-    base = ["train", "--csv", csv_path, "--with-subclasses", "--d", 2, "--out-dir", tmp_path]
-    for extra in (["--med-factor", "nan"], ["--config", cfg]):
-        code, _, err = run_cli(base + extra, capsys)
-        assert code == 1
-        assert "med_factor must be positive and finite" in err
-    assert not (tmp_path / "model.wssda").exists()
 
 
 def test_train_truncated_mode(tmp_path, capsys):
@@ -829,25 +816,42 @@ def test_eval_verify_kfold_rows(tmp_path, capsys):
     assert [l.split(",")[0] for l in lines[1:]] == ["0", "1", "mean", "std"]
 
 
-def test_eval_verify_resolution_needs_folds(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "command, key, value", [("train", "med_factor", "1.0"), ("eval-verify", "resolution", "101")]
+)
+def test_the_pivot_threshold_and_far_grid_are_not_settable(tmp_path, capsys, command, key, value):
+    # the pivot sits at the median and fold averaging reads FAR 0, 0.01, ..., 1
+    flag = "--" + key.replace("_", "-")
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli([command, "--config", cfg, "--out-dir", out_dir], capsys)
+    assert code == 1
+    assert err == f"error: unknown config keys: {key}\n"
+    assert not out_dir.exists()
+
+
+def test_eval_verify_folds_average_on_the_far_grid_of_101_points(tmp_path, capsys):
     csv_path = make_dataset_csv(tmp_path, capsys)
     out_dir, _ = train_small(tmp_path, capsys, csv_path, d=4)
     ds = load_csv(csv_path, with_subclasses=True)
-    pairs_path = write_pairs(tmp_path / "pairs.csv", ds)
-    base = [
-        "eval-verify", "--csv", csv_path, "--with-subclasses",
-        "--model", os.path.join(out_dir, "model.wssda"),
-        "--pairs", pairs_path, "--out-dir", out_dir,
-    ]
-    # one fold writes the exact staircase, so a FAR grid size cannot apply
-    code, _, err = run_cli(base + ["--resolution", 5], capsys)
-    assert code == 1
-    assert "--resolution" in err
-    assert not os.path.exists(os.path.join(out_dir, "roc.csv"))
-    code, _, err = run_cli(base + ["--resolution", 5, "--folds", 2], capsys)
+    code, _, err = run_cli(
+        [
+            "eval-verify", "--csv", csv_path, "--with-subclasses",
+            "--model", os.path.join(out_dir, "model.wssda"),
+            "--pairs", write_pairs(tmp_path / "pairs.csv", ds), "--folds", 2,
+            "--out-dir", out_dir,
+        ],
+        capsys,
+    )
     assert code == 0, err
     with open(os.path.join(out_dir, "roc.csv")) as fh:
-        assert len(fh.read().splitlines()) == 1 + 5
+        far = [line.split(",")[0] for line in fh.read().splitlines()[1:]]
+    assert far == [FLOAT_FMT % value for value in np.linspace(0.0, 1.0, 101)]
 
 
 def test_train_dual_regime_rerun_is_byte_identical(tmp_path, capsys):
@@ -875,10 +879,13 @@ def test_table_roc_text_matches_per_cell_float_text():
     # rounded scores tie, so runs of equal FAR and TAR values repeat
     scores = np.round(rng.normal(size=3000) + flags, 2).tolist()
     scored = list(zip(scores, flags.tolist()))
+    roc = wssda.verification_roc(scored)
+    fine = np.linspace(0.0, 1.0, 997)
     cases = {
-        "staircase": wssda.verification_roc(scored).points,
+        "staircase": roc.points,
         "two folds": wssda.kfold_pairwise(scored, folds=2).points,
-        "ten folds, fine grid": wssda.kfold_pairwise(scored, folds=10, resolution=997).points,
+        "ten folds": wssda.kfold_pairwise(scored, folds=10).points,
+        "staircase on a fine grid": list(zip(fine.tolist(), _grid_readout(roc.far, roc.tar, fine))),
         "signed zeros and repeats": [(0.0, -0.0), (-0.0, 0.0), (0.1, 0.1), (0.1, 1 / 3), (1.0, 1.0)],
         "not monotone": [(0.5, 0.1), (0.2, 0.1), (0.5, 0.3), (0.5, 0.1)],
     }

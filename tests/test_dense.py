@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_second_stage_close, outcome
+from conftest import _check_range, assert_second_stage_close, outcome
 from wssda import (
     LabeledDataset,
     TrainConfig,
@@ -26,9 +26,9 @@ from wssda import (
 from wssda.partition import SubclassPartition
 from wssda.pipeline import (
     SECOND_STAGES,
-    _check_range,
     _columns_in_blocks,
     _dense,
+    _refuse_zero_scatter,
     _spectrum_model,
 )
 from wssda.scatter import (
@@ -42,12 +42,13 @@ from wssda.spectrum import REGULARIZED, TRUNCATED, eig_symmetric_full
 
 
 # pipeline._dense before its second stage went by linearity, kept verbatim (but
-# for the name and the second-stage selector, written out) as the oracle of
-# today's
+# for the name, the second-stage selector, written out, and the exact
+# zero-scatter rule) as the oracle of today's
 def oracle_dense(ds: LabeledDataset, part: SubclassPartition, config: TrainConfig):
     """Both stages as dim x dim eigendecompositions (n >= dim)."""
     with np.errstate(over="ignore", invalid="ignore"):  # _check_range reports either
         scatter = within_subclass_scatter(ds, part)
+    _refuse_zero_scatter(ds, part)
     _check_range(ds, part, scatter.matrix)
     es = eig_symmetric_full(scatter.matrix)
     model = _spectrum_model(ds, es, config)

@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    _check_range,
     assert_first_stage_close,
     assert_second_stage_close,
     clusters,
@@ -40,17 +41,23 @@ from wssda.partition import SubclassPartition
 from wssda.pipeline import (
     COLUMN_BLOCK,
     SECOND_STAGES,
-    _check_range,
     _dense,
     _dual,
     _gram,
-    _gram_eig,
     _padded,
     _range_error,
+    _refuse_zero_scatter,
     _spectrum_model,
 )
 from wssda.scatter import between_subclass_rows, class_means, group_means, total_subclass_rows
-from wssda.spectrum import REGULARIZED, TRUNCATED, Eigenspectrum, flat_model, orient_columns
+from wssda.spectrum import (
+    REGULARIZED,
+    TRUNCATED,
+    Eigenspectrum,
+    eig_symmetric_full,
+    flat_model,
+    orient_columns,
+)
 
 
 def small_sample_ds(seed, class_sizes, extra_dims, split=None):
@@ -73,12 +80,24 @@ def small_sample_ds(seed, class_sizes, extra_dims, split=None):
     return LabeledDataset(samples[order], classes[order], subs[order])
 
 
+# pipeline._gram_eig, which the dual path used on both stages, kept verbatim
+# for oracle_dual
+def _gram_eig(rows: np.ndarray, product: np.ndarray) -> tuple[Eigenspectrum, np.ndarray]:
+    """Eigensystem of the Gram matrix product = B B^T of weighted rows B, and
+    the orthonormal range basis B^T Q_r Lambda_r^{-1/2} of B^T B, one column
+    per non-zero eigenvalue."""
+    gram = eig_symmetric_full(product)
+    r = gram.rank
+    return gram, rows.T @ (gram.eigenvectors[:, :r] / np.sqrt(gram.eigenvalues[:r]))
+
+
 # pipeline._dual before its second stage went by linearity, kept verbatim (but
-# for the name and the between-subclass builder's arguments) as the oracle of
-# today's
+# for the name, the between-subclass builder's arguments and the exact
+# zero-scatter rule) as the oracle of today's
 def oracle_dual(ds: LabeledDataset, part: SubclassPartition, config: TrainConfig):
     """Both stages through n x n Gram matrices (n < dim); no dim x dim array."""
     rows = within_subclass_rows(ds, part)
+    _refuse_zero_scatter(ds, part)
     product = _gram(rows)
     _check_range(ds, part, product)
     gram, basis = _gram_eig(rows, product)
@@ -176,18 +195,22 @@ def test_dual_all_singletons_raise_the_dense_error(mode):
     assert str(dual.value) == str(dense.value)
 
 
+@pytest.mark.parametrize("g", [2, 7, 10])
 @pytest.mark.parametrize("mode", [REGULARIZED, TRUNCATED])
-def test_coinciding_subclass_rows_raise_the_zero_scatter_error(mode):
-    # 3 classes of 2 subclasses, each of 2 identical rows: the contrasts are
-    # rows of zeros, and both regimes report the zero scatter by its causes
-    rng = np.random.default_rng(5)
-    classes = np.repeat([0, 1, 2], 4)
-    subs = np.tile([0, 0, 1, 1], 3)
-    samples = np.repeat(rng.normal(size=(6, 20)), 2, axis=0)
+def test_coinciding_subclass_rows_raise_the_zero_scatter_error(mode, g):
+    # 3 classes of 2 subclasses, each of g copies of one row: both regimes
+    # report the zero scatter by its causes.  From g = 7 the Helmert running
+    # sums round, so the contrasts were not all zero and training went on at
+    # a rank of rounding noise (6 at g = 7, 20 and 24 at g = 10)
+    n = 6 * g
+    rows = np.random.default_rng(0).normal(size=(6, n + 8))
+    classes = np.repeat([0, 1, 2], 2 * g)
+    subs = np.tile(np.repeat([0, 1], g), 3)
+    samples = np.repeat(rows, g, axis=0)
     part = partition_dataset(LabeledDataset(samples, classes, subs), TreeParams(h=2), "provided")
     config = TrainConfig(d=4, mode=mode)
     messages = set()
-    for stages, dim in ((_dense, 12), (_dual, 20)):  # dense needs n >= dim
+    for stages, dim in ((_dense, min(20, n)), (_dual, n + 8)):  # dense needs n >= dim
         ds = LabeledDataset(samples[:, :dim], classes, subs)
         with pytest.raises(TrainingError) as exc:
             stages(ds, part, config)
@@ -196,6 +219,11 @@ def test_coinciding_subclass_rows_raise_the_zero_scatter_error(mode):
         "within-subclass scatter is zero (every subclass is a singleton or its rows "
         "coincide); nothing to whiten"
     }
+    # one entry off its subclass's first row: both regimes train at rank 1
+    samples[g - 1, 1] += 1.0
+    for stages, dim in ((_dense, min(20, n)), (_dual, n + 8)):
+        es = stages(LabeledDataset(samples[:, :dim], classes, subs), part, config)[0]
+        assert es.rank == 1
 
 
 @pytest.mark.parametrize("stage", SECOND_STAGES)

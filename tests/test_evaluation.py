@@ -409,7 +409,7 @@ def test_identification_memory_stays_at_the_probe_block():
     rng = np.random.default_rng(0)
     labels = np.arange(6000) % 2000
     ds = LabeledDataset(rng.normal(size=(6000, 8)), labels)
-    fx = FeatureExtractor(np.eye(8), ModelMeta("regularized", "kd", 1, 1.0, "ts", 8, 2000, 6000))
+    fx = FeatureExtractor(np.eye(8), ModelMeta("regularized", "kd", 1, "ts", 8, 2000, 6000))
     split = SplitSpec(gallery=np.arange(2000), probe=np.arange(2000, 6000))
     tracemalloc.start()
     try:
@@ -508,7 +508,7 @@ def test_identification_sweep_equals_per_d_nn_classify():
     labels = np.repeat(np.arange(6), 15)
     for samples in (rng.normal(size=(90, 12)), rng.integers(1, 3, size=(90, 12)).astype(float)):
         ds = LabeledDataset(samples, labels)
-        fx = FeatureExtractor(np.eye(12), ModelMeta("regularized", "kd", 2, 1.0, "ts", 12, 6, 90))
+        fx = FeatureExtractor(np.eye(12), ModelMeta("regularized", "kd", 2, "ts", 12, 6, 90))
         splits = make_gallery_probe_splits(ds, 3)
         d_values = [5, 1, 12, 2, 5, 7]
         rep = identification_sweep(lambda d: fx, ds, splits, d_values)
@@ -671,15 +671,15 @@ def test_roc_of_arrays_equals_the_roc_of_the_pair_list_bit_for_bit():
         ), name
 
 
-@pytest.mark.parametrize("folds, grid", [(1, {}), (2, {}), (3, {"resolution": 57})])
-def test_kfold_of_arrays_equals_the_kfold_of_the_pair_list_bit_for_bit(folds, grid):
+@pytest.mark.parametrize("folds", [1, 2, 3])
+def test_kfold_of_arrays_equals_the_kfold_of_the_pair_list_bit_for_bit(folds):
     for name, (scores, same) in roc_input_cases().items():
         if scores.size < folds:
             continue
         outcomes = []
         for args in ((scores, same), (list(zip(scores.tolist(), same.tolist())),)):
             try:
-                rep = kfold_pairwise(*args, folds=folds, **grid)
+                rep = kfold_pairwise(*args, folds=folds)
             except ProtocolError as exc:  # a fold without one of the kinds
                 outcomes.append(str(exc))
             else:
@@ -711,9 +711,9 @@ def test_roc_needs_both_kinds():
 
 def test_roc_resampled_grid():
     pairs = [(0.9, True), (0.8, True), (0.7, False), (0.1, False)]
-    rep = kfold_pairwise(pairs, folds=1, resolution=11)
+    rep = kfold_pairwise(pairs, folds=1)
     fars = [p[0] for p in rep.points]
-    assert fars == pytest.approx(np.linspace(0, 1, 11).tolist())
+    assert fars == np.linspace(0, 1, 101).tolist()
     assert rep.points[0][1] == 1.0  # all same-pairs accepted before any diff
 
 
@@ -777,14 +777,13 @@ def test_kfold_fold_missing_kind_raises():
         kfold_pairwise(pairs, folds=4)
 
 
-@pytest.mark.parametrize("knob", ["folds", "resolution"])
 @pytest.mark.parametrize("value", [2.5, 3.0, True])
-def test_kfold_refuses_a_count_that_is_not_an_integer(knob, value):
-    # folds=2.5 silently ran 2 folds; resolution=3.5 failed inside np.linspace
+def test_kfold_refuses_a_count_that_is_not_an_integer(value):
+    # folds=2.5 silently ran 2 folds
     pairs = [(0.9, True), (0.2, False)] * 4
-    with pytest.raises(ValueError, match=f"^{knob} must be an integer, got {value!r}$"):
-        kfold_pairwise(pairs, **{"folds": 2, "resolution": 5, knob: value})
-    assert len(kfold_pairwise(pairs, folds=np.int64(2), resolution=np.int32(5)).far) == 5
+    with pytest.raises(ValueError, match=f"^folds must be an integer, got {value!r}$"):
+        kfold_pairwise(pairs, folds=value)
+    assert len(kfold_pairwise(pairs, folds=np.int64(2)).fold_eers) == 2
 
 
 def test_kfold_too_few_pairs():

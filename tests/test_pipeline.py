@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 from dataclasses import replace
@@ -29,6 +30,7 @@ from wssda import (
     train,
     train_detailed,
 )
+from wssda.pipeline import _HEADER
 from wssda.scatter import within_subclass_scatter
 from wssda.spectrum import flat_model
 
@@ -161,14 +163,6 @@ def test_train_rejects_bad_config():
         train(ds, part, TrainConfig(d=2, mode="banana"))
 
 
-@pytest.mark.parametrize("med_factor", [np.nan, np.inf, 0.0, -1.0])
-def test_train_rejects_a_med_factor_that_is_not_positive_and_finite(med_factor):
-    # NaN used to pass the `<= 0` check and train with the pivot at r - 1
-    ds, part, _, _ = trained(seed=1)
-    with pytest.raises(ConfigError, match="^med_factor must be positive and finite$"):
-        train(ds, part, TrainConfig(d=2, med_factor=med_factor))
-
-
 @pytest.mark.parametrize("d", [3.5, 3.0, True])
 def test_train_refuses_a_d_that_is_not_an_integer(d):
     # d=3.5 and d=True used to pass validation, run both stages and then fail
@@ -195,31 +189,67 @@ def gaussian_rows(n, dim, scale, classes=3):
     return ds, partition_dataset(ds, TreeParams(h=2, seed=0), "kd")
 
 
+def synth_rows(dim, scale):
+    """SynthSpec(6, 2, 5, dim, seed=3) rows times scale, in their own subclasses."""
+    ds = generate_synthetic(SynthSpec(6, 2, 5, dim, seed=3))
+    ds = LabeledDataset(ds.samples * scale, ds.class_labels, ds.subclass_labels)
+    return ds, partition_dataset(ds, TreeParams(h=2), "provided")
+
+
+def provided_rows(scale):
+    """60 x 30 Gaussian rows times scale: 6 classes x 2 subclasses of 5."""
+    x = np.random.default_rng(1).normal(size=(60, 30)) * scale
+    ds = LabeledDataset(x, np.repeat(np.arange(6), 10), np.tile(np.repeat([0, 1], 5), 6))
+    return ds, partition_dataset(ds, TreeParams(h=2), "provided")
+
+
 BOTH_MODES = ("regularized", "truncated")
 SCALE_ERROR = r"magnitude up to \d\.\d+e[+-]\d+ .* rescale the data"
 
 
+def train_configs(modes=BOTH_MODES, stages=("ts",)):
+    return [TrainConfig(2, mode, stage) for mode in modes for stage in stages]
+
+
 @pytest.mark.parametrize(
-    "n, dim, scale, modes",
+    "make, args, configs",
     [
-        (60, 8, 1e155, BOTH_MODES),
-        (60, 8, 1e-170, BOTH_MODES),
-        (24, 40, 1e160, BOTH_MODES),
-        (24, 40, 1e-170, BOTH_MODES),
+        (gaussian_rows, (60, 8, 1e155), train_configs()),
+        (gaussian_rows, (60, 8, 1e-170), train_configs()),
+        (gaussian_rows, (24, 40, 1e160), train_configs()),
+        (gaussian_rows, (24, 40, 1e-170), train_configs()),
         # the scatter holds, but fit_model's product of two eigenvalues underflows
-        (60, 8, 1e-100, ("regularized",)),
+        (gaussian_rows, (60, 8, 1e-100), train_configs(("regularized",))),
+        # the truncated first stage holds, but the second stage's scatter or
+        # Gram matrix of the raw samples overflows
+        (synth_rows, (30, 1e153), train_configs(("truncated",), ("ts", "bs"))),
+        (synth_rows, (90, 10**153.0), train_configs(("truncated",), ("bs",))),
+        (synth_rows, (90, 10**153.4), train_configs(("truncated",), ("ts",))),
+        # fit_model's product overflows, and regularize divides it
+        (provided_rows, (10**153.7,), train_configs(("regularized",))),
     ],
-    ids=["dense overflow", "dense underflow", "dual overflow", "dual underflow", "model underflow"],
+    ids=[
+        "dense overflow",
+        "dense underflow",
+        "dual overflow",
+        "dual underflow",
+        "model underflow",
+        "dense second stage overflow",
+        "dual bs second stage overflow",
+        "dual ts second stage overflow",
+        "model overflow",
+    ],
 )
-def test_train_out_of_float64_range_names_the_data_scale(n, dim, scale, modes):
-    # overflow used to reach LAPACK ("Eigenvalues did not converge") and an
-    # underflowed scatter was reported as one of singleton subclasses
-    ds, part = gaussian_rows(n, dim, scale)
+def test_train_out_of_float64_range_names_the_data_scale(make, args, configs):
+    # overflow used to reach LAPACK ("Eigenvalues did not converge"), an
+    # underflowed scatter was reported as one of singleton subclasses, and an
+    # overflowed second stage was a bare ValueError of the eigensolver
+    ds, part = make(*args)
     assert min(min(counts) for counts in part.subclass_counts) >= 2
-    for mode in modes:
+    for config in configs:
         # and with no NumPy warning of the overflow on the way
         with pytest.raises(TrainingError, match=SCALE_ERROR):
-            train(ds, part, TrainConfig(d=2, mode=mode))
+            train(ds, part, config)
 
 
 @pytest.mark.parametrize("shape", [(4, 2, 6, 10), (4, 2, 3, 40)], ids=["dense", "dual"])
@@ -286,7 +316,7 @@ def test_extract_zero_maps_to_zero():
 
 
 def test_extract_identity_prefix():
-    meta = ModelMeta("regularized", "kd", 1, 1.0, "ts", 4, 2, 8)
+    meta = ModelMeta("regularized", "kd", 1, "ts", 4, 2, 8)
     fx = FeatureExtractor(np.eye(4)[:, :2], meta)
     z = fx.extract(np.array([1.0, 0.0, 0.0, 0.0]))
     assert z.tolist() == [1.0, 0.0]
@@ -322,6 +352,23 @@ def test_model_round_trip_bitwise(tmp_path):
     path = str(tmp_path / "m.bin")
     save_model(fx, path)
     back = load_model(path)
+    assert np.array_equal(back.projection, fx.projection)
+    assert back.meta == fx.meta
+
+
+@pytest.mark.parametrize("med_factor", [b"1", b"nan"])
+def test_model_file_with_a_med_factor_pair_still_loads(tmp_path, med_factor):
+    # files written before the pivot threshold became a constant carry a
+    # med_factor pair first; load_model skips a pair it does not know
+    _, _, fx, _ = trained(seed=11)
+    path = tmp_path / "m.bin"
+    save_model(fx, str(path))
+    blob = path.read_bytes()
+    at = _HEADER.size + 8 * fx.projection.size  # the pair count
+    (count,) = struct.unpack_from("<I", blob, at)
+    pair = b"".join(struct.pack("<I", len(text)) + text for text in (b"med_factor", med_factor))
+    path.write_bytes(blob[:at] + struct.pack("<I", count + 1) + pair + blob[at + 4 :])
+    back = load_model(str(path))
     assert np.array_equal(back.projection, fx.projection)
     assert back.meta == fx.meta
 
@@ -383,9 +430,6 @@ def test_model_metadata_that_is_not_utf8_rejected(tmp_path):
         ("class_count", -4),
         ("class_count", 0),
         ("sample_count", 0),
-        ("med_factor", float("nan")),
-        ("med_factor", -1.0),
-        ("med_factor", float("inf")),
         ("h", 0),
         ("sample_count", 3),
         ("class_count", 97),

@@ -8,6 +8,7 @@ import re
 from pathlib import Path
 
 import wssda
+from wssda.cli import build_parser
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -46,3 +47,12 @@ def test_train_config_knobs_paragraph_names_exactly_its_fields():
     knobs = re.search(r"^`TrainConfig` knobs: (.*?\))\.", README, re.S | re.M).group(1)
     named = re.findall(r"`(\w+)`\s\(", knobs)
     assert named == [field.name for field in dataclasses.fields(wssda.TrainConfig)]
+
+
+def test_every_flag_the_readme_names_is_a_cli_flag():
+    # pip's flags under Install and the scripts' own are not wssda's
+    text = README.replace(section("Install"), "").replace(section("Experiment scripts"), "")
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", text))
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    flags = {flag for p in commands.values() for a in p._actions for flag in a.option_strings}
+    assert named and named <= flags, sorted(named - flags)
