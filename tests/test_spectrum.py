@@ -204,6 +204,39 @@ def test_pivot_hand_case_four():
     assert res.m == 3  # median 2.5, clamped into [2, 3]
 
 
+def test_pivot_eigenvalue_at_the_median_is_not_below_it():
+    es = spectrum_from([9.0, 7.0, 5.0, 3.0, 1.0])
+    assert find_pivot(es).m == 4  # median 5: lambda_3 = 5 ties it, lambda_4 = 3 is below
+
+
+def test_pivot_median_is_taken_over_the_non_null_eigenvalues():
+    # with the eight zeros counted the median would be 0.25 and nothing below it
+    es = spectrum_from([100.0, 50.0, 20.0, 10.0, 5.0, 2.0, 1.0, 0.5], dim=16)
+    assert es.rank == 8
+    assert find_pivot(es).m == 5
+
+
+def test_pivot_with_nothing_below_the_median_sits_at_r_minus_1():
+    es = spectrum_from([2.0, 1.0, 1.0, 1.0, 1.0])
+    res = find_pivot(es)
+    assert res.m == 4 and not res.flat  # median 1, no eigenvalue below it
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=3, max_size=12), st.integers(0, 4))
+def test_pivot_is_the_first_eigenvalue_below_the_median(values, nulls):
+    # small integers make ties with the median and with each other common
+    lam = sorted(values, reverse=True)
+    es = spectrum_from([float(v) for v in lam], dim=len(lam) + nulls)
+    r = len(lam)
+    half = sorted(lam)
+    median = (half[(r - 1) // 2] + half[r // 2]) / 2
+    m = next((k for k, v in enumerate(lam, start=1) if v < median), r - 1)
+    res = find_pivot(es)
+    assert res.m == min(max(m, 2), r - 1)
+    assert res.flat == (lam[res.m - 1] == lam[0])
+
+
 def test_pivot_flat_spectrum_flagged():
     es = spectrum_from([2.0, 2.0, 2.0, 2.0])
     assert find_pivot(es).flat
