@@ -146,6 +146,9 @@ def cluster_kmeans(points: np.ndarray, h: int, seed: int = 0) -> list[np.ndarray
     m = len(points)
     if m < h:
         raise ValueError(f"cannot form {h} clusters from {m} points")
+    # squared distances leave float64 past about 2^+-511: a power of two takes
+    # the largest magnitude into [0.5, 1), scaling each distance exactly
+    points = np.ldexp(points, -int(np.frexp(np.abs(points).max())[1]))
     rng = np.random.default_rng(seed)
     chosen = [int(rng.integers(m))]
     dist = np.linalg.norm(points - points[chosen[0]], axis=1)

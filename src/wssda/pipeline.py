@@ -43,14 +43,15 @@ COLUMN_BLOCK columns until d is covered, then cut to d: a column's bits
 depend on its block alone, so the leading d' columns of a d-column
 extractor equal the extractor trained directly at d', bit for bit.
 
+Each stage is solved on its rows scaled by a power of two, prescale_rows,
+and its results are scaled back with np.ldexp, so training is exact at any
+power-of-two scale of the data and no solve leaves float64.  Only the rows
+themselves or the raw projection can overflow, and either raises one
+TrainingError that names the data scale.
+
 Where every row equals its subclass's first row (every subclass a singleton
 or its rows coinciding) the within-subclass scatter is zero, and both regimes
-raise one TrainingError.  Both stages run with NumPy's floating-point warnings
-off, and one range rule reports what they would have said: every eigensolver
-input must be finite, the first stage's largest diagonal entry must not fall
-below the smallest normal float64, and the spectrum model must be finite.
-Data that breaks it raises a TrainingError that names the data scale, in
-place of a warning or a LAPACK failure.
+raise one TrainingError.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ from .scatter import (
     between_subclass_scatter,
     class_means,
     group_means,
+    prescale_rows,
     total_subclass_rows,
     total_subclass_scatter,
     within_subclass_contrasts,
@@ -101,7 +103,6 @@ _HEADER = struct.Struct("<6sIIIBBI")
 _U32 = struct.Struct("<I")
 _MODE_CODES = {REGULARIZED: 0, TRUNCATED: 1}
 _STRATEGY_CODES = {name: code for code, name in enumerate(STRATEGIES)}
-_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True)
@@ -184,8 +185,10 @@ class TrainingDetails:
     second_stage_rank: int
 
 
-def _spectrum_model(ds: LabeledDataset, es: Eigenspectrum, config: TrainConfig) -> SpectrumModel:
-    """The spectrum model of config.mode for the within-subclass spectrum es of ds."""
+def _spectrum_model(es: Eigenspectrum, config: TrainConfig) -> SpectrumModel:
+    """The spectrum model of config.mode for the within-subclass spectrum es."""
+    if es.rank == 0:  # after _refuse_zero_scatter: the rows underflowed to zero
+        raise OverflowError("whitening weights past the float64 range")
     if config.mode == TRUNCATED:
         model = truncated_weights(es)
     elif es.rank < 3:
@@ -196,19 +199,7 @@ def _spectrum_model(ds: LabeledDataset, es: Eigenspectrum, config: TrainConfig) 
             model = flat_model(es)
         else:
             model = regularize(es, pivot.m, *fit_model(es, pivot.m))
-    # fit_model multiplies two eigenvalues, which leaves the float64 range for
-    # a spectrum past the square root of either end of it
-    if not (np.isfinite(model.lambda_reg).all() and np.isfinite(model.weights).all()):
-        raise _range_error(ds)
     return model
-
-
-def _range_error(ds: LabeledDataset) -> TrainingError:
-    scale = float(np.abs(ds.samples).max())
-    return TrainingError(
-        f"samples of magnitude up to {scale:.3g} take a training scatter "
-        "or the spectrum model outside the float64 range; rescale the data"
-    )
 
 
 def _refuse_zero_scatter(ds: LabeledDataset, part: SubclassPartition) -> None:
@@ -221,16 +212,6 @@ def _refuse_zero_scatter(ds: LabeledDataset, part: SubclassPartition) -> None:
             "within-subclass scatter is zero (every subclass is a singleton or its rows "
             "coincide); nothing to whiten"
         )
-
-
-def _eig(ds: LabeledDataset, matrix: np.ndarray, floor: float = -np.inf) -> Eigenspectrum:
-    """eig_symmetric_full(matrix), or _range_error(ds) where float64 did not
-    hold the matrix: an entry is not finite, or its largest diagonal entry
-    (the largest entry of a positive semidefinite matrix) is below floor.
-    A first stage passes _TINY, since _refuse_zero_scatter found it non-zero."""
-    if not np.isfinite(matrix).all() or np.diagonal(matrix).max() < floor:
-        raise _range_error(ds)
-    return eig_symmetric_full(matrix)
 
 
 def _second_stage(
@@ -251,20 +232,40 @@ def _dense(ds: LabeledDataset, part: SubclassPartition, config: TrainConfig):
     """Both stages as dim x dim eigendecompositions (n >= dim)."""
     scatter = within_subclass_scatter(ds, part)
     _refuse_zero_scatter(ds, part)
-    es = _eig(ds, scatter.matrix, _TINY)
-    model = _spectrum_model(ds, es, config)
+    es = eig_symmetric_full(scatter.unit)
+    model = _spectrum_model(es, config)
 
     # the second stage by linearity (module docstring): W^T S W, S of the raw samples
     whitener = es.eigenvectors * model.weights
     second = _second_stage(ds, part, config, total_subclass_scatter, between_subclass_scatter)
-    product = whitener.T @ second.matrix @ whitener
-    es2 = _eig(ds, (product + product.T) / 2.0)
+    product = whitener.T @ second.unit @ whitener
+    es2 = eig_symmetric_full((product + product.T) / 2.0)
 
     def block_columns(start: int, stop: int, out: np.ndarray) -> None:
         np.matmul(whitener, es2.eigenvectors[:, start:stop], out=out)
 
     projection = _columns_in_blocks(ds.dim, config.d, es2.rank, block_columns)
-    return es, model, projection, es2.eigenvalues, es2.rank
+    return _raw_units(
+        scatter.exponent, second.exponent, es, model, projection, es2.eigenvalues, es2.rank
+    )
+
+
+def _raw_units(k1: int, k2: int, es, model, projection, second_values, second_rank):
+    """The 5-tuple of stages solved on stage-1 rows scaled by 2^-k1 and
+    stage-2 rows by 2^-k2, scaled in place to the units of the raw samples:
+    the weights and the projection by 2^-k1, the spectrum by 4^k1 and the
+    second-stage eigenvalues by 4^(k2 - k1), saturating at inf or 0."""
+    for values, k in (
+        (es.eigenvalues, 2 * k1),
+        (model.lambda_reg, 2 * k1),
+        (model.weights, -k1),
+        (projection, -k1),
+        (second_values, 2 * (k2 - k1)),
+    ):
+        np.ldexp(values, k, out=values)
+    if model.alpha is not None:
+        model.alpha = float(np.ldexp(model.alpha, 2 * k1))
+    return es, model, projection, second_values, second_rank
 
 
 def _columns_in_blocks(
@@ -299,25 +300,27 @@ def _dual(ds: LabeledDataset, part: SubclassPartition, config: TrainConfig):
     """Both stages through Gram matrices of at most n rows (n < dim); no dim x
     dim array."""
     rows = within_subclass_contrasts(ds, part)
+    k1 = prescale_rows(rows)  # before the zero-scatter rule, as within_subclass_scatter
     _refuse_zero_scatter(ds, part)
-    gram = _eig(ds, _gram(rows), _TINY)
+    gram = eig_symmetric_full(_gram(rows))
     # the range basis U = R^T Q_r Lambda_r^{-1/2} of R^T R, one column per
     # non-zero eigenvalue of the Gram matrix R R^T
     r = gram.rank
     basis = rows.T @ (gram.eigenvectors[:, :r] / np.sqrt(gram.eigenvalues[:r]))
     del rows
     es = Eigenspectrum(_padded(gram.eigenvalues, ds.dim), basis, r)
-    model = _spectrum_model(ds, es, config)
+    model = _spectrum_model(es, config)
     # the second stage by linearity (module docstring): Y W^2 Y^T and W^2 Y^T
     # from Y U and Y, with W^2 = U diag(s) U^T + w_null^2 I
     w_null = model.weights[es.rank]
     s = (model.weights[: es.rank] - w_null) * (model.weights[: es.rank] + w_null)
     rows = _second_stage(ds, part, config, total_subclass_rows, between_subclass_rows)
+    k2 = prescale_rows(rows)
     along = rows @ basis
     product = rows @ rows.T
     product *= w_null * w_null
     product += (along * s) @ along.T
-    gram2 = _eig(ds, (product + product.T) / 2.0)
+    gram2 = eig_symmetric_full((product + product.T) / 2.0)
 
     def block_columns(start: int, stop: int, out: np.ndarray) -> None:
         coeffs = gram2.eigenvectors[:, start:stop] / np.sqrt(gram2.eigenvalues[start:stop])
@@ -326,7 +329,8 @@ def _dual(ds: LabeledDataset, part: SubclassPartition, config: TrainConfig):
         orient_columns(out)
 
     projection = _columns_in_blocks(ds.dim, config.d, gram2.rank, block_columns)
-    return es, model, projection, _padded(gram2.eigenvalues, ds.dim), gram2.rank
+    second_values = _padded(gram2.eigenvalues, ds.dim)
+    return _raw_units(k1, k2, es, model, projection, second_values, gram2.rank)
 
 
 def train_detailed(
@@ -335,8 +339,17 @@ def train_detailed(
     """Run the full pipeline and keep the intermediate products for inspection."""
     config.validate(ds.dim)
     stages = _dual if ds.n < ds.dim else _dense
-    with np.errstate(all="ignore"):  # _eig and _spectrum_model report what a warning would
-        es, model, projection, second_values, second_rank = stages(ds, part, config)
+    with np.errstate(over="ignore", invalid="ignore"):  # the range rule below says it
+        try:
+            es, model, projection, second_values, second_rank = stages(ds, part, config)
+        except OverflowError:  # prescale_rows or _spectrum_model: a stage left float64
+            projection = None
+    if projection is None or not np.isfinite(projection).all():
+        scale = float(np.abs(ds.samples).max())
+        raise TrainingError(
+            f"samples of magnitude up to {scale:.3g} take a training stage's rows or "
+            "the projection past the float64 range"
+        )
 
     meta = ModelMeta(
         mode=config.mode,

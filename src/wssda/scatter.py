@@ -11,7 +11,9 @@ NumPy sums over blocks of equal-size groups.  Class priors are fixed at 1/C
 and subclass priors at 1/H_i throughout.  The *_scatter builders return
 symmetric positive semidefinite matrices, made exactly symmetric by
 averaging the product with its transpose; the other builders return B
-itself, for callers that work with the Gram matrix B B^T instead.
+itself, for callers that work with the Gram matrix B B^T instead.  A scatter
+is formed from its rows scaled in place by a power of two, prescale_rows, so
+its product fits in float64 whatever the scale of the data.
 """
 
 from __future__ import annotations
@@ -27,7 +29,30 @@ from .partition import SubclassPartition
 
 @dataclass
 class ScatterMatrix:
-    matrix: np.ndarray
+    """S = 4^exponent * unit for weighted rows B: unit is the product of B
+    scaled by 2^-exponent, the scale prescale_rows gave it."""
+
+    unit: np.ndarray
+    exponent: int = 0
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """S in the units of B: inf or 0 where those leave float64."""
+        with np.errstate(over="ignore"):
+            return np.ldexp(self.unit, 2 * self.exponent)
+
+
+def prescale_rows(rows: np.ndarray) -> int:
+    """Scale rows in place by 2^-k, k the np.frexp exponent of their largest
+    magnitude, which then lies in [0.5, 1); returns k, 0 for an all-zero
+    block.  A power of two scales every entry exactly that stays normal.
+    Rows past the float64 range (an inf or a NaN) raise OverflowError."""
+    peak = max(rows.max(initial=0.0), -rows.min(initial=0.0))
+    if not np.isfinite(peak):
+        raise OverflowError("rows past the float64 range")
+    k = int(np.frexp(peak)[1])
+    np.ldexp(rows, -k, out=rows)
+    return k
 
 
 def _rows(dev: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -38,9 +63,10 @@ def _rows(dev: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def _scatter(rows: np.ndarray) -> ScatterMatrix:
-    """B^T B of weighted rows B, symmetrized."""
+    """B^T B of weighted rows B, symmetrized, from B prescaled in place."""
+    exponent = prescale_rows(rows)
     product = rows.T @ rows
-    return ScatterMatrix((product + product.T) / 2.0)
+    return ScatterMatrix((product + product.T) / 2.0, exponent)
 
 
 def _size_blocks(ids: np.ndarray, count: int) -> tuple[np.ndarray, list]:

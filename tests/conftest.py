@@ -2,8 +2,9 @@ import numpy as np
 
 from wssda import LabeledDataset, TrainingError, scatter
 from wssda.partition import SubclassPartition
-from wssda.pipeline import _range_error
+from wssda.pipeline import TrainConfig, _spectrum_model
 from wssda.scatter import within_subclass_contrasts
+from wssda.spectrum import Eigenspectrum, SpectrumModel
 
 # filled in by test_acceptance.py; echoed after the run so every criterion
 # gets its own visible pass/fail line
@@ -83,6 +84,28 @@ def outcome(stages, ds, part, config):
             return stages(ds, part, config)
     except TrainingError as exc:
         return str(exc)
+
+
+# pipeline._range_error, the error of the range rules training had before it
+# prescaled each stage, kept verbatim for the oracles' copies of those rules
+def _range_error(ds: LabeledDataset) -> TrainingError:
+    scale = float(np.abs(ds.samples).max())
+    return TrainingError(
+        f"samples of magnitude up to {scale:.3g} take a training scatter "
+        "or the spectrum model outside the float64 range; rescale the data"
+    )
+
+
+# pipeline._spectrum_model with its finite check of that time, for oracle_dual
+def checked_spectrum_model(
+    ds: LabeledDataset, es: Eigenspectrum, config: TrainConfig
+) -> SpectrumModel:
+    model = _spectrum_model(es, config)
+    # fit_model multiplies two eigenvalues, which leaves the float64 range for
+    # a spectrum past the square root of either end of it
+    if not (np.isfinite(model.lambda_reg).all() and np.isfinite(model.weights).all()):
+        raise _range_error(ds)
+    return model
 
 
 # pipeline._check_range, the range rule of the first stage before every

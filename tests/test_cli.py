@@ -382,6 +382,36 @@ def test_train_rerun_is_byte_identical(tmp_path, capsys):
                 assert fa.read() == fb.read(), name
 
 
+def read_spectrum(out_dir):
+    with open(os.path.join(out_dir, "spectrum.csv")) as fh:
+        return [line.split(",") for line in fh.read().splitlines()[1:]]
+
+
+@pytest.mark.parametrize("p", [600, -600])
+@pytest.mark.parametrize("dim", [12, 40], ids=["dense", "dual"])
+def test_train_at_any_power_of_two_scale_is_exact(tmp_path, capsys, dim, p):
+    # the model of the data times 2^p is the unit-scale model times 2^-p, bit
+    # for bit; the spectrum columns, 4^p times the unit-scale values, leave
+    # float64 and read inf (or 0 for a zero eigenvalue) at 2^600 and 0 at
+    # 2^-600, while the weights stay finite
+    csv_path = make_dataset_csv(tmp_path, capsys, dim=dim, samples_per_subclass=2)
+    ds = load_csv(csv_path, with_subclasses=True)
+    scaled_path = str(tmp_path / "scaled.csv")
+    scaled = wssda.LabeledDataset(np.ldexp(ds.samples, p), ds.class_labels, ds.subclass_labels)
+    save_csv(scaled, scaled_path)
+    unit_dir, _ = train_small(tmp_path / "unit", capsys, csv_path, d=8)
+    scaled_dir, _ = train_small(tmp_path / "scaled", capsys, scaled_path, d=8)
+    unit = load_model(os.path.join(unit_dir, "model.wssda")).projection
+    scaled = load_model(os.path.join(scaled_dir, "model.wssda")).projection
+    assert scaled.tobytes() == np.ldexp(unit, -p).tobytes()
+    rows = read_spectrum(scaled_dir)
+    assert len(rows) == dim
+    for (k, *unit_values, unit_weight), (_, *values, weight) in zip(read_spectrum(unit_dir), rows):
+        for unit_value, value in zip(unit_values, values):
+            assert value == ("inf" if p > 0 and float(unit_value) > 0 else "0"), k
+        assert float(weight) == np.ldexp(float(unit_weight), -p), k
+
+
 def test_train_requires_d(tmp_path, capsys):
     csv_path = make_dataset_csv(tmp_path, capsys)
     code, _, err = run_cli(

@@ -51,7 +51,7 @@ def oracle_dense(ds: LabeledDataset, part: SubclassPartition, config: TrainConfi
     _refuse_zero_scatter(ds, part)
     _check_range(ds, part, scatter.matrix)
     es = eig_symmetric_full(scatter.matrix)
-    model = _spectrum_model(ds, es, config)
+    model = _spectrum_model(es, config)
 
     whitener = es.eigenvectors * model.weights
     whitened = ds.samples @ whitener

@@ -21,8 +21,10 @@ from hypothesis import strategies as st
 
 from conftest import (
     _check_range,
+    _range_error,
     assert_first_stage_close,
     assert_second_stage_close,
+    checked_spectrum_model,
     clusters,
     outcome,
     rank_of,
@@ -45,9 +47,7 @@ from wssda.pipeline import (
     _dual,
     _gram,
     _padded,
-    _range_error,
     _refuse_zero_scatter,
-    _spectrum_model,
 )
 from wssda.scatter import between_subclass_rows, class_means, group_means, total_subclass_rows
 from wssda.spectrum import (
@@ -102,7 +102,7 @@ def oracle_dual(ds: LabeledDataset, part: SubclassPartition, config: TrainConfig
     _check_range(ds, part, product)
     gram, basis = _gram_eig(rows, product)
     es = Eigenspectrum(_padded(gram.eigenvalues, ds.dim), basis, gram.rank)
-    model = _spectrum_model(ds, es, config)
+    model = checked_spectrum_model(ds, es, config)
     # W = U diag(w_r) U^T + w_null (I - U U^T) for the range basis U, applied to rows
     w_null = model.weights[es.rank]
     lift = model.weights[: es.rank] - w_null
@@ -358,40 +358,61 @@ def test_dual_second_stage_by_linearity_matches_the_whitening_oracle(case):
 @pytest.mark.parametrize("stage", SECOND_STAGES)
 def test_dual_trains_at_the_data_scales_the_oracle_trains_at(stage):
     # W^2 squares the whitening weights: at every scale the oracle trains at,
-    # the squared form must neither overflow nor underflow
+    # the squared form must neither overflow nor underflow.  Each stage is
+    # solved on its rows prescaled by a power of two, so the dual path now
+    # trains at every scale of the sweep, to the unit-scale model at 10^k
     base = small_sample_ds(8, [7, 6, 8, 5], 15, split=[2, 4, 3, 1])
     part = partition_dataset(base, TreeParams(h=2), "provided")
     config = TrainConfig(d=base.dim, second_stage=stage)
-    trained = []
+    unit = _dual(base, part, config)
+    trained, oracle_off = [], []
     for k in [*range(-90, -70), *range(-5, 6), *range(70, 90)]:
         ds = LabeledDataset(base.samples * 10.0**k, base.class_labels, base.subclass_labels)
-        want = outcome(oracle_dual, ds, part, config)
         got = outcome(_dual, ds, part, config)
+        assert not isinstance(got, str), (k, got)
+        c = 10.0**k
+        for a, b in (
+            (got[0].eigenvalues / c**2, unit[0].eigenvalues),
+            (got[1].lambda_reg / c**2, unit[1].lambda_reg),
+            (got[1].weights * c, unit[1].weights),
+            (got[1].alpha / c**2, unit[1].alpha),
+            (got[2] * c, unit[2]),
+            (got[3], unit[3]),
+        ):
+            np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12 * np.abs(b).max())
+        want = outcome(oracle_dual, ds, part, config)
         if isinstance(want, str):
-            assert got == want, k
+            assert want == str(_range_error(ds)), k
             continue
         trained.append(k)
+        alpha_error = abs(want[1].alpha / c**2 / unit[1].alpha - 1.0)
+        if alpha_error > 1e-10:
+            oracle_off.append(k)
+            continue
         assert_first_stage_close(got, want)
         assert_second_stage_close(got, want)
     # the oracle's own range: fit_model's alpha multiplies two eigenvalues
     assert trained == [*range(-81, -70), *range(-5, 6), *range(70, 77)]
+    # near its lower end that product is subnormal, so the oracle's alpha has
+    # lost bits that the prescaled path keeps
+    assert oracle_off == [-81, -80, -79]
 
 
-def test_range_failures_raise_no_warning_first():
-    # the scale of the data goes unnoticed until fit_model's product of two
-    # eigenvalues leaves the float64 range; nothing on the way may warn
+def test_scales_once_refused_train_with_no_warning():
+    # training refused these scales once fit_model's product of two
+    # eigenvalues left float64; both paths now train them, to the unit-scale
+    # model over the scale, and nothing on the way may warn
     base = small_sample_ds(8, [7, 6, 8, 5], 15, split=[2, 4, 3, 1])
     part = partition_dataset(base, TreeParams(h=2), "provided")
     for dim in (base.dim, base.n // 2):  # the dual path, then the dense one
+        unit = LabeledDataset(base.samples[:, :dim], base.class_labels, base.subclass_labels)
+        want = train(unit, part, TrainConfig(d=4)).projection
         for scale in (1e-90, 1e90):
-            ds = LabeledDataset(
-                base.samples[:, :dim] * scale, base.class_labels, base.subclass_labels
-            )
+            ds = LabeledDataset(unit.samples * scale, unit.class_labels, unit.subclass_labels)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                with pytest.raises(TrainingError, match="outside the float64 range") as raised:
-                    train(ds, part, TrainConfig(d=4))
-            assert str(raised.value) == str(_range_error(ds))
+                got = train(ds, part, TrainConfig(d=4)).projection
+            assert np.abs(got * scale - want).max() <= 1e-10 * np.abs(want).max(), (dim, scale)
 
 
 def block_edge_ds(classes, dim):

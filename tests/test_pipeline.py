@@ -4,6 +4,7 @@ import re
 import struct
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from wssda import (
     train,
     train_detailed,
 )
-from wssda.pipeline import _HEADER
+from wssda.pipeline import _HEADER, SECOND_STAGES
 from wssda.scatter import within_subclass_scatter
 from wssda.spectrum import flat_model
 
@@ -204,29 +205,46 @@ def provided_rows(scale):
 
 
 BOTH_MODES = ("regularized", "truncated")
-SCALE_ERROR = r"magnitude up to \d\.\d+e[+-]\d+ .* rescale the data"
 
 
 def train_configs(modes=BOTH_MODES, stages=("ts",)):
     return [TrainConfig(2, mode, stage) for mode in modes for stage in stages]
 
 
+def assert_scaled_by(got, want, k):
+    """got trained on want's samples times 2^k, bit for bit: the projection and
+    weights times 2^-k, the spectrum times 4^k (inf or 0 where that leaves
+    float64), the second-stage eigenvalues unchanged."""
+    (fx_k, details_k), (fx, details) = got, want
+    with np.errstate(over="ignore"):
+        pairs = [
+            (fx_k.projection, np.ldexp(fx.projection, -k)),
+            (details_k.spectrum.eigenvalues, np.ldexp(details.spectrum.eigenvalues, 2 * k)),
+            (details_k.model.lambda_reg, np.ldexp(details.model.lambda_reg, 2 * k)),
+            (details_k.model.weights, np.ldexp(details.model.weights, -k)),
+            (details_k.second_stage_eigenvalues, details.second_stage_eigenvalues),
+        ]
+    for index, (a, b) in enumerate(pairs):
+        assert a.tobytes() == b.tobytes(), index
+    assert details_k.second_stage_rank == details.second_stage_rank
+
+
 @pytest.mark.parametrize(
-    "make, args, configs",
+    "make, args, p, configs",
     [
-        (gaussian_rows, (60, 8, 1e155), train_configs()),
-        (gaussian_rows, (60, 8, 1e-170), train_configs()),
-        (gaussian_rows, (24, 40, 1e160), train_configs()),
-        (gaussian_rows, (24, 40, 1e-170), train_configs()),
-        # the scatter holds, but fit_model's product of two eigenvalues underflows
-        (gaussian_rows, (60, 8, 1e-100), train_configs(("regularized",))),
-        # the truncated first stage holds, but the second stage's scatter or
-        # Gram matrix of the raw samples overflows
-        (synth_rows, (30, 1e153), train_configs(("truncated",), ("ts", "bs"))),
-        (synth_rows, (90, 10**153.0), train_configs(("truncated",), ("bs",))),
-        (synth_rows, (90, 10**153.4), train_configs(("truncated",), ("ts",))),
-        # fit_model's product overflows, and regularize divides it
-        (provided_rows, (10**153.7,), train_configs(("regularized",))),
+        (gaussian_rows, (60, 8), 515, train_configs()),
+        (gaussian_rows, (60, 8), -565, train_configs()),
+        (gaussian_rows, (24, 40), 532, train_configs()),
+        (gaussian_rows, (24, 40), -565, train_configs()),
+        # the scatter held, but fit_model's product of two eigenvalues underflowed
+        (gaussian_rows, (60, 8), -332, train_configs(("regularized",))),
+        # the truncated first stage held, but the second stage's scatter or
+        # Gram matrix of the raw samples overflowed
+        (synth_rows, (30,), 508, train_configs(("truncated",), ("ts", "bs"))),
+        (synth_rows, (90,), 508, train_configs(("truncated",), ("bs",))),
+        (synth_rows, (90,), 510, train_configs(("truncated",), ("ts",))),
+        # fit_model's product overflowed, and regularize divided it
+        (provided_rows, (), 511, train_configs(("regularized",))),
     ],
     ids=[
         "dense overflow",
@@ -240,45 +258,77 @@ def train_configs(modes=BOTH_MODES, stages=("ts",)):
         "model overflow",
     ],
 )
-def test_train_out_of_float64_range_names_the_data_scale(make, args, configs):
-    # overflow used to reach LAPACK ("Eigenvalues did not converge"), an
-    # underflowed scatter was reported as one of singleton subclasses, and an
-    # overflowed second stage was a bare ValueError of the eigensolver
-    ds, part = make(*args)
+def test_train_at_scales_once_refused_is_exact(make, args, p, configs):
+    # each case was refused with "rescale the data" (and before that reached
+    # LAPACK, or was misreported); each stage is now solved on its rows
+    # prescaled by a power of two, so it trains to the unit-scale model
+    # times 2^-p, bit for bit, with no NumPy warning on the way
+    ds, part = make(*args, 2.0**p)
+    unit, unit_part = make(*args, 1.0)
     assert min(min(counts) for counts in part.subclass_counts) >= 2
     for config in configs:
-        # and with no NumPy warning of the overflow on the way
-        with pytest.raises(TrainingError, match=SCALE_ERROR):
-            train(ds, part, config)
+        got = train_detailed(ds, part, config)
+        assert_scaled_by(got, train_detailed(unit, unit_part, config), p)
+
+
+def scale_error(ds):
+    scale = float(np.abs(ds.samples).max())
+    return (
+        f"samples of magnitude up to {scale:.3g} take a training stage's rows or the "
+        "projection past the float64 range"
+    )
+
+
+def five_row_subclasses(dim, scale):
+    """60 uniform rows in [-scale, scale) x dim: 6 classes x 2 subclasses of 5."""
+    x = np.random.default_rng(2).uniform(-1.0, 1.0, size=(60, dim)) * scale
+    ds = LabeledDataset(x, np.repeat(np.arange(6), 10), np.tile(np.repeat([0, 1], 5), 6))
+    return ds, partition_dataset(ds, TreeParams(h=2), "provided")
+
+
+@pytest.mark.parametrize("dim", [30, 90], ids=["dense", "dual"])
+@pytest.mark.parametrize(
+    "scale",
+    # a subclass's Helmert contrast sums its rows, which overflows; a
+    # within-subclass spread so small that the whitening weights, and so the
+    # projection, overflow; and one so small that the weighted contrasts
+    # round to zero although the rows differ
+    [2.0**1022, 2.0**-1040, 2.0**-1074],
+    ids=["rows overflow", "projection overflows", "rows underflow"],
+)
+def test_train_out_of_float64_range_names_the_data_scale(dim, scale):
+    ds, part = five_row_subclasses(dim, scale)
+    for config in train_configs(stages=SECOND_STAGES):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingError) as raised:
+                train(ds, part, config)
+        assert str(raised.value) == scale_error(ds), config
+        assert raised.value.__cause__ is None and raised.value.__context__ is None
 
 
 @pytest.mark.parametrize("shape", [(4, 2, 6, 10), (4, 2, 3, 40)], ids=["dense", "dual"])
 @pytest.mark.parametrize("strategy", ["kd", "pca", "kmeans", "rp", "provided"])
 def test_train_is_exactly_equivariant_under_power_of_two_scaling(shape, strategy):
     # scaling by 2^k changes the exponent of every rounded intermediate and no
-    # mantissa bit, so inside the float64 range the scaled samples give the
-    # same partition, the projection divided by 2^k, the spectrum times 4^k,
-    # its weights times 2^-k, and the second stage of unchanged whitened rows
+    # mantissa bit, and each stage is solved on its rows prescaled by a power
+    # of two, so at any scale whose rows and projection float64 holds the
+    # scaled samples give the same partition, the projection divided by 2^k,
+    # the spectrum times 4^k, its weights times 2^-k, and the second stage of
+    # unchanged whitened rows
     ds = generate_synthetic(SynthSpec(*shape, seed=7))
     assert (ds.n >= ds.dim) == (shape[3] == 10)
     params = TreeParams(h=2, seed=7)
     part = partition_dataset(ds, params, strategy)
     configs = [TrainConfig(ds.dim, mode, stage) for mode in BOTH_MODES for stage in ("ts", "bs")]
     trained_at_1 = [train_detailed(ds, part, config) for config in configs]
-    for k in (-40, 7, 40):
-        scale = 2.0**k
-        scaled = LabeledDataset(ds.samples * scale, ds.class_labels, ds.subclass_labels)
+    for k in (-1000, -40, 7, 40, 1000):
+        scaled = LabeledDataset(np.ldexp(ds.samples, k), ds.class_labels, ds.subclass_labels)
         part_k = partition_dataset(scaled, params, strategy)
         assert np.array_equal(part_k.subclass_labels, part.subclass_labels)
-        for config, (fx, details) in zip(configs, trained_at_1):
-            fx_k, details_k = train_detailed(scaled, part_k, config)
-            case = (k, config.mode, config.second_stage)
-            assert np.array_equal(fx_k.projection, fx.projection / scale), case
-            spectrum = details.spectrum.eigenvalues
-            assert np.array_equal(details_k.spectrum.eigenvalues, spectrum * scale**2), case
-            assert np.array_equal(details_k.model.weights, details.model.weights / scale), case
-            second = details.second_stage_eigenvalues
-            assert np.array_equal(details_k.second_stage_eigenvalues, second), case
+        for config, want in zip(configs, trained_at_1):
+            got = train_detailed(scaled, part_k, config)
+            assert_scaled_by(got, want, k)
 
 
 def test_train_flat_spectrum_takes_the_flat_model():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import wssda.pipeline
 from conftest import (
@@ -27,6 +28,7 @@ from wssda.scatter import (
     between_subclass_scatter,
     class_means,
     group_means,
+    prescale_rows,
     total_subclass_scatter,
     within_subclass_scatter,
 )
@@ -277,6 +279,49 @@ def test_scatter_psd_and_symmetric(seed):
         m = within_subclass_scatter(data, part).matrix
         assert np.array_equal(m, m.T)
         assert np.linalg.eigvalsh(m).min() >= -1e-10
+
+
+# a block's entries: mantissas of magnitude 0 or in [2^-60, 1], times one 2^e
+# with e in [-960, 1023], so that every entry stays normal through the
+# prescale and back
+mantissas = st.one_of(
+    st.sampled_from([0.0, -0.0]), st.floats(2.0**-60, 1.0), st.floats(-1.0, -(2.0**-60))
+)
+shapes = hnp.array_shapes(min_dims=2, max_dims=2, min_side=0)
+blocks = hnp.arrays(np.float64, shapes, elements=mantissas)
+
+
+@given(blocks, st.integers(-960, 1023))
+@settings(max_examples=200, deadline=None)
+def test_prescale_rows_scales_exactly_into_unit_magnitude(block, e):
+    rows = np.ldexp(block, e)
+    before = rows.tobytes()
+    k = prescale_rows(rows)
+    assert np.ldexp(rows, k).tobytes() == before
+    peak = np.abs(rows).max(initial=0.0)
+    if block.any():
+        assert 0.5 <= peak < 1.0
+    else:
+        assert k == 0 and peak == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_prescale_rows_refuses_rows_past_float64(bad):
+    rows = np.ones((2, 3))
+    rows[1, 2] = bad
+    with pytest.raises(OverflowError):
+        prescale_rows(rows)
+
+
+def test_scatter_matrix_is_its_unit_times_four_to_the_exponent():
+    # the builders prescale their rows; matrix gives the scatter in the units
+    # of the data, saturating where those leave float64
+    rows = np.array([[3.0, 0.0], [1.0, 2.0**-600]])
+    got = scatter._scatter(rows.copy())
+    assert got.exponent == 2 and got.unit[0, 0] == 10.0 / 16.0
+    assert got.matrix.tobytes() == np.array([[10.0, 2.0**-600], [2.0**-600, 0.0]]).tobytes()
+    huge = scatter._scatter(np.ldexp(rows, 600))
+    assert huge.exponent == 602 and huge.matrix[0, 0] == np.inf
 
 
 group_sizes = st.lists(
