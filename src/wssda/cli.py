@@ -1,16 +1,20 @@
 """Command line front end.
 
-Subcommands: synth, train, eval-id, eval-verify, partition.  Each flag's type
-and default are declared once, in its add_argument call.  Every value flag
-can also come from a flat key=value config file (--config): a key is the
-flag's long name with underscores, cast by the flag's type, and the values
-become the command's defaults, so explicit flags win.  Output files are
-written atomically (temp file, then rename), and a failing run removes the
-files and directories it made, so no output directory holds a partial result.
+Subcommands: synth, train, eval-id, eval-verify, partition.  synth is the
+only command that makes data: it writes a CSV, which the others read through
+--csv (--with-subclasses keeps its subclass column), as they read image
+folders through --pgm-dir.  Each flag's type and default are declared once,
+in its add_argument call.  Every value flag can also come from a flat
+key=value config file (--config): a key is the flag's long name with
+underscores, cast by the flag's type, and the values become the command's
+defaults, so explicit flags win.  Output files are written atomically (temp
+file, then rename), and a failing run removes the files and directories it
+made, so no output directory holds a partial result.
 
-Seeds are namespaced per purpose: the user-facing --seed is combined with
-the consumer name (synth, partition) through a hash so that, say, adding a
-partition step never shifts the synthetic data stream.
+Seeds are namespaced per purpose: the user-facing --seed of synth,
+partition and train is combined with the consumer name (synth, partition)
+through a hash, so `synth --seed s` then `train --csv --seed s` draws the
+data and the partition from two independent streams.
 """
 
 from __future__ import annotations
@@ -229,33 +233,12 @@ def _float_column(values) -> list[str]:
 # ---------------------------------------------------------------- sources
 
 
-def _synth_spec(args: argparse.Namespace) -> SynthSpec:
-    if args.scale_min > args.scale_max:  # SynthSpec.validate would name scale_range
-        raise ConfigError(
-            f"--scale-min {args.scale_min:g} exceeds --scale-max {args.scale_max:g} "
-            "(config keys 'scale_min' and 'scale_max')"
-        )
-    return SynthSpec(
-        class_count=args.classes,
-        subclasses_per_class=args.subclasses,
-        samples_per_subclass=args.samples_per_subclass,
-        dim=args.dim,
-        subclass_mean_spread=args.spread,
-        scale_range=(args.scale_min, args.scale_max),
-        class_center_spread=args.class_spread,
-        seed=_subseed(args.seed, "synth"),
-    )
-
-
 def _load_dataset(args: argparse.Namespace) -> LabeledDataset:
-    chosen = sum(1 for flag in (args.csv, args.pgm_dir, args.synth) if flag)
-    if chosen != 1:
-        raise ConfigError("exactly one data source required: --csv, --pgm-dir, or --synth")
+    if bool(args.csv) == bool(args.pgm_dir):
+        raise ConfigError("exactly one data source required: --csv or --pgm-dir")
     if args.csv:
         return load_csv(args.csv, with_subclasses=args.with_subclasses)
-    if args.pgm_dir:
-        return load_pgm_dir(args.pgm_dir)
-    return generate_synthetic(_synth_spec(args))
+    return load_pgm_dir(args.pgm_dir)
 
 
 def _out_dir(args: argparse.Namespace, out: OutputSet) -> str:
@@ -302,7 +285,22 @@ def _warn_rank(d: int, rank: int) -> None:
 
 def cmd_synth(args: argparse.Namespace, out: OutputSet) -> None:
     out_path = _require(args, "out")
-    ds = generate_synthetic(_synth_spec(args))
+    if args.scale_min > args.scale_max:  # SynthSpec.validate would name scale_range
+        raise ConfigError(
+            f"--scale-min {args.scale_min:g} exceeds --scale-max {args.scale_max:g} "
+            "(config keys 'scale_min' and 'scale_max')"
+        )
+    spec = SynthSpec(
+        class_count=args.classes,
+        subclasses_per_class=args.subclasses,
+        samples_per_subclass=args.samples_per_subclass,
+        dim=args.dim,
+        subclass_mean_spread=args.spread,
+        scale_range=(args.scale_min, args.scale_max),
+        class_center_spread=args.class_spread,
+        seed=_subseed(args.seed, "synth"),
+    )
+    ds = generate_synthetic(spec)
     out.write_file(out_path, lambda tmp: save_csv(ds, tmp))
     # the settings that regenerate the file, as a --config file
     echo = [(key, "%d" if kind is _count else FLOAT_FMT) for key, kind, _, _ in SYNTH_FLAGS]
@@ -444,21 +442,15 @@ def _add_io_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--with-subclasses",
         action="store_true",
-        help="the CSV's second column is a subclass label",
+        help="the CSV's second column is a subclass label, as in a synth CSV",
     )
     p.add_argument("--pgm-dir", help="directory of per-class PGM image folders")
-    p.add_argument("--synth", action="store_true", help="generate synthetic data")
-    _add_synth_flags(p)
-
-
-def _add_synth_flags(p: argparse.ArgumentParser) -> None:
-    for key, kind, default, help in SYNTH_FLAGS:
-        p.add_argument("--" + key.replace("_", "-"), type=kind, default=default, help=help)
 
 
 def _add_partition_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=_seed, default=0, help="seed of the rp and kmeans partitions")
     p.add_argument("--strategy", choices=STRATEGIES, default="kd", help="partition strategy")
-    p.add_argument("--h", type=int, default=2, help="subclasses per class")
+    p.add_argument("--h", type=_count, default=2, help="subclasses per class")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -471,13 +463,14 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, func, help):
         p = sub.add_parser(name, help=help, formatter_class=_HelpFormatter)
         p.add_argument("--config", help="flat key=value config file; flags override it")
-        p.add_argument("--seed", type=_seed, default=0, help="random seed")
         # main() finds the flags a config file may set through `parser`
         p.set_defaults(func=func, parser=p)
         return p
 
-    p = command("synth", cmd_synth, "generate a synthetic dataset CSV")
-    _add_synth_flags(p)
+    p = command("synth", cmd_synth, "write a synthetic dataset CSV; read it with --csv")
+    p.add_argument("--seed", type=_seed, default=0, help="seed of the synthetic data")
+    for key, kind, default, help in SYNTH_FLAGS:
+        p.add_argument("--" + key.replace("_", "-"), type=kind, default=default, help=help)
     p.add_argument("--out", help="output CSV path")
 
     p = command("partition", cmd_partition, "partition classes into subclasses")
@@ -487,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("train", cmd_train, "train a feature extractor")
     _add_io_flags(p)
     _add_partition_flags(p)
-    p.add_argument("--d", type=int, help="feature dimension")
+    p.add_argument("--d", type=_count, help="feature dimension")
     p.add_argument(
         "--mode", choices=(REGULARIZED, TRUNCATED), default=REGULARIZED, help="spectrum model"
     )
@@ -496,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("eval-id", cmd_eval_id, "closed-set identification error vs d")
     _add_io_flags(p)
     p.add_argument("--model", help="trained model file")
-    p.add_argument("--rotations", type=int, default=1, help="gallery/probe rotations")
+    p.add_argument("--rotations", type=_count, default=1, help="gallery/probe rotations")
     p.add_argument(
         "--d-sweep",
         type=_int_list,
@@ -507,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p)
     p.add_argument("--model", help="trained model file")
     p.add_argument("--pairs", help="pairs file: index_a,index_b,same|diff per line")
-    p.add_argument("--folds", type=int, default=1, help="folds; 1 writes the exact ROC")
+    p.add_argument("--folds", type=_count, default=1, help="folds; 1 writes the exact ROC")
 
     return parser
 

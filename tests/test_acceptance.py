@@ -303,15 +303,19 @@ def test_criterion_09_cli_determinism(tmp_path):
         outputs = {}
         for run in ("one", "two"):
             out_dir = str(tmp_path / run)
+            data = str(tmp_path / f"{run}.csv")
             argv = [
-                "train", "--synth", "--seed", "7", "--classes", "8", "--subclasses", "2",
-                "--samples-per-subclass", "5", "--dim", "16", "--d", "6",
+                "synth", "--out", data, "--seed", "7", "--classes", "8", "--subclasses", "2",
+                "--samples-per-subclass", "5", "--dim", "16",
+            ]
+            assert cli_main(argv) == 0
+            argv = [
+                "train", "--csv", data, "--with-subclasses", "--seed", "7", "--d", "6",
                 "--strategy", "kmeans", "--h", "2", "--out-dir", out_dir,
             ]
             assert cli_main(argv) == 0
             argv = [
-                "eval-id", "--synth", "--seed", "7", "--classes", "8", "--subclasses", "2",
-                "--samples-per-subclass", "5", "--dim", "16",
+                "eval-id", "--csv", data, "--with-subclasses",
                 "--model", os.path.join(out_dir, "model.wssda"),
                 "--rotations", "2", "--d-sweep", "1,3,6", "--out-dir", out_dir,
             ]

@@ -45,6 +45,13 @@ def test_tracer_installs_on_the_package_names_and_restores_them(perfbench, tmp_p
             assert getattr(owner, attr) is value, (owner.__name__, attr)
 
 
+def synth_csv(tmp_path, dim):
+    """--csv of a `wssda synth` file: 4 classes of 2 x 10 samples at dim."""
+    path = str(tmp_path / "data.csv")
+    assert wssda.cli.main(["synth", "--out", path, "--classes", "4", "--dim", str(dim)]) == 0
+    return ["--csv", path, "--with-subclasses"]
+
+
 @pytest.mark.parametrize("second_stage", ["ts", "bs"])
 def test_dense_train_records_every_layer_span(perfbench, tmp_path, second_stage):
     # the spans wrap names on wssda.pipeline and read part.subclass_counts,
@@ -52,7 +59,7 @@ def test_dense_train_records_every_layer_span(perfbench, tmp_path, second_stage)
     spans, workloads = perfbench
     tracer = spans.Tracer()
     argv = [
-        "train", "--synth", "--classes", "4", "--dim", "12", "--d", "3",
+        "train", *synth_csv(tmp_path, 12), "--d", "3",
         "--second-stage", second_stage, "--out-dir", str(tmp_path),
     ]
     with tracer.installed(workloads.make_api()):
@@ -80,7 +87,7 @@ def test_dual_train_records_the_train_class_means_and_eig_spans(perfbench, tmp_p
     # record must not drop to 0 unnoticed as well
     spans, workloads = perfbench
     tracer = spans.Tracer()
-    argv = ["train", "--synth", "--classes", "4", "--dim", "100", "--d", "3"]
+    argv = ["train", *synth_csv(tmp_path, 100), "--d", "3"]
     with tracer.installed(workloads.make_api()):
         assert wssda.cli.main([*argv, "--out-dir", str(tmp_path)]) == 0
     n = len((tmp_path / "partition.csv").read_text().splitlines()) - 1
@@ -93,7 +100,7 @@ def test_eval_id_records_the_identify_span(perfbench, tmp_path):
     # evaluation.identify_s reads this span; a sweep the CLI stops calling by
     # the wrapped name would time it as 0
     spans, workloads = perfbench
-    data = ["--synth", "--classes", "4", "--dim", "12", "--out-dir", str(tmp_path)]
+    data = [*synth_csv(tmp_path, 12), "--out-dir", str(tmp_path)]
     assert wssda.cli.main(["train", *data, "--d", "3"]) == 0
     argv = ["eval-id", *data, "--model", str(tmp_path / "model.wssda"), "--d-sweep", "1,3"]
     tracer = spans.Tracer()
@@ -109,7 +116,7 @@ def test_eval_verify_records_the_roc_span_with_its_counts(perfbench, tmp_path, f
     # len(out.thresholds) of this span: a ROC the CLI stops calling by the
     # wrapped name reads as 0, and thresholds held as an ndarray would raise
     spans, workloads = perfbench
-    data = ["--synth", "--classes", "4", "--dim", "12", "--out-dir", str(tmp_path)]
+    data = [*synth_csv(tmp_path, 12), "--out-dir", str(tmp_path)]
     assert wssda.cli.main(["train", *data, "--d", "3"]) == 0
     index = np.argwhere(np.triu(np.ones((80, 80), dtype=bool), k=1))
     index = index[np.random.default_rng(0).permutation(len(index))]

@@ -16,7 +16,15 @@ import pytest
 
 import wssda
 import wssda.cli
-from wssda.cli import ENV_OUT_DIR, _float_column, _subseed, _table, load_config, main
+from wssda.cli import (
+    ENV_OUT_DIR,
+    _float_column,
+    _subseed,
+    _table,
+    build_parser,
+    load_config,
+    main,
+)
 from wssda.dataset import FLOAT_FMT, load_csv, make_gallery_probe_splits, save_csv, subset
 from wssda.evaluation import _grid_readout, identification_sweep
 from wssda.pipeline import load_model
@@ -199,11 +207,12 @@ def config_text(argv):
 @pytest.mark.parametrize("command", ["train", "eval-verify"])
 def test_config_keys_and_flags_write_the_same_bytes(tmp_path, capsys, command):
     if command == "train":
-        # the synthetic source takes the synth flags too
+        csv_path = make_dataset_csv(
+            tmp_path, capsys, classes=5, subclasses=3, samples_per_subclass=4, dim=10,
+            spread=2.5, scale_min=0.25, scale_max=2, class_spread=4, seed=9,
+        )
         flags = [
-            "--synth", "--classes", 5, "--subclasses", 3, "--samples-per-subclass", 4,
-            "--dim", 10, "--spread", 2.5, "--scale-min", 0.25, "--scale-max", 2,
-            "--class-spread", 4, "--with-subclasses", "--strategy", "kmeans", "--h", 3,
+            "--csv", csv_path, "--with-subclasses", "--strategy", "kmeans", "--h", 3,
             "--seed", 9, "--d", 6, "--mode", "truncated", "--second-stage", "bs",
         ]
         outputs = ("model.wssda", "partition.csv", "spectrum.csv")
@@ -212,7 +221,7 @@ def test_config_keys_and_flags_write_the_same_bytes(tmp_path, capsys, command):
         model_dir, _ = train_small(tmp_path, capsys, csv_path, d=4)
         ds = load_csv(csv_path, with_subclasses=True)
         flags = [
-            "--csv", csv_path, "--with-subclasses", "--seed", 2,
+            "--csv", csv_path, "--with-subclasses",
             "--model", os.path.join(model_dir, "model.wssda"),
             "--pairs", write_pairs(tmp_path / "pairs.csv", ds), "--folds", 3,
         ]
@@ -229,17 +238,11 @@ def test_config_keys_and_flags_write_the_same_bytes(tmp_path, capsys, command):
         assert (by_config / name).read_bytes() == (by_flags / name).read_bytes(), name
 
 
-def test_config_key_of_a_flag_the_source_ignores_is_accepted(tmp_path, capsys):
-    # --csv ignores --classes; the classes key is accepted as the flag is
+def test_config_key_of_a_synth_flag_is_refused_where_data_is_read(tmp_path, capsys):
+    # only synth makes data; a command that reads --csv takes no synth knob
     csv_path = make_dataset_csv(tmp_path, capsys)
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("classes=99\n")
-    base = ["partition", "--csv", csv_path, "--with-subclasses"]
-    for name, extra in (("flag", ["--classes", 99]), ("config", ["--config", cfg])):
-        code, _, err = run_cli(base + extra + ["--out-dir", tmp_path / name], capsys)
-        assert code == 0, err
-    written = [(tmp_path / name / "partition.csv").read_bytes() for name in ("flag", "config")]
-    assert written[0] == written[1]
+    args = ["--csv", csv_path, "--with-subclasses", "--out-dir", "{out}"]
+    assert_unrecognized_by_flag_and_key(tmp_path, capsys, "partition", args, "classes", "99")
 
 
 @pytest.mark.parametrize(
@@ -263,20 +266,45 @@ def test_config_faults_are_reported_before_any_input_is_read(tmp_path, capsys, l
     assert not out_dir.exists()
 
 
+def test_each_command_takes_exactly_its_flags():
+    # a new knob is a deliberate edit here; synth alone makes data, and the
+    # seed reaches only the synthetic data and the partition
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    taken = {
+        name: {flag for a in p._actions for flag in a.option_strings} - {"-h", "--help"}
+        for name, p in commands.items()
+    }
+    reads = {"--config", "--out-dir", "--csv", "--with-subclasses", "--pgm-dir"}
+    partitions = {"--seed", "--strategy", "--h"}
+    assert taken == {
+        "synth": {
+            "--config", "--seed", "--classes", "--subclasses", "--samples-per-subclass",
+            "--dim", "--spread", "--scale-min", "--scale-max", "--class-spread", "--out",
+        },
+        "partition": reads | partitions,
+        "train": reads | partitions | {"--d", "--mode", "--second-stage"},
+        "eval-id": reads | {"--model", "--rotations", "--d-sweep"},
+        "eval-verify": reads | {"--model", "--pairs", "--folds"},
+    }
+    assert sum(map(len, taken.values())) == 46
+
+
 def test_help_shows_each_flag_default(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["train", "--help"])
-    assert exc.value.code == 0
-    text = " ".join(capsys.readouterr().out.split())
-    for shown in (
-        "--seed SEED random seed (default: 0)",
-        "--classes CLASSES number of classes (default: 20)",
-        "--strategy {kd,rp,pca,kmeans,provided} partition strategy (default: kd)",
-        "--h H subclasses per class (default: 2)",
-        "--scale-min SCALE_MIN smallest subclass noise scale (default: 0.5)",
-        "--d D feature dimension --mode",  # no default: required
+    texts = {}
+    for command in ("train", "synth"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        texts[command] = " ".join(capsys.readouterr().out.split())
+    for command, shown in (
+        ("train", "--seed SEED seed of the rp and kmeans partitions (default: 0)"),
+        ("synth", "--classes CLASSES number of classes (default: 20)"),
+        ("train", "--strategy {kd,rp,pca,kmeans,provided} partition strategy (default: kd)"),
+        ("train", "--h H subclasses per class (default: 2)"),
+        ("synth", "--scale-min SCALE_MIN smallest subclass noise scale (default: 0.5)"),
+        ("train", "--d D feature dimension --mode"),  # no default: required
     ):
-        assert shown in text
+        assert shown in texts[command]
 
 
 # ---------------------------------------------------------------- partition
@@ -410,6 +438,38 @@ def test_train_at_any_power_of_two_scale_is_exact(tmp_path, capsys, dim, p):
         for unit_value, value in zip(unit_values, values):
             assert value == ("inf" if p > 0 and float(unit_value) > 0 else "0"), k
         assert float(weight) == np.ldexp(float(unit_weight), -p), k
+
+
+@pytest.mark.parametrize(
+    "shape, strategy, second_stage",
+    [
+        (dict(classes=6, subclasses=2, samples_per_subclass=4, dim=12), "kmeans", "ts"),
+        (dict(classes=4, subclasses=2, samples_per_subclass=3, dim=40), "rp", "bs"),
+    ],
+    ids=["dense", "dual"],
+)
+def test_synth_then_train_on_its_csv_writes_the_library_model(
+    tmp_path, capsys, shape, strategy, second_stage
+):
+    # synth --seed s, then train --csv --with-subclasses --seed s, trains on the
+    # data the library generates from the synth stream of s, partitioned by the
+    # partition stream of s; kmeans and rp draw from that stream
+    seed = 7
+    csv_path = make_dataset_csv(tmp_path, capsys, seed=seed, **shape)
+    out_dir, _ = train_small(
+        tmp_path, capsys, csv_path, d=4, seed=seed, strategy=strategy, second_stage=second_stage
+    )
+    spec = wssda.SynthSpec(
+        shape["classes"], shape["subclasses"], shape["samples_per_subclass"], shape["dim"],
+        seed=_subseed(seed, "synth"),
+    )
+    ds = wssda.generate_synthetic(spec)
+    params = wssda.TreeParams(h=2, seed=_subseed(seed, "partition"))
+    part = wssda.partition_dataset(ds, params, strategy)
+    fx = wssda.train(ds, part, wssda.TrainConfig(d=4, second_stage=second_stage))
+    wssda.save_model(fx, tmp_path / "library.wssda")
+    written = (tmp_path / "run" / "model.wssda").read_bytes()
+    assert written == (tmp_path / "library.wssda").read_bytes()
 
 
 def test_train_requires_d(tmp_path, capsys):
@@ -621,7 +681,8 @@ def test_bad_d_sweep_is_reported_before_the_model_is_read(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("d_sweep=1,x\n")
     missing = tmp_path / "missing.wssda"
-    argv = ["eval-id", "--synth", "--model", missing, "--out-dir", tmp_path / "out"]
+    argv = ["eval-id", "--csv", tmp_path / "missing.csv", "--model", missing]
+    argv += ["--out-dir", tmp_path / "out"]
     code, _, err = run_cli(argv + ["--config", cfg], capsys)
     assert code == 1
     assert err == "error: config key 'd_sweep': invalid literal for int() with base 10: 'x'\n"
@@ -636,7 +697,8 @@ def test_bad_d_sweep_is_reported_before_the_model_is_read(tmp_path, capsys):
 def test_d_sweep_below_one_is_refused_by_its_flag_and_config_key(tmp_path, capsys, sweep):
     # the library's check would name d_values, neither the flag nor the key
     missing = tmp_path / "missing.wssda"
-    argv = ["eval-id", "--synth", "--model", missing, "--out-dir", tmp_path / "out"]
+    argv = ["eval-id", "--csv", tmp_path / "missing.csv", "--model", missing]
+    argv += ["--out-dir", tmp_path / "out"]
     with pytest.raises(SystemExit) as exc:
         main([str(a) for a in argv + ["--d-sweep", sweep]])
     assert exc.value.code == 2
@@ -649,25 +711,30 @@ def test_d_sweep_below_one_is_refused_by_its_flag_and_config_key(tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
-# every command that takes the synthetic source, with the flags it needs
-SYNTH_COMMANDS = pytest.mark.parametrize(
-    "command, args",
-    [
-        ("synth", ["--out", "{out}/d.csv"]),
-        ("partition", ["--synth", "--out-dir", "{out}"]),
-        ("train", ["--synth", "--d", "2", "--out-dir", "{out}"]),
-        ("eval-id", ["--synth", "--model", "{out}/m.wssda", "--out-dir", "{out}"]),
-        ("eval-verify", ["--synth", "--model", "{out}/m.wssda", "--pairs", "{out}/p.csv",
-                         "--out-dir", "{out}"]),
+# every command with the flags it needs; the data, model and pairs files are
+# missing, so a refusal that names the flag comes before any input is read
+COMMAND_ARGS = {
+    "synth": ["--out", "{out}/d.csv"],
+    "partition": ["--csv", "{missing}.csv", "--out-dir", "{out}"],
+    "train": ["--csv", "{missing}.csv", "--d", "2", "--out-dir", "{out}"],
+    "eval-id": ["--csv", "{missing}.csv", "--model", "{missing}.wssda", "--out-dir", "{out}"],
+    "eval-verify": [
+        "--csv", "{missing}.csv", "--model", "{missing}.wssda", "--pairs", "{missing}.pairs",
+        "--out-dir", "{out}",
     ],
-)
+}
+COMMANDS = pytest.mark.parametrize("command, args", list(COMMAND_ARGS.items()))
+
+def command_argv(tmp_path, command, args):
+    """command and args with {out} and {missing} filled in, and the out directory."""
+    out_dir = tmp_path / "out"
+    return [command, *(a.format(out=out_dir, missing=tmp_path / "missing") for a in args)], out_dir
 
 
 def assert_refused_by_flag_and_key(tmp_path, capsys, command, args, key, raw, kind, value):
     """--key raw exits 2 naming the flag and kind, key=raw in --config exits 1
     naming the key and value, and neither writes anything."""
-    out_dir = tmp_path / "out"
-    argv = [command, *(a.format(out=out_dir) for a in args)]
+    argv, out_dir = command_argv(tmp_path, command, args)
     flag = "--" + key.replace("_", "-")
     with pytest.raises(SystemExit) as exc:
         main([str(a) for a in argv + [flag, raw]])
@@ -681,15 +748,34 @@ def assert_refused_by_flag_and_key(tmp_path, capsys, command, args, key, raw, ki
     assert not out_dir.exists()
 
 
-@SYNTH_COMMANDS
+def assert_unrecognized_by_flag_and_key(tmp_path, capsys, command, args, key, raw):
+    """--key raw exits 2 as an unrecognized argument, key=raw in --config exits 1
+    as an unknown key, and neither writes anything."""
+    argv, out_dir = command_argv(tmp_path, command, args)
+    flag = "--" + key.replace("_", "-")
+    with pytest.raises(SystemExit) as exc:
+        main([str(a) for a in argv + [flag, raw]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {raw}" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={raw}\n")
+    code, _, err = run_cli(argv + ["--config", cfg], capsys)
+    assert (code, err) == (1, f"error: unknown config keys: {key}\n")
+    assert not out_dir.exists()
+
+
+@COMMANDS
 def test_negative_seed_is_refused_by_its_flag_and_config_key(tmp_path, capsys, command, args):
+    if command in ("eval-id", "eval-verify"):  # they draw nothing at random
+        assert_unrecognized_by_flag_and_key(tmp_path, capsys, command, args, "seed", "-1")
+        return
     # SeedSequence would refuse it later, with a message that names no flag
     assert_refused_by_flag_and_key(
         tmp_path, capsys, command, args, "seed", "-1", "non-negative integer", -1
     )
 
 
-@SYNTH_COMMANDS
+@COMMANDS
 @pytest.mark.parametrize(
     "key, raw, kind, value",
     [
@@ -707,32 +793,55 @@ def test_negative_seed_is_refused_by_its_flag_and_config_key(tmp_path, capsys, c
 def test_bad_synth_knob_is_refused_by_its_flag_and_config_key(
     tmp_path, capsys, command, args, key, raw, kind, value
 ):
+    if command != "synth":  # only synth makes data
+        assert_unrecognized_by_flag_and_key(tmp_path, capsys, command, args, key, raw)
+        return
     # SynthSpec.validate would refuse it later, naming its field, not the flag
     assert_refused_by_flag_and_key(tmp_path, capsys, command, args, key, raw, kind, value)
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [("partition", "h"), ("train", "h"), ("train", "d"), ("eval-id", "rotations"),
+     ("eval-verify", "folds")],
+)
+def test_count_below_one_is_refused_by_its_flag_and_config_key(tmp_path, capsys, command, key):
+    # the library would refuse it only after the data and the model are read
+    assert_refused_by_flag_and_key(
+        tmp_path, capsys, command, COMMAND_ARGS[command], key, "0", "positive integer", 0
+    )
 
 
 @pytest.mark.parametrize("command", ["synth", "train"])
 def test_scale_min_above_scale_max_names_both_flags_and_keys(tmp_path, capsys, command):
     out = tmp_path / "out"
-    argv = {
-        "synth": ["synth", "--out", out / "d.csv"],
-        "train": ["train", "--synth", "--d", 2, "--out-dir", out],
-    }[command]
-    want = "error: --scale-min 3 exceeds --scale-max 2 (config keys 'scale_min' and 'scale_max')\n"
-    code, _, err = run_cli(argv + ["--scale-min", 3, "--scale-max", 2], capsys)
-    assert (code, err) == (1, want)
+    flags = ["--scale-min", 3, "--scale-max", 2]
     cfg = tmp_path / "run.cfg"
     cfg.write_text("scale_min=3\nscale_max=2\n")
+    if command == "train":  # only synth makes data
+        argv = ["train", "--csv", tmp_path / "missing.csv", "--d", 2, "--out-dir", out]
+        with pytest.raises(SystemExit) as exc:
+            main([str(a) for a in argv + flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --scale-min 3 --scale-max 2" in capsys.readouterr().err
+        code, _, err = run_cli(argv + ["--config", cfg], capsys)
+        assert (code, err) == (1, "error: unknown config keys: scale_max, scale_min\n")
+        assert not out.exists()
+        return
+    argv = ["synth", "--out", out / "d.csv"]
+    want = "error: --scale-min 3 exceeds --scale-max 2 (config keys 'scale_min' and 'scale_max')\n"
+    code, _, err = run_cli(argv + flags, capsys)
+    assert (code, err) == (1, want)
     code, _, err = run_cli(argv + ["--config", cfg], capsys)
     assert (code, err) == (1, want)
-    # train makes its --out-dir before it reads the data; no file is left in it
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_allow_flat_spectrum_is_neither_a_flag_nor_a_config_key(tmp_path, capsys):
     # a flat spectrum takes the flat model with no opt-in
     out = tmp_path / "out"
-    argv = ["train", "--synth", "--d", 2, "--out-dir", out]
+    argv = ["train", "--csv", make_dataset_csv(tmp_path, capsys), "--with-subclasses"]
+    argv += ["--d", 2, "--out-dir", out]
     with pytest.raises(SystemExit) as exc:
         main([str(a) for a in argv + ["--allow-flat-spectrum"]])
     assert exc.value.code == 2
@@ -1032,10 +1141,10 @@ def test_pairs_index_out_of_range(tmp_path, capsys):
 
 def test_exactly_one_source_required(tmp_path, capsys):
     csv_path = make_dataset_csv(tmp_path, capsys)
-    code, _, err = run_cli(
-        ["train", "--csv", csv_path, "--synth", "--d", 2, "--out-dir", str(tmp_path)],
-        capsys,
-    )
+    faces = tmp_path / "faces"
+    write_pgm_tree(faces)
+    argv = ["train", "--csv", csv_path, "--pgm-dir", faces, "--d", 2, "--out-dir", tmp_path]
+    code, _, err = run_cli(argv, capsys)
     assert code == 1
     assert "exactly one data source" in err
 
@@ -1124,8 +1233,9 @@ def test_failed_run_keeps_a_directory_holding_a_file_it_did_not_write(
         (new / "a" / "other.txt").write_text("kept")
         raise ValueError("training failed")
 
+    csv_path = make_dataset_csv(tmp_path, capsys, classes=2, dim=3)
     monkeypatch.setattr(wssda.cli, "train_detailed", train_detailed)
-    argv = ["train", "--synth", "--classes", 2, "--dim", 3, "--d", 1]
+    argv = ["train", "--csv", csv_path, "--with-subclasses", "--d", 1]
     code, _, err = run_cli([*argv, "--out-dir", new / "a" / "b"], capsys)
     assert code == 1
     assert err == "error: training failed\n"
@@ -1145,9 +1255,10 @@ def test_memory_error_is_one_error_line_and_rolls_back(
     def train_detailed(*args):
         raise raised
 
+    csv_path = make_dataset_csv(tmp_path, capsys, classes=2, dim=3)
     monkeypatch.setattr(wssda.cli, "train_detailed", train_detailed)
     new = tmp_path / "new"
-    argv = ["train", "--synth", "--classes", 2, "--dim", 3, "--d", 1]
+    argv = ["train", "--csv", csv_path, "--with-subclasses", "--d", 1]
     code, out, err = run_cli([*argv, "--out-dir", new / "a" / "b"], capsys)
     assert (code, out, err) == (1, "", f"error: {message}\n")
     assert not new.exists()
@@ -1159,9 +1270,10 @@ def test_unexpected_exception_rolls_back_and_propagates(tmp_path, capsys, monkey
     def fail(*args):
         raise RuntimeError("bug")
 
+    csv_path = make_dataset_csv(tmp_path, capsys, classes=2, dim=3)
     monkeypatch.setattr(wssda.cli, name, fail)
     new = tmp_path / "new"
-    argv = ["train", "--synth", "--classes", 2, "--dim", 3, "--d", 1]
+    argv = ["train", "--csv", csv_path, "--with-subclasses", "--d", 1]
     with pytest.raises(RuntimeError, match="^bug$"):
         main([str(a) for a in [*argv, "--out-dir", new / "a" / "b"]])
     assert not new.exists()
