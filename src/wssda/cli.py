@@ -238,6 +238,11 @@ def _load_dataset(args: argparse.Namespace) -> LabeledDataset:
         raise ConfigError("exactly one data source required: --csv or --pgm-dir")
     if args.csv:
         return load_csv(args.csv, with_subclasses=args.with_subclasses)
+    if args.with_subclasses:
+        raise ConfigError(
+            "--with-subclasses (config key 'with_subclasses') reads a CSV's subclass "
+            "column; --pgm-dir has none"
+        )
     return load_pgm_dir(args.pgm_dir)
 
 
@@ -461,7 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, help):
-        p = sub.add_parser(name, help=help, formatter_class=_HelpFormatter)
+        # a flag matches exactly, as a config key does: no abbreviations
+        p = sub.add_parser(name, help=help, formatter_class=_HelpFormatter, allow_abbrev=False)
         p.add_argument("--config", help="flat key=value config file; flags override it")
         # main() finds the flags a config file may set through `parser`
         p.set_defaults(func=func, parser=p)

@@ -20,9 +20,8 @@ The shape alone picks the side each eigensystem is solved on:
 
 * n >= dim (dense): the scatter side, dim x dim eigendecompositions of
   R^T R and of W^T S W, for S the builder's scatter of the raw samples and
-  W = U diag(w), U the full eigenbasis.  The final columns, W times the
-  second-stage eigenvectors, are signed by eig_symmetric_full in the basis
-  LAPACK picked.
+  W = U diag(w), U the full eigenbasis; the final columns are W times the
+  second-stage eigenvectors.
 * n < dim (dual): the Gram side.  The within-subclass null space only
   ever gets one weight w_null, so W = U diag(w_r) U^T + w_null (I - U U^T)
   is basis-free and symmetric, for U the range basis from the Gram matrix
@@ -30,9 +29,7 @@ The shape alone picks the side each eigensystem is solved on:
   Y W^2 Y^T, and the final columns, W times its range basis
   (Y W)^T Q2 Lambda2^{-1/2}, are W^2 Y^T Q2 Lambda2^{-1/2} for
   W^2 = U diag(w_r^2 - w_null^2) U^T + w_null^2 I: that needs only Y and
-  Y U, no dim x dim array, and O(n^2 dim) time.  Each column's
-  largest-magnitude entry is positive (the first on ties), so no column
-  depends on the basis the Gram eigensolver picks.  The spectrum keeps dim
+  Y U, no dim x dim array, and O(n^2 dim) time.  The spectrum keeps dim
   eigenvalues, zero past the n - s of the Gram matrix.
 
 In both regimes projection columns past the second-stage rank are zero: the
@@ -41,7 +38,9 @@ an arbitrary choice.  Second-stage eigenvectors come out in descending
 eigenvalue order, and the projection is computed in whole blocks of
 COLUMN_BLOCK columns until d is covered, then cut to d: a column's bits
 depend on its block alone, so the leading d' columns of a d-column
-extractor equal the extractor trained directly at d', bit for bit.
+extractor equal the extractor trained directly at d', bit for bit.  Each
+block is signed before the cut by one rule, each column's largest-magnitude
+entry positive (the first on ties): no column depends on an eigensolver's basis.
 
 Each stage is solved on its rows scaled by a power of two, prescale_rows,
 and its results are scaled back with np.ldexp, so training is exact at any
@@ -273,15 +272,15 @@ def _columns_in_blocks(
 ) -> np.ndarray:
     """(dim, d) projection: columns [0, min(d, rank)) from block_columns(start,
     stop, out), which writes columns [start, stop) into out, called on whole
-    COLUMN_BLOCK-wide blocks cut at rank; columns past rank are zero."""
+    COLUMN_BLOCK-wide blocks cut at rank, each signed by orient_columns before
+    it is cut to d; columns past rank are zero."""
     projection = np.zeros((dim, d))
     for start in range(0, min(d, rank), COLUMN_BLOCK):
         stop = min(start + COLUMN_BLOCK, rank)
-        if stop <= d:
-            block_columns(start, stop, projection[:, start:stop])
-        else:  # the block across d is made whole, so its columns do not depend on d
-            out = np.empty((dim, stop - start))
-            block_columns(start, stop, out)
+        out = projection[:, start:stop] if stop <= d else np.empty((dim, stop - start))
+        block_columns(start, stop, out)
+        orient_columns(out)
+        if stop > d:  # the block across d is made whole, so its columns do not depend on d
             projection[:, start:] = out[:, : d - start]
     return projection
 
@@ -326,7 +325,6 @@ def _dual(ds: LabeledDataset, part: SubclassPartition, config: TrainConfig):
         coeffs = gram2.eigenvectors[:, start:stop] / np.sqrt(gram2.eigenvalues[start:stop])
         np.matmul(rows.T, w_null * w_null * coeffs, out=out)
         out += basis @ (s[:, None] * (along.T @ coeffs))
-        orient_columns(out)
 
     projection = _columns_in_blocks(ds.dim, config.d, gram2.rank, block_columns)
     second_values = _padded(gram2.eigenvalues, ds.dim)

@@ -163,11 +163,12 @@ def assert_first_stage_close(got, want):
     assert np.abs(u_b @ u_b.T - u_a @ u_a.T).max() <= 1e-8
 
 
-def assert_second_stage_close(got, want, scaled=True):
+def assert_second_stage_close(got, want, scaled=True, signed=False):
     """Equal ranks; eigenvalues within 1e-10 relative, or 1e-12 of the largest
     (an eigenvalue far below it is only accurate to rounding of the largest);
-    projection columns within 1e-10 of the largest entry, up to sign one by
-    one and as a span inside a cluster of tied eigenvalues.
+    projection columns within 1e-10 of the largest entry, one by one (up to
+    sign unless signed is set) and as a span inside a cluster of tied
+    eigenvalues.
 
     A dual column k is W^2 Y^T q_k / sqrt(lambda_k), so it carries half the
     relative error of lambda_k; with scaled set, got's columns are compared
@@ -186,7 +187,8 @@ def assert_second_stage_close(got, want, scaled=True):
     for group in clusters(second_a, r2):
         a, b = proj_a[:, group], proj_b[:, group]
         if len(group) == 1:
-            assert min(np.abs(b - a).max(), np.abs(b + a).max()) <= tol, group
+            off = np.abs(b - a).max() if signed else min(np.abs(b - a).max(), np.abs(b + a).max())
+            assert off <= tol, group
         else:
             q, _ = np.linalg.qr(a)
             assert np.abs(b - q @ (q.T @ b)).max() <= tol, group

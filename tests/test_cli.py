@@ -599,6 +599,38 @@ def test_out_dir_beside_or_at_the_pgm_dir_root_is_accepted(tmp_path, capsys):
         assert (out_dir / "model.wssda").exists()
 
 
+@pytest.mark.parametrize("command", ["partition", "train", "eval-id", "eval-verify"])
+def test_with_subclasses_is_refused_with_a_pgm_dir(tmp_path, capsys, command):
+    # a PGM tree has no subclass column; the switch was accepted, then ignored
+    faces = tmp_path / "faces"
+    write_pgm_tree(faces)
+    model = tmp_path / "model"
+    argv = ["train", "--pgm-dir", faces, "--out-dir", model, "--d", 1, "--h", 1]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 0, err
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("0,1,same\n0,6,diff\n")
+    args = {
+        "partition": [],
+        "train": ["--d", 1, "--h", 1],
+        "eval-id": ["--model", model / "model.wssda"],
+        "eval-verify": ["--model", model / "model.wssda", "--pairs", pairs],
+    }[command]
+    out_dir = tmp_path / "out"
+    argv = [command, "--pgm-dir", faces, "--out-dir", out_dir, *args]
+    want = (
+        "error: --with-subclasses (config key 'with_subclasses') reads a CSV's subclass "
+        "column; --pgm-dir has none\n"
+    )
+    code, _, err = run_cli(argv + ["--with-subclasses"], capsys)
+    assert (code, err) == (1, want)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("with_subclasses=1\n")
+    code, _, err = run_cli(argv + ["--config", cfg], capsys)
+    assert (code, err) == (1, want)
+    assert not out_dir.exists()
+
+
 # ---------------------------------------------------------------- eval-id
 
 
@@ -773,6 +805,23 @@ def test_negative_seed_is_refused_by_its_flag_and_config_key(tmp_path, capsys, c
     assert_refused_by_flag_and_key(
         tmp_path, capsys, command, args, "seed", "-1", "non-negative integer", -1
     )
+
+
+@COMMANDS
+def test_abbreviated_flags_are_refused(tmp_path, capsys, command, args):
+    # a flag matches exactly, as a config key does: a long flag cut by one
+    # letter is unrecognized, never taken for the flag it abbreviates
+    argv, out_dir = command_argv(tmp_path, command, args)
+    parser = next(a for a in build_parser()._actions if a.dest == "command").choices[command]
+    flags = {flag for a in parser._actions for flag in a.option_strings}
+    cuts = [flag[:-1] for flag in sorted(flags) if len(flag) >= 5 and flag[:-1] not in flags]
+    assert cuts
+    for cut in cuts:
+        with pytest.raises(SystemExit) as exc:
+            main([str(a) for a in argv + [cut, "1"]])
+        assert exc.value.code == 2, cut
+        assert f"unrecognized arguments: {cut} 1" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 @COMMANDS

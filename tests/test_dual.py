@@ -172,9 +172,8 @@ def test_dual_matches_dense_oracle(case):
     for group in clusters(second_a, r2):
         a, b = proj_a[:, group], proj_b[:, group]
         if len(group) == 1:
-            a, b = a[:, 0], b[:, 0]
-            sign = np.sign(a @ b)
-            assert np.linalg.norm(b - sign * a) <= 1e-7 * np.linalg.norm(a), group
+            a, b = a[:, 0], b[:, 0]  # one sign rule: equal signs
+            assert np.linalg.norm(b - a) <= 1e-7 * np.linalg.norm(a), group
         else:
             diff = span_projector(b) - span_projector(a)
             assert np.abs(diff).max() <= 1e-7, group
@@ -253,26 +252,59 @@ def test_flat_spectrum_trains_alike_on_both_paths(stage):
     es = want[0]
     want[0] = Eigenspectrum(es.eigenvalues, es.eigenvectors[:, : es.rank], es.rank)
     assert_first_stage_close(got, want)
-    assert_second_stage_close(got, want)
+    assert_second_stage_close(got, want, signed=True)
 
 
-def test_dual_projection_ignores_row_order():
-    # unequal subclass sizes keep the second-stage eigenvalues apart, so every
-    # column is determined up to sign, and the sign rule fixes the sign
-    ds = small_sample_ds(8, [7, 6, 8, 5], 15, split=[2, 4, 3, 1])
-    part = partition_dataset(ds, TreeParams(h=2), "provided")
-    config = TrainConfig(d=ds.dim)
-    fx, details = train_detailed(ds, part, config)
+def two_subclass_ds(seed, classes, per_subclass, dim):
+    """classes x 2 subclasses x per_subclass rows in dim, each subclass around
+    its own centre, with per-axis noise scales."""
+    rng = np.random.default_rng(seed)
+    labels = np.repeat(np.arange(classes), 2 * per_subclass)
+    subs = np.tile(np.repeat([0, 1], per_subclass), classes)
+    scales = rng.uniform(0.5, 2.0, size=dim)
+    samples = 3.0 * rng.normal(size=(classes, 2, dim))[labels, subs]
+    return LabeledDataset(samples + scales * rng.normal(size=(labels.size, dim)), labels, subs)
+
+
+# each set with the d it is trained at (the dual set's dim, 41); the first
+# dense set has n - s = 160 < dim = 220 <= n = 240, a within-subclass null
+# space that LAPACK picks a basis of
+SIGN_SETS = {
+    "dual": (lambda: small_sample_ds(8, [7, 6, 8, 5], 15, split=[2, 4, 3, 1]), 41),
+    "dense-null-space": (lambda: two_subclass_ds(0, 40, 3, 220), 16),
+    "dense-full-rank": (lambda: two_subclass_ds(1, 50, 5, 128), 16),
+}
+
+
+def moved_ds(ds, transform):
+    """ds with its rows permuted, or with its class ids permuted."""
+    rng = np.random.default_rng(1)
+    if transform == "rows":
+        order = rng.permutation(ds.n)
+        return LabeledDataset(ds.samples[order], ds.class_labels[order], ds.subclass_labels[order])
+    ids = rng.permutation(ds.class_count)
+    return LabeledDataset(ds.samples, ids[ds.class_labels], ds.subclass_labels)
+
+
+@pytest.mark.parametrize("transform", ["rows", "class-ids"])
+@pytest.mark.parametrize("mode", [REGULARIZED, TRUNCATED])
+@pytest.mark.parametrize("stage", SECOND_STAGES)
+@pytest.mark.parametrize("data", list(SIGN_SETS))
+def test_projection_ignores_row_order_and_class_ids(data, stage, mode, transform):
+    # gaps among the leading d second-stage eigenvalues determine each column
+    # up to sign, and the one sign rule fixes the sign on both regimes
+    make, d = SIGN_SETS[data]
+    ds = make()
+    config = TrainConfig(d=d, mode=mode, second_stage=stage)
+    fx, details = train_detailed(ds, partition_dataset(ds, TreeParams(h=2), "provided"), config)
     values = details.second_stage_eigenvalues
-    r2 = rank_of(values)
-    gaps = -np.diff(values[: r2 + 1])
-    assert gaps.min() > 1e-5 * values[0]
+    lead = min(d, details.second_stage_rank)
+    assert -np.diff(values[: lead + 1]).min() > 1e-5 * values[0]
 
-    order = np.random.default_rng(1).permutation(ds.n)
-    shuffled = LabeledDataset(ds.samples[order], ds.class_labels[order], ds.subclass_labels[order])
-    fx_s = train(shuffled, partition_dataset(shuffled, TreeParams(h=2), "provided"), config)
+    moved = moved_ds(ds, transform)
+    fx_m = train(moved, partition_dataset(moved, TreeParams(h=2), "provided"), config)
     scale = np.abs(fx.projection).max()
-    assert np.abs(fx_s.projection - fx.projection).max() <= 1e-10 * scale
+    assert np.abs(fx_m.projection - fx.projection).max() <= 1e-10 * scale
 
 
 @pytest.mark.parametrize("mode", [REGULARIZED, TRUNCATED])
