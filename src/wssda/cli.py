@@ -95,9 +95,10 @@ _scale = _bounded(float, lambda value: 0 < value < np.inf, "finite positive numb
 
 
 def _int_list(raw: str) -> list[int]:
-    """Comma-separated positive integers; empty items are skipped, so "," is []."""
+    """Comma-separated positive integers, at least one; empty items are
+    skipped, so "," is refused."""
     values = [int(tok) for tok in raw.split(",") if tok.strip()]
-    if min(values, default=1) < 1:
+    if min(values, default=0) < 1:
         raise ValueError(f"expected positive integers, got {raw!r}")
     return values
 
@@ -246,6 +247,18 @@ def _load_dataset(args: argparse.Namespace) -> LabeledDataset:
     return load_pgm_dir(args.pgm_dir)
 
 
+def _tree_params(args: argparse.Namespace) -> TreeParams:
+    """The partition knobs, refused by their flags before any input is read."""
+    params = TreeParams(h=args.h, seed=_subseed(args.seed, "partition"))
+    try:
+        params.validate(args.strategy)
+    except ValueError as exc:
+        raise ConfigError(
+            f"--h {args.h} with --strategy {args.strategy} (config keys 'h' and 'strategy'): {exc}"
+        ) from exc
+    return params
+
+
 def _out_dir(args: argparse.Namespace, out: OutputSet) -> str:
     path = os.environ.get(ENV_OUT_DIR, ".") if args.out_dir is None else args.out_dir
     if args.pgm_dir:  # an output folder inside the tree would be read as a class folder
@@ -318,7 +331,7 @@ def cmd_synth(args: argparse.Namespace, out: OutputSet) -> None:
 
 def cmd_partition(args: argparse.Namespace, out: OutputSet) -> None:
     out_dir = _out_dir(args, out)
-    params = TreeParams(h=args.h, seed=_subseed(args.seed, "partition"))
+    params = _tree_params(args)
     ds = _load_dataset(args)
     part = partition_dataset(ds, params, args.strategy)
     _warn_deficient(part, params.h)
@@ -329,7 +342,7 @@ def cmd_partition(args: argparse.Namespace, out: OutputSet) -> None:
 
 def cmd_train(args: argparse.Namespace, out: OutputSet) -> None:
     out_dir = _out_dir(args, out)
-    params = TreeParams(h=args.h, seed=_subseed(args.seed, "partition"))
+    params = _tree_params(args)
     config = TrainConfig(
         d=_require(args, "d"),
         mode=args.mode,
@@ -366,8 +379,9 @@ def cmd_train(args: argparse.Namespace, out: OutputSet) -> None:
 
 
 def _load_eval_common(args: argparse.Namespace):
-    fx = load_model(_require(args, "model"))
+    model_path = _require(args, "model")
     ds = _load_dataset(args)
+    fx = load_model(model_path)
     if ds.dim != fx.dim:
         raise ConfigError(
             f"data dimension {ds.dim} does not match the model dimension {fx.dim}"

@@ -48,9 +48,11 @@ power-of-two scale of the data and no solve leaves float64.  Only the rows
 themselves or the raw projection can overflow, and either raises one
 TrainingError that names the data scale.
 
-Where every row equals its subclass's first row (every subclass a singleton
-or its rows coinciding) the within-subclass scatter is zero, and both regimes
-raise one TrainingError.
+A first stage of rank 0 raises the one zero-scatter TrainingError in both
+regimes.  The contrasts are exact zeros where every row equals its
+subclass's first row (every subclass a singleton or its rows coinciding),
+and they round to zero where the rows differ so little that their weighted
+differences underflow.
 """
 
 from __future__ import annotations
@@ -186,8 +188,11 @@ class TrainingDetails:
 
 def _spectrum_model(es: Eigenspectrum, config: TrainConfig) -> SpectrumModel:
     """The spectrum model of config.mode for the within-subclass spectrum es."""
-    if es.rank == 0:  # after _refuse_zero_scatter: the rows underflowed to zero
-        raise OverflowError("whitening weights past the float64 range")
+    if es.rank == 0:
+        raise TrainingError(
+            "within-subclass scatter is zero in float64 (every subclass is a singleton, "
+            "or its rows coincide or differ below the float64 range); nothing to whiten"
+        )
     if config.mode == TRUNCATED:
         model = truncated_weights(es)
     elif es.rank < 3:
@@ -199,18 +204,6 @@ def _spectrum_model(es: Eigenspectrum, config: TrainConfig) -> SpectrumModel:
         else:
             model = regularize(es, pivot.m, *fit_model(es, pivot.m))
     return model
-
-
-def _refuse_zero_scatter(ds: LabeledDataset, part: SubclassPartition) -> None:
-    """The zero-scatter TrainingError where every row of ds equals its
-    subclass's first row.  The rule is exact: the contrasts of seven or more
-    coinciding rows can round to non-zero."""
-    _, first = np.unique(part.group_ids, return_index=True)
-    if np.array_equal(ds.samples, ds.samples[first[part.group_ids]]):
-        raise TrainingError(
-            "within-subclass scatter is zero (every subclass is a singleton or its rows "
-            "coincide); nothing to whiten"
-        )
 
 
 def _second_stage(
@@ -230,7 +223,6 @@ def _second_stage(
 def _dense(ds: LabeledDataset, part: SubclassPartition, config: TrainConfig):
     """Both stages as dim x dim eigendecompositions (n >= dim)."""
     scatter = within_subclass_scatter(ds, part)
-    _refuse_zero_scatter(ds, part)
     es = eig_symmetric_full(scatter.unit)
     model = _spectrum_model(es, config)
 
@@ -299,8 +291,7 @@ def _dual(ds: LabeledDataset, part: SubclassPartition, config: TrainConfig):
     """Both stages through Gram matrices of at most n rows (n < dim); no dim x
     dim array."""
     rows = within_subclass_contrasts(ds, part)
-    k1 = prescale_rows(rows)  # before the zero-scatter rule, as within_subclass_scatter
-    _refuse_zero_scatter(ds, part)
+    k1 = prescale_rows(rows)
     gram = eig_symmetric_full(_gram(rows))
     # the range basis U = R^T Q_r Lambda_r^{-1/2} of R^T R, one column per
     # non-zero eigenvalue of the Gram matrix R R^T
@@ -340,7 +331,7 @@ def train_detailed(
     with np.errstate(over="ignore", invalid="ignore"):  # the range rule below says it
         try:
             es, model, projection, second_values, second_rank = stages(ds, part, config)
-        except OverflowError:  # prescale_rows or _spectrum_model: a stage left float64
+        except OverflowError:  # prescale_rows: a stage's rows left float64
             projection = None
     if projection is None or not np.isfinite(projection).all():
         scale = float(np.abs(ds.samples).max())

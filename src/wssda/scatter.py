@@ -122,7 +122,8 @@ def within_subclass_contrasts(ds: LabeledDataset, part: SubclassPartition) -> np
     They span the subclass's centred rows without the one linear dependence
     among them (those rows sum to zero), so a singleton subclass gives no
     row.  Subclasses of one size are done together, sizes ascending, each in
-    group order.
+    group order.  A subclass whose rows all equal its first row gives exact
+    zeros, where the running sums could round to a few ulps.
     """
     _check_partition(ds, part)
     per_class = part.subclasses_per_class
@@ -135,6 +136,7 @@ def within_subclass_contrasts(ds: LabeledDataset, part: SubclassPartition) -> np
             continue  # a singleton subclass gives no row
         block = ds.samples[members]
         out = rows[at : at + groups.size * (size - 1)].reshape(groups.size, size - 1, ds.dim)
+        coincide = (block == block[:, :1]).all(axis=(1, 2))
         # one vector step over all groups per k (cumsum along the middle axis
         # takes one inner-loop call per group and column)
         total = block[:, 0]  # x_0 + ... + x_{k-1}, summed in place
@@ -144,6 +146,7 @@ def within_subclass_contrasts(ds: LabeledDataset, part: SubclassPartition) -> np
             row += total
             row *= np.sqrt(group_weights[groups] / (k * (k + 1)))[:, None]
             total += block[:, k]
+        out[coincide] = 0.0
         at += out.shape[0] * out.shape[1]
     return rows
 

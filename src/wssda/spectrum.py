@@ -74,7 +74,8 @@ def eig_symmetric_full(matrix: np.ndarray) -> Eigenspectrum:
 
     Negative eigenvalues (numerical noise) are clamped to zero.  Eigenvector
     signs follow a fixed convention: the largest-magnitude component of each
-    vector is positive, so repeated runs produce identical bases.
+    vector is positive, so repeated runs produce identical bases.  A 0 x 0
+    matrix, the Gram matrix of no rows, has rank 0.
     """
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("input must be a square matrix")
@@ -96,15 +97,15 @@ def eig_symmetric_full(matrix: np.ndarray) -> Eigenspectrum:
 
     orient_columns(vectors)
 
-    rank = int(np.count_nonzero(values > values[0] * RANK_RTOL)) if values[0] > 0 else 0
+    rank = int(np.count_nonzero(values > values[0] * RANK_RTOL)) if values[:1].any() else 0
     return Eigenspectrum(values, vectors, rank)
 
 
 def orient_columns(vectors: np.ndarray) -> np.ndarray:
     """Flip columns in place so that each one's largest-magnitude entry is
     positive (the first such entry on ties); returns vectors."""
-    top = vectors.max(axis=0)
-    low = vectors.min(axis=0)
+    top = vectors.max(axis=0, initial=0.0)
+    low = vectors.min(axis=0, initial=0.0)
     flip = -low > top
     # a column whose largest and most negative entries tie in magnitude goes
     # by whichever of them comes first

@@ -108,6 +108,26 @@ def checked_spectrum_model(
     return model
 
 
+# the library's zero-scatter error, raised at a first stage of rank 0
+ZERO_SCATTER = (
+    "within-subclass scatter is zero in float64 (every subclass is a singleton, "
+    "or its rows coincide or differ below the float64 range); nothing to whiten"
+)
+
+
+# pipeline._refuse_zero_scatter, the zero-scatter rule training had before
+# coinciding subclasses gave exact zero contrasts, kept verbatim (but for the
+# message, today's ZERO_SCATTER) for oracle_dense, oracle_dual and the
+# zero-scatter property
+def _refuse_zero_scatter(ds: LabeledDataset, part: SubclassPartition) -> None:
+    """The zero-scatter TrainingError where every row of ds equals its
+    subclass's first row.  The rule is exact: the contrasts of seven or more
+    coinciding rows can round to non-zero."""
+    _, first = np.unique(part.group_ids, return_index=True)
+    if np.array_equal(ds.samples, ds.samples[first[part.group_ids]]):
+        raise TrainingError(ZERO_SCATTER)
+
+
 # pipeline._check_range, the range rule of the first stage before every
 # eigensolver input got one finite check, kept verbatim (but for the comment
 # on a true zero scatter) for oracle_dense and oracle_dual

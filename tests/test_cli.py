@@ -363,6 +363,35 @@ def test_partition_tree_depth_is_not_an_option(tmp_path, capsys):
     assert "h=512 needs depth 9, exceeding the tree depth cap 8" in err
 
 
+@pytest.mark.parametrize("command", ["partition", "train"])
+@pytest.mark.parametrize("h", [3, 512])
+@pytest.mark.parametrize("strategy", ["kd", "rp", "pca"])
+def test_tree_rule_is_refused_by_its_flags_before_any_input_is_read(
+    tmp_path, capsys, strategy, h, command
+):
+    # the CSV is missing: the binary-split rule on h, which names neither
+    # flag in the library, comes first, by flag and by config key alike
+    argv, out_dir = command_argv(tmp_path, command, COMMAND_ARGS[command])
+    want = f"error: --h {h} with --strategy {strategy} (config keys 'h' and 'strategy'): h={h} "
+    code, _, err = run_cli(argv + ["--strategy", strategy, "--h", h], capsys)
+    assert code == 1 and err.startswith(want), err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"strategy={strategy}\nh={h}\n")
+    code, _, err = run_cli(argv + ["--config", cfg], capsys)
+    assert code == 1 and err.startswith(want), err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["partition", "train"])
+@pytest.mark.parametrize("strategy", ["kmeans", "provided"])
+def test_non_tree_strategies_take_any_h_past_the_tree_rule(tmp_path, capsys, strategy, command):
+    argv, out_dir = command_argv(tmp_path, command, COMMAND_ARGS[command])
+    code, _, err = run_cli(argv + ["--strategy", strategy, "--h", 3], capsys)
+    assert code == 1
+    assert err == f"error: [Errno 2] No such file or directory: '{tmp_path / 'missing.csv'}'\n"
+    assert not out_dir.exists()
+
+
 def test_config_unknown_strategy_rejected(tmp_path, capsys):
     csv_path = make_dataset_csv(tmp_path, capsys)
     cfg = tmp_path / "run.cfg"
@@ -589,6 +618,35 @@ def test_out_dir_inside_pgm_dir_is_refused_before_anything_is_read(
     assert sorted(p.name for p in faces.iterdir()) == ["class0", "class1"]
 
 
+@pytest.mark.parametrize(
+    "source, want",
+    [
+        ([], "exactly one data source required: --csv or --pgm-dir"),
+        (
+            ["--csv", "{missing}.csv", "--pgm-dir", "{missing}"],
+            "exactly one data source required: --csv or --pgm-dir",
+        ),
+        (
+            ["--pgm-dir", "{missing}", "--with-subclasses"],
+            "--with-subclasses (config key 'with_subclasses') reads a CSV's subclass column; "
+            "--pgm-dir has none",
+        ),
+    ],
+    ids=["no source", "both sources", "pgm-dir with subclasses"],
+)
+@pytest.mark.parametrize("command", ["eval-id", "eval-verify"])
+def test_eval_reports_a_source_fault_before_reading_the_model(
+    tmp_path, capsys, command, source, want
+):
+    # the model file is missing too; it was read first, so its "No such file"
+    # hid the source fault
+    args = [a for a in COMMAND_ARGS[command] if a not in ("--csv", "{missing}.csv")]
+    argv, out_dir = command_argv(tmp_path, command, args + source)
+    code, _, err = run_cli(argv, capsys)
+    assert (code, err) == (1, f"error: {want}\n")
+    assert not out_dir.exists()
+
+
 def test_out_dir_beside_or_at_the_pgm_dir_root_is_accepted(tmp_path, capsys):
     faces = tmp_path / "faces"
     write_pgm_tree(faces)
@@ -693,20 +751,23 @@ def test_eval_id_sweep_beyond_model_rejected(tmp_path, capsys):
     assert "d=8 exceeds" in err
 
 
-def test_eval_id_empty_sweep_rejected(tmp_path, capsys):
-    csv_path = make_dataset_csv(tmp_path, capsys)
-    out_dir, _ = train_small(tmp_path, capsys, csv_path, d=4)
-    code, out, err = run_cli(
-        [
-            "eval-id", "--csv", csv_path, "--with-subclasses",
-            "--model", os.path.join(out_dir, "model.wssda"),
-            "--d-sweep", ",", "--out-dir", out_dir,
-        ],
-        capsys,
-    )
+@pytest.mark.parametrize("sweep", [",", ""])
+def test_eval_id_empty_sweep_is_refused_by_its_flag_and_config_key(tmp_path, capsys, sweep):
+    # an empty list once reached the library's check, which names d_values,
+    # after the model and the data were read
+    missing = tmp_path / "missing.wssda"
+    argv = ["eval-id", "--csv", tmp_path / "missing.csv", "--model", missing]
+    argv += ["--out-dir", tmp_path / "out"]
+    with pytest.raises(SystemExit) as exc:
+        main([str(a) for a in argv + ["--d-sweep", sweep]])
+    assert exc.value.code == 2
+    assert f"argument --d-sweep: invalid integer list value: '{sweep}'" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"d_sweep={sweep}\n")
+    code, _, err = run_cli(argv + ["--config", cfg], capsys)
     assert code == 1
-    assert "d_values must be positive integers" in err
-    assert not os.path.exists(os.path.join(out_dir, "identification.csv"))
+    assert err == f"error: config key 'd_sweep': expected positive integers, got '{sweep}'\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_d_sweep_is_reported_before_the_model_is_read(tmp_path, capsys):

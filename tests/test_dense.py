@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import _check_range, assert_second_stage_close, outcome
+from conftest import _check_range, _refuse_zero_scatter, assert_second_stage_close, outcome
 from wssda import (
     LabeledDataset,
     TrainConfig,
@@ -28,7 +28,6 @@ from wssda.pipeline import (
     SECOND_STAGES,
     _columns_in_blocks,
     _dense,
-    _refuse_zero_scatter,
     _spectrum_model,
 )
 from wssda.scatter import (

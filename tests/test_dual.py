@@ -20,8 +20,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    ZERO_SCATTER,
     _check_range,
     _range_error,
+    _refuse_zero_scatter,
     assert_first_stage_close,
     assert_second_stage_close,
     checked_spectrum_model,
@@ -47,7 +49,6 @@ from wssda.pipeline import (
     _dual,
     _gram,
     _padded,
-    _refuse_zero_scatter,
 )
 from wssda.scatter import between_subclass_rows, class_means, group_means, total_subclass_rows
 from wssda.spectrum import (
@@ -214,10 +215,7 @@ def test_coinciding_subclass_rows_raise_the_zero_scatter_error(mode, g):
         with pytest.raises(TrainingError) as exc:
             stages(ds, part, config)
         messages.add(str(exc.value))
-    assert messages == {
-        "within-subclass scatter is zero (every subclass is a singleton or its rows "
-        "coincide); nothing to whiten"
-    }
+    assert messages == {ZERO_SCATTER}
     # one entry off its subclass's first row: both regimes train at rank 1
     samples[g - 1, 1] += 1.0
     for stages, dim in ((_dense, min(20, n)), (_dual, n + 8)):
