@@ -24,6 +24,7 @@ import contextlib
 import os
 import sys
 import zlib
+from collections.abc import Callable
 
 import numpy as np
 
@@ -234,17 +235,19 @@ def _float_column(values) -> list[str]:
 # ---------------------------------------------------------------- sources
 
 
-def _load_dataset(args: argparse.Namespace) -> LabeledDataset:
+def _dataset_reader(args: argparse.Namespace) -> Callable[[], LabeledDataset]:
+    """The reader of the one data source the flags name; the flag rules are
+    checked here, before anything is read."""
     if bool(args.csv) == bool(args.pgm_dir):
         raise ConfigError("exactly one data source required: --csv or --pgm-dir")
     if args.csv:
-        return load_csv(args.csv, with_subclasses=args.with_subclasses)
+        return lambda: load_csv(args.csv, with_subclasses=args.with_subclasses)
     if args.with_subclasses:
         raise ConfigError(
             "--with-subclasses (config key 'with_subclasses') reads a CSV's subclass "
             "column; --pgm-dir has none"
         )
-    return load_pgm_dir(args.pgm_dir)
+    return lambda: load_pgm_dir(args.pgm_dir)
 
 
 def _tree_params(args: argparse.Namespace) -> TreeParams:
@@ -332,7 +335,7 @@ def cmd_synth(args: argparse.Namespace, out: OutputSet) -> None:
 def cmd_partition(args: argparse.Namespace, out: OutputSet) -> None:
     out_dir = _out_dir(args, out)
     params = _tree_params(args)
-    ds = _load_dataset(args)
+    ds = _dataset_reader(args)()
     part = partition_dataset(ds, params, args.strategy)
     _warn_deficient(part, params.h)
     path = os.path.join(out_dir, "partition.csv")
@@ -348,7 +351,7 @@ def cmd_train(args: argparse.Namespace, out: OutputSet) -> None:
         mode=args.mode,
         second_stage=args.second_stage,
     )
-    ds = _load_dataset(args)
+    ds = _dataset_reader(args)()
 
     part = partition_dataset(ds, params, args.strategy)
     _warn_deficient(part, params.h)
@@ -380,8 +383,9 @@ def cmd_train(args: argparse.Namespace, out: OutputSet) -> None:
 
 def _load_eval_common(args: argparse.Namespace):
     model_path = _require(args, "model")
-    ds = _load_dataset(args)
-    fx = load_model(model_path)
+    read = _dataset_reader(args)
+    fx = load_model(model_path)  # before the data, which may be far larger
+    ds = read()
     if ds.dim != fx.dim:
         raise ConfigError(
             f"data dimension {ds.dim} does not match the model dimension {fx.dim}"

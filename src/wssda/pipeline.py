@@ -16,6 +16,7 @@ equal-size groups.  Neither whitens a copy of the samples: W is linear, so
 for Y the second-stage rows of the raw samples (means and centring commute
 with W) the whitened rows Y W have scatter W^T (Y^T Y) W and Gram matrix
 Y W W^T Y^T, exact algebra that equals whitening first up to rounding.
+Second-stage products mix GEMM operands, so each is averaged with its transpose.
 The shape alone picks the side each eigensystem is solved on:
 
 * n >= dim (dense): the scatter side, dim x dim eigendecompositions of
@@ -230,7 +231,7 @@ def _dense(ds: LabeledDataset, part: SubclassPartition, config: TrainConfig):
     whitener = es.eigenvectors * model.weights
     second = _second_stage(ds, part, config, total_subclass_scatter, between_subclass_scatter)
     product = whitener.T @ second.unit @ whitener
-    es2 = eig_symmetric_full((product + product.T) / 2.0)
+    es2 = eig_symmetric_full((product + product.T) / 2.0)  # mixed operands: inexactly symmetric
 
     def block_columns(start: int, stop: int, out: np.ndarray) -> None:
         np.matmul(whitener, es2.eigenvectors[:, start:stop], out=out)
@@ -277,12 +278,6 @@ def _columns_in_blocks(
     return projection
 
 
-def _gram(rows: np.ndarray) -> np.ndarray:
-    """B B^T of weighted rows B, symmetrized."""
-    product = rows @ rows.T
-    return (product + product.T) / 2.0
-
-
 def _padded(values: np.ndarray, dim: int) -> np.ndarray:
     return np.concatenate([values, np.zeros(dim - values.size)])
 
@@ -292,7 +287,7 @@ def _dual(ds: LabeledDataset, part: SubclassPartition, config: TrainConfig):
     dim array."""
     rows = within_subclass_contrasts(ds, part)
     k1 = prescale_rows(rows)
-    gram = eig_symmetric_full(_gram(rows))
+    gram = eig_symmetric_full(rows @ rows.T)
     # the range basis U = R^T Q_r Lambda_r^{-1/2} of R^T R, one column per
     # non-zero eigenvalue of the Gram matrix R R^T
     r = gram.rank
@@ -310,7 +305,7 @@ def _dual(ds: LabeledDataset, part: SubclassPartition, config: TrainConfig):
     product = rows @ rows.T
     product *= w_null * w_null
     product += (along * s) @ along.T
-    gram2 = eig_symmetric_full((product + product.T) / 2.0)
+    gram2 = eig_symmetric_full((product + product.T) / 2.0)  # mixed operands: inexactly symmetric
 
     def block_columns(start: int, stop: int, out: np.ndarray) -> None:
         coeffs = gram2.eigenvectors[:, start:stop] / np.sqrt(gram2.eigenvalues[start:stop])

@@ -9,11 +9,10 @@ subclass than the centred rows; both training regimes build stage 1 from
 it.  Groups come from one stable sort by group id, and group means are
 NumPy sums over blocks of equal-size groups.  Class priors are fixed at 1/C
 and subclass priors at 1/H_i throughout.  The *_scatter builders return
-symmetric positive semidefinite matrices, made exactly symmetric by
-averaging the product with its transpose; the other builders return B
-itself, for callers that work with the Gram matrix B B^T instead.  A scatter
-is formed from its rows scaled in place by a power of two, prescale_rows, so
-its product fits in float64 whatever the scale of the data.
+exactly symmetric PSD matrices: B is one C-contiguous buffer, so NumPy forms
+B^T B by SYRK; the other builders return B itself, for Gram matrix callers.
+A scatter is formed from its rows scaled in place by a power of two,
+prescale_rows, so its product fits in float64 whatever the scale of the data.
 """
 
 from __future__ import annotations
@@ -63,10 +62,9 @@ def _rows(dev: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def _scatter(rows: np.ndarray) -> ScatterMatrix:
-    """B^T B of weighted rows B, symmetrized, from B prescaled in place."""
+    """B^T B of one C-contiguous buffer B, prescaled in place: SYRK, exactly symmetric."""
     exponent = prescale_rows(rows)
-    product = rows.T @ rows
-    return ScatterMatrix((product + product.T) / 2.0, exponent)
+    return ScatterMatrix(rows.T @ rows, exponent)
 
 
 def _size_blocks(ids: np.ndarray, count: int) -> tuple[np.ndarray, list]:

@@ -79,6 +79,7 @@ def eig_symmetric_full(matrix: np.ndarray) -> Eigenspectrum:
     """
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("input must be a square matrix")
+    # training's input is finite and exactly symmetric; these guard outside callers
     if not np.isfinite(matrix).all():
         raise ValueError("matrix has non-finite entries")
     unit = matrix

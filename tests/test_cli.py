@@ -647,6 +647,22 @@ def test_eval_reports_a_source_fault_before_reading_the_model(
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["eval-id", "eval-verify"])
+def test_eval_reads_the_model_before_the_data(tmp_path, capsys, command):
+    # the data file is damaged too; it was read first, so its ragged row hid
+    # the missing model
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("0,1.0,2.0\n0,1.0\n")
+    args = [str(ragged) if a == "{missing}.csv" else a for a in COMMAND_ARGS[command]]
+    argv, out_dir = command_argv(tmp_path, command, args)
+    code, _, err = run_cli(argv, capsys)
+    assert (code, err) == (
+        1,
+        f"error: [Errno 2] No such file or directory: '{tmp_path / 'missing.wssda'}'\n",
+    )
+    assert not out_dir.exists()
+
+
 def test_out_dir_beside_or_at_the_pgm_dir_root_is_accepted(tmp_path, capsys):
     faces = tmp_path / "faces"
     write_pgm_tree(faces)

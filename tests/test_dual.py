@@ -47,7 +47,6 @@ from wssda.pipeline import (
     SECOND_STAGES,
     _dense,
     _dual,
-    _gram,
     _padded,
 )
 from wssda.scatter import between_subclass_rows, class_means, group_means, total_subclass_rows
@@ -81,8 +80,14 @@ def small_sample_ds(seed, class_sizes, extra_dims, split=None):
     return LabeledDataset(samples[order], classes[order], subs[order])
 
 
-# pipeline._gram_eig, which the dual path used on both stages, kept verbatim
-# for oracle_dual
+# pipeline._gram and pipeline._gram_eig, which the dual path used on both
+# stages, kept verbatim for oracle_dual
+def _gram(rows: np.ndarray) -> np.ndarray:
+    """B B^T of weighted rows B, symmetrized."""
+    product = rows @ rows.T
+    return (product + product.T) / 2.0
+
+
 def _gram_eig(rows: np.ndarray, product: np.ndarray) -> tuple[Eigenspectrum, np.ndarray]:
     """Eigensystem of the Gram matrix product = B B^T of weighted rows B, and
     the orthonormal range basis B^T Q_r Lambda_r^{-1/2} of B^T B, one column

@@ -1,0 +1,80 @@
+"""scripts/parity.py: the CLI matrix of the working tree against itself, and
+the verdicts on files that moved by one ulp and by 1e-3."""
+
+import os
+import time
+from dataclasses import replace
+
+import numpy as np
+import parity
+import pytest
+from conftest import geometric_noise_dataset
+
+from wssda import TrainConfig, TreeParams, partition_dataset, save_model, train
+from wssda.dataset import FLOAT_FMT
+
+
+def test_working_tree_against_itself_is_byte_identical():
+    # a directory is used as it is, so no git history is needed
+    start = time.perf_counter()
+    rows = parity.run_parity(parity.REPO, reduced=True)
+    assert time.perf_counter() - start < 10.0
+    assert {verdict for _, verdict, _ in rows} == {parity.IDENTICAL}
+    paths = [path for path, _, _ in rows]
+    assert "out/train/dense/kd-ts-regularized/model.wssda" in paths
+    assert "out/train/dense/provided-bs-regularized/eval-verify-10/roc.csv" in paths
+    assert "this:rerun/train/dense/kd-ts-regularized/model.wssda" in paths
+    assert "logs/partition/dense/provided.log" in paths
+
+
+def moved(value: float, step: str) -> float:
+    return float(np.nextafter(value, np.inf)) if step == "ulp" else value * (1.0 + 1e-3)
+
+
+@pytest.mark.parametrize("step, verdict", [("ulp", parity.ROUNDING), ("1e-3", parity.DIFFERENT)])
+def test_csv_cells_move_within_rounding_by_one_ulp_only(step, verdict):
+    value = 0.1234567890123
+    text = "k,eigenvalue\n1,%s\n2,%s\n" % (FLOAT_FMT % value, FLOAT_FMT % 2.5)
+    changed = text.replace(FLOAT_FMT % value, FLOAT_FMT % moved(value, step))
+    assert changed != text
+    assert parity.compare_bytes("a.csv", text.encode(), text.encode())[0] == parity.IDENTICAL
+    assert parity.compare_bytes("a.csv", text.encode(), changed.encode())[0] == verdict
+    header = text.replace("eigenvalue", "eigenvalues")
+    assert parity.compare_bytes("a.csv", text.encode(), header.encode())[0] == parity.DIFFERENT
+
+
+@pytest.mark.parametrize("step, verdict", [("ulp", parity.ROUNDING), ("1e-3", parity.DIFFERENT)])
+def test_projections_move_within_rounding_by_one_ulp_only(tmp_path, step, verdict):
+    ds = geometric_noise_dataset(seed=0)
+    fx = train(ds, partition_dataset(ds, TreeParams(h=2), "kd"), TrainConfig(d=4))
+    path = str(tmp_path / "model.wssda")
+    save_model(fx, path)
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    # the largest entry moves, so 1e-3 of it is 1e-3 of the largest entry
+    at = int(np.argmax(np.abs(fx.projection)))
+    fx.projection.flat[at] = moved(fx.projection.flat[at], step)
+    save_model(fx, path)
+    with open(path, "rb") as fh:
+        changed = fh.read()
+    assert parity.compare_bytes(path, blob, changed)[0] == verdict
+    fx.meta = replace(fx.meta, sample_count=fx.meta.sample_count + 1)
+    save_model(fx, path)
+    with open(path, "rb") as fh:
+        assert parity.compare_bytes(path, blob, fh.read())[0] == parity.DIFFERENT
+
+
+def test_a_file_on_one_side_or_a_rerun_that_moved_is_different(tmp_path):
+    for side in ("this", "other"):
+        for top in ("out", "rerun"):
+            os.makedirs(tmp_path / side / top)
+            (tmp_path / side / top / "model.wssda").write_bytes(b"same")
+    (tmp_path / "other" / "rerun" / "model.wssda").write_bytes(b"moved")
+    (tmp_path / "this" / "out" / "extra.csv").write_text("1\n")
+    rows = parity.compare_sides(str(tmp_path / "this"), str(tmp_path / "other"))
+    assert [(path, verdict) for path, verdict, _ in rows] == [
+        ("out/extra.csv", parity.DIFFERENT),
+        ("out/model.wssda", parity.IDENTICAL),
+        ("this:rerun/model.wssda", parity.IDENTICAL),
+        ("other:rerun/model.wssda", parity.DIFFERENT),
+    ]

@@ -32,8 +32,14 @@ from wssda import (
     train_detailed,
 )
 from wssda.pipeline import _HEADER, SECOND_STAGES
-from wssda.scatter import within_subclass_scatter
-from wssda.spectrum import flat_model
+from wssda.scatter import (
+    between_subclass_scatter,
+    class_means,
+    group_means,
+    total_subclass_scatter,
+    within_subclass_scatter,
+)
+from wssda.spectrum import eig_symmetric_full, flat_model
 
 
 def trained(seed=0, d=6, c=8, h=2, g=6, dim=16, mode="regularized", strategy="kd", **kw):
@@ -124,6 +130,52 @@ def test_dense_projection_does_not_keep_the_full_product_alive():
     ds, _, fx, _ = trained(d=4, dim=16)
     assert ds.n >= ds.dim and fx.projection.shape == (16, 4)
     assert fx.projection.base is None
+
+
+# (classes, rows per subclass, dim) of 2-subclass sets: 144 rows at dim 131
+# take the dense path, 120 rows at dim 301 the dual one.  At these shapes a
+# plain GEMM of B^T and a copy of B, or of B and a copy of B^T, leaves the two
+# triangles of the stage-1 products apart on OpenBLAS 0.3.31.
+SYMMETRY_SHAPES = pytest.mark.parametrize(
+    "shape", [(12, 6, 131), (10, 6, 301)], ids=["dense", "dual"]
+)
+
+
+@SYMMETRY_SHAPES
+@pytest.mark.parametrize("stage", SECOND_STAGES)
+@pytest.mark.parametrize("mode", ["regularized", "truncated"])
+def test_every_eigensystem_training_solves_is_exactly_symmetric(monkeypatch, shape, stage, mode):
+    # eigh reads one triangle, so an input that is symmetric only within
+    # rounding would be solved as another matrix, with no error.  The
+    # first-stage products are left unaveraged: NumPy forms R^T R and R R^T
+    # of one buffer by SYRK, and a build that stops doing so fails here.
+    orders = []
+
+    def checked(matrix):
+        assert np.array_equal(matrix, matrix.T)
+        orders.append(matrix.shape[0])
+        return eig_symmetric_full(matrix)
+
+    monkeypatch.setattr(wssda.pipeline, "eig_symmetric_full", checked)
+    c, g, dim = shape
+    ds, *_ = trained(seed=1, d=4, c=c, g=g, dim=dim, mode=mode, second_stage=stage)
+    assert len(orders) == 2 and (ds.n < ds.dim) == (orders[0] < ds.dim)
+
+
+@SYMMETRY_SHAPES
+def test_scatter_builders_are_exactly_symmetric(shape):
+    c, g, dim = shape
+    ds = generate_synthetic(SynthSpec(c, 2, g, dim, seed=1))
+    part = partition_dataset(ds, TreeParams(h=2), "kd")
+    global_mean = class_means(ds.samples, ds.class_labels).mean(axis=0)
+    h = part.subclasses_per_class
+    means = group_means(ds.samples, part.group_ids, int(h.sum()))
+    for scatter in (
+        within_subclass_scatter(ds, part),
+        between_subclass_scatter(means, h, global_mean),
+        total_subclass_scatter(ds.samples, ds.class_labels, global_mean),
+    ):
+        assert np.array_equal(scatter.unit, scatter.unit.T)
 
 
 def test_whitening_identity_below_pivot():
