@@ -17,8 +17,12 @@ as byte-identical, within rounding or different.  Within rounding means text
 whose non-numeric parts are equal and whose numbers (CSV cells, printed
 values) agree within 1e-10 relative, or a model whose header and metadata are
 equal and whose projection agrees within 1e-10 of its largest entry.  Each
-side also reruns every train, and a rerun must be byte-identical.  The exit
-status is 1 if anything is different.
+side also reruns every train, and a rerun must be byte-identical.  Each side
+also trains every train config at --d 8, and that prefix run is
+byte-identical when its model header (but for d) and metadata, partition.csv
+and spectrum.csv equal the --d 24 run's and its projection equals the first
+8 columns of the --d 24 projection bit for bit.  The exit status is 1 if
+anything is different.
 
 Usage:
     python3 scripts/parity.py --against HEAD~1
@@ -58,6 +62,8 @@ DATA_SETS = {
     "dual-tied": dict(classes=6, subclasses=2, samples_per_subclass=5, dim=120),
     "pgm": None,
 }
+# every train runs at TRAIN_D, and again at PREFIX_D for the prefix check
+TRAIN_D, PREFIX_D = 24, 8
 PARTITION_STRATEGIES = ("kd", "pca", "kmeans", "rp", "provided")
 TRAIN_STRATEGIES = ("kd", "pca", "kmeans", "provided")
 STAGES = ("ts", "bs")
@@ -93,7 +99,7 @@ def matrix(reduced: bool = False) -> list[tuple[str, list[str]]]:
         for strategy, stage, mode in [(t, s, m) for t in trains for s in STAGES for m in modes]:
             run = f"train/{name}/{strategy}-{stage}-{mode}"
             model = dict(model=f"out/{run}/model.wssda")
-            train = _flags(strategy=strategy, h=2, second_stage=stage, mode=mode, d=24)
+            train = _flags(strategy=strategy, h=2, second_stage=stage, mode=mode, d=TRAIN_D)
             runs.append((run, ["train", *source, *train, *_flags(out_dir="out/" + run)]))
             sweep = _flags(**model, rotations=2, d_sweep="1,3,8,24", out_dir=f"out/{run}/eval-id")
             runs.append((f"{run}/eval-id", ["eval-id", *source, *sweep]))
@@ -150,7 +156,8 @@ def _call(main, argv: list[str]) -> tuple[int | str, str, str]:
 def run_side(src: str, reduced: bool) -> None:
     """Run the matrix with the wssda under src, in this process, writing under
     the working directory: data/ and out/, logs/ (per run its exit code,
-    stdout and stderr) and rerun/ (each train run again)."""
+    stdout and stderr), rerun/ (each train run again) and prefix/ (each train
+    run at --d PREFIX_D)."""
     import wssda
     from wssda.cli import main
 
@@ -174,6 +181,9 @@ def run_side(src: str, reduced: bool) -> None:
             _write_pairs(argv[-1].replace(".csv", ".pairs"), labels)
         if argv[0] == "train":
             _call(main, [*argv[:-1], os.path.join("rerun", run)])
+            at = argv.index("--d") + 1
+            prefix = [*argv[:at], str(PREFIX_D), *argv[at + 1 : -1], os.path.join("prefix", run)]
+            _call(main, prefix)
 
 
 # ---------------------------------------------------------------- comparing
@@ -219,6 +229,33 @@ def _model_verdict(a: bytes, b: bytes) -> tuple[str, str]:
     return verdict, f"projection moved by {moved:.3g} of its largest entry"
 
 
+def _prefix_model(blob: bytes, d: int) -> bytes:
+    """The model file of the first d projection columns of model file blob."""
+    import numpy as np
+
+    head = MODEL_HEADER.size
+    fields = list(MODEL_HEADER.unpack(blob[:head]))
+    dim, full_d = fields[2:4]
+    fields[3] = d
+    end = head + 8 * dim * full_d
+    columns = np.frombuffer(blob[head:end], dtype="<f8").reshape(dim, full_d)[:, :d]
+    return MODEL_HEADER.pack(*fields) + columns.tobytes() + blob[end:]
+
+
+def prefix_verdict(full: str, prefix: str) -> tuple[str, str]:
+    """The verdict on the train outputs in directory prefix, run at --d
+    PREFIX_D, against those in full, the same config at --d TRAIN_D."""
+    names = ("model.wssda", "partition.csv", "spectrum.csv")
+    if not all(os.path.exists(os.path.join(top, n)) for top in (full, prefix) for n in names):
+        return DIFFERENT, "prefix: a run wrote no model"
+    for name in names[1:]:
+        if _read(full, name) != _read(prefix, name):
+            return DIFFERENT, f"prefix: {name} differs"
+    if _read(prefix, names[0]) != _prefix_model(_read(full, names[0]), PREFIX_D):
+        return DIFFERENT, f"prefix: the model is not the first {PREFIX_D} columns of --d {TRAIN_D}"
+    return IDENTICAL, "prefix"
+
+
 def compare_bytes(path: str, a: bytes, b: bytes) -> tuple[str, str]:
     """The verdict on two versions a and b of the output file path, and a note."""
     if a == b:
@@ -241,7 +278,8 @@ def _read(*path: str) -> bytes:
 
 def compare_sides(this: str, other: str) -> list[tuple[str, str, str]]:
     """(path, verdict, note) for every output of either side, then for each
-    side's reruns, which must be byte-identical to the first runs."""
+    side's reruns, which must be byte-identical to the first runs, and its
+    prefix runs, one row per train config that wrote a model at either d."""
     rows = []
     ours, theirs = _files(this, "data", "out", "logs"), _files(other, "data", "out", "logs")
     for path in sorted(ours | theirs):
@@ -255,6 +293,10 @@ def compare_sides(this: str, other: str) -> list[tuple[str, str, str]]:
             same = os.path.exists(os.path.join(root, first))
             same = same and _read(root, first) == _read(root, path)
             rows.append((f"{side}:{path}", IDENTICAL if same else DIFFERENT, "rerun"))
+        models = [p for p in _files(root, "out/train", "prefix/train") if p.endswith(".wssda")]
+        for run in sorted({os.path.dirname(p.split(os.sep, 1)[1]) for p in models}):
+            full, prefix = (os.path.join(root, top, run) for top in ("out", "prefix"))
+            rows.append((f"{side}:prefix/{run}", *prefix_verdict(full, prefix)))
     return rows
 
 
@@ -308,9 +350,11 @@ def main(argv=None) -> int:
             print(f"{verdict}: {path} ({note})")
     counts = Counter(verdict for _, verdict, _ in rows)
     reruns = sum(1 for _, _, note in rows if note == "rerun")
+    prefixes = sum(1 for _, _, note in rows if note.startswith("prefix"))
+    files = len(rows) - reruns - prefixes
     print(
-        f"parity against {args.against}: {len(rows) - reruns} files and {reruns} reruns; "
-        + ", ".join(f"{counts[v]} {v}" for v in (IDENTICAL, ROUNDING, DIFFERENT))
+        f"parity against {args.against}: {files} files, {reruns} reruns and {prefixes} "
+        "prefix runs; " + ", ".join(f"{counts[v]} {v}" for v in (IDENTICAL, ROUNDING, DIFFERENT))
     )
     return 1 if counts[DIFFERENT] else 0
 

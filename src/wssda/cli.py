@@ -58,8 +58,6 @@ from .pipeline import (
 )
 from .spectrum import REGULARIZED, TRUNCATED
 
-ENV_OUT_DIR = "WSSDA_OUT_DIR"
-
 
 def _subseed(seed: int, name: str) -> int:
     """Independent stream per consumer; stable across runs and platforms."""
@@ -263,15 +261,14 @@ def _tree_params(args: argparse.Namespace) -> TreeParams:
 
 
 def _out_dir(args: argparse.Namespace, out: OutputSet) -> str:
-    path = os.environ.get(ENV_OUT_DIR, ".") if args.out_dir is None else args.out_dir
     if args.pgm_dir:  # an output folder inside the tree would be read as a class folder
-        inner, root = os.path.realpath(path), os.path.realpath(args.pgm_dir)
+        inner, root = os.path.realpath(args.out_dir), os.path.realpath(args.pgm_dir)
         if inner != root and os.path.commonpath([inner, root]) == root:
             raise ConfigError(
-                f"--out-dir {path} lies inside --pgm-dir {args.pgm_dir} "
+                f"--out-dir {args.out_dir} lies inside --pgm-dir {args.pgm_dir} "
                 "(config keys 'out_dir' and 'pgm_dir'); write the outputs outside the image tree"
             )
-    return out.make_dir(path)
+    return out.make_dir(args.out_dir)
 
 
 def _partition_csv(part) -> str:
@@ -460,7 +457,7 @@ class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
 
 
 def _add_io_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out-dir", help=f"output directory (default ${ENV_OUT_DIR} or .)")
+    p.add_argument("--out-dir", default=".", help="output directory")
     p.add_argument("--csv", help="dataset CSV (class[,subclass],v1,...)")
     p.add_argument(
         "--with-subclasses",

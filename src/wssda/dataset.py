@@ -7,8 +7,8 @@ subclass column, and are consumed by the "provided" partition strategy.
 
 A CSV file is parsed as one float64 table by np.loadtxt, a pairs file of
 index_a,index_b,same|diff lines as one int64 table; only a file that the
-parse or the checks reject is read again, line by line, to name the first
-fault in a DataFormatError.
+parse or the checks reject is scanned line by line, to name the first fault
+in a DataFormatError.
 
 With at least as many samples as dimensions, training decomposes dim x dim
 matrices, so there keep the vector dimension to a few thousand; with fewer
@@ -31,20 +31,6 @@ import numpy as np
 from .errors import DataFormatError, ProtocolError
 
 FLOAT_FMT = "%.17g"
-
-
-def _non_finite_cell(samples: np.ndarray) -> tuple[int, int] | None:
-    """(row, column) of the first nan or inf in a matrix, or None.
-
-    A non-finite entry makes the sum non-finite, so a finite sum clears the
-    matrix in one cheap pass; only a non-finite sum (or overflow) pays for
-    the elementwise search.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        if np.isfinite(samples.sum()):
-            return None
-    bad = np.argwhere(~np.isfinite(samples))
-    return (int(bad[0, 0]), int(bad[0, 1])) if bad.size else None
 
 
 def check_count(name: str, value, minimum: int = 1, error: type[Exception] = ValueError) -> None:
@@ -91,9 +77,12 @@ class LabeledDataset:
             raise ValueError("class_labels length must match sample count")
         if self.samples.shape[0] == 0:
             raise ValueError("dataset must contain at least one sample")
-        bad = _non_finite_cell(self.samples)
-        if bad is not None:
-            raise ValueError(f"non-finite sample value at row {bad[0]}, column {bad[1]}")
+        # nan or inf in any cell makes the min or the max non-finite, and the
+        # two reductions make no n x dim temporary, as np.isfinite would;
+        # initial=0.0 admits a matrix of no columns
+        if not np.isfinite([self.samples.min(initial=0.0), self.samples.max(initial=0.0)]).all():
+            row, col = np.argwhere(~np.isfinite(self.samples))[0]  # first in row-major order
+            raise ValueError(f"non-finite sample value at row {row}, column {col}")
         present = np.unique(self.class_labels)
         if not np.array_equal(present, np.arange(len(present))):
             raise ValueError("class labels must be dense in [0, C)")
@@ -280,38 +269,38 @@ def load_pairs(path: str | os.PathLike, n: int) -> tuple[np.ndarray, np.ndarray]
     try:
         table = _pair_table(text)
     except ValueError as exc:
-        raise _pairs_fault(path, n) from exc
+        raise _pairs_fault(path, text, n) from exc
     index, labels = table["index"].copy(), table["label"]
     same, diff = labels == "same", labels == "diff"
     if not (same | diff).all():  # labels padded with whitespace, which the fault scan strips
         labels = np.array([label.strip() for label in labels.tolist()], dtype=object)
         same, diff = labels == "same", labels == "diff"
     if table.size == 0 or not (same | diff).all() or not ((index >= 0) & (index < n)).all():
-        raise _pairs_fault(path, n)
+        raise _pairs_fault(path, text, n)
     return index, same
 
 
-def _pairs_fault(path: str | os.PathLike, n: int) -> DataFormatError:
-    """The located error for a pairs file that load_pairs rejected: its first
-    faulty line."""
+def _pairs_fault(path: str | os.PathLike, text: str, n: int) -> DataFormatError:
+    """The located error for the text of a pairs file that load_pairs
+    rejected: its first faulty line.  load_pairs reads the text with
+    universal newlines, so its lines split at "\n" are the file's lines."""
     found = False
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            cols = text.split(",")
-            if len(cols) != 3:
-                return DataFormatError(f"{path}:{lineno}: expected index_a,index_b,same|diff")
-            try:
-                a, b = int(_plain_cell(cols[0])), int(_plain_cell(cols[1]))
-            except ValueError:
-                return DataFormatError(f"{path}:{lineno}: non-integer sample index")
-            if cols[2].strip() not in ("same", "diff"):
-                return DataFormatError(f"{path}:{lineno}: label must be same or diff")
-            if not (0 <= a < n and 0 <= b < n):
-                return DataFormatError(f"{path}:{lineno}: sample index out of range 0..{n - 1}")
-            found = True
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        cols = line.split(",")
+        if len(cols) != 3:
+            return DataFormatError(f"{path}:{lineno}: expected index_a,index_b,same|diff")
+        try:
+            a, b = int(_plain_cell(cols[0])), int(_plain_cell(cols[1]))
+        except ValueError:
+            return DataFormatError(f"{path}:{lineno}: non-integer sample index")
+        if cols[2].strip() not in ("same", "diff"):
+            return DataFormatError(f"{path}:{lineno}: label must be same or diff")
+        if not (0 <= a < n and 0 <= b < n):
+            return DataFormatError(f"{path}:{lineno}: sample index out of range 0..{n - 1}")
+        found = True
     if not found:
         return DataFormatError(f"{path}: no pairs found")
     return DataFormatError(f"{path}: unreadable pairs file")

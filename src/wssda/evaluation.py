@@ -35,10 +35,6 @@ from .dataset import LabeledDataset, SplitSpec, check_count
 from .errors import ConfigError, ProtocolError
 from .pipeline import FeatureExtractor
 
-# A scored verification trial: (similarity score, is_same_class), the list
-# form of verification_roc's and kfold_pairwise's input.
-Pair = tuple[float, bool]
-
 
 def pair_similarity(a: np.ndarray, b: np.ndarray) -> float:
     """Verification score cos(a, b) of one pair, higher means more alike,
@@ -276,7 +272,7 @@ class RocReport:
 
 def _score_arrays(scores, same) -> tuple[np.ndarray, np.ndarray]:
     """scores and same as a float and a bool vector of one length."""
-    if same is None:  # scores is a list of Pair, as perfbench/ still passes
+    if same is None:  # scores is a list of (score, is_same) pairs, as perfbench/ still passes
         same = [flag for _, flag in scores]
         scores = [score for score, _ in scores]
     scores = np.asarray(scores, dtype=np.float64)

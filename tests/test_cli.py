@@ -8,6 +8,7 @@ prove the module entry point is wired.
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 
@@ -17,7 +18,6 @@ import pytest
 import wssda
 import wssda.cli
 from wssda.cli import (
-    ENV_OUT_DIR,
     _float_column,
     _subseed,
     _table,
@@ -26,6 +26,7 @@ from wssda.cli import (
     main,
 )
 from wssda.dataset import FLOAT_FMT, load_csv, make_gallery_probe_splits, save_csv, subset
+from wssda.errors import ConfigError
 from wssda.evaluation import _grid_readout, identification_sweep
 from wssda.pipeline import load_model
 
@@ -181,6 +182,9 @@ def test_config_parse_errors(tmp_path):
     bad.write_text("a=1\na=2\n")
     with pytest.raises(Exception, match="duplicate"):
         load_config(str(bad))
+    bad.write_text("a=1\n = 2\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(bad))}:2: empty key$"):
+        load_config(str(bad))
 
 
 def test_config_bad_value_names_key(tmp_path, capsys):
@@ -191,6 +195,28 @@ def test_config_bad_value_names_key(tmp_path, capsys):
     )
     assert code == 1
     assert "classes" in err
+
+
+@pytest.mark.parametrize(
+    "spelling, reads_subclasses",
+    [(s, True) for s in ("1", "true", "Yes", "ON")]
+    + [(s, False) for s in ("0", "False", "no", "OFF")],
+)
+def test_config_switch_takes_each_boolean_spelling(tmp_path, capsys, spelling, reads_subclasses):
+    # only a CSV read with its subclass column has labels for "provided"
+    csv_path = make_dataset_csv(tmp_path, capsys)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"with_subclasses={spelling}\nstrategy=provided\n")
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli(
+        ["partition", "--config", cfg, "--csv", csv_path, "--out-dir", out_dir], capsys
+    )
+    if reads_subclasses:
+        assert (code, err) == (0, "")
+    else:
+        assert code == 1
+        assert err == "error: dataset carries no subclass labels for the 'provided' strategy\n"
+        assert not out_dir.exists()
 
 
 def config_text(argv):
@@ -303,6 +329,7 @@ def test_help_shows_each_flag_default(capsys):
         ("train", "--h H subclasses per class (default: 2)"),
         ("synth", "--scale-min SCALE_MIN smallest subclass noise scale (default: 0.5)"),
         ("train", "--d D feature dimension --mode"),  # no default: required
+        ("train", "--out-dir OUT_DIR output directory (default: .)"),
     ):
         assert shown in texts[command]
 
@@ -568,15 +595,22 @@ def test_train_warns_when_d_exceeds_the_second_stage_rank_dense(tmp_path, capsys
     assert not load_model(os.path.join(out_dir, "model.wssda")).projection[:, 5:].any()
 
 
-def test_out_dir_from_environment(tmp_path, capsys, monkeypatch):
+def test_out_dir_defaults_to_the_working_directory_whatever_the_environment(
+    tmp_path, capsys, monkeypatch
+):
+    # --out-dir and its config key are the only ways to move the outputs
     csv_path = make_dataset_csv(tmp_path, capsys)
     env_dir = tmp_path / "envout"
-    monkeypatch.setenv(ENV_OUT_DIR, str(env_dir))
+    monkeypatch.setenv("WSSDA_OUT_DIR", str(env_dir))
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
     code, _, err = run_cli(
         ["train", "--csv", csv_path, "--with-subclasses", "--d", 2], capsys
     )
     assert code == 0, err
-    assert (env_dir / "model.wssda").exists()
+    assert sorted(os.listdir(work)) == ["model.wssda", "partition.csv", "spectrum.csv"]
+    assert not env_dir.exists()
 
 
 def write_pgm_tree(root, classes=2, images=6):

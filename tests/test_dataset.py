@@ -117,6 +117,20 @@ def test_float_format_round_trips_doubles(seed):
 # ------------------------------------------------------------------ dataset container
 
 
+@pytest.mark.parametrize(
+    "samples, classes, sub, message",
+    [
+        (np.zeros(3), [0, 0, 0], None, "samples must be a 2-D matrix"),
+        (np.zeros((3, 2)), [0, 0], None, "class_labels length must match sample count"),
+        (np.zeros((0, 2)), [], None, "dataset must contain at least one sample"),
+        (np.zeros((3, 2)), [0, 0, 0], [0, 0], "subclass_labels length must match sample count"),
+    ],
+)
+def test_dataset_refuses_arrays_of_the_wrong_shape(samples, classes, sub, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        LabeledDataset(samples, classes, sub)
+
+
 def test_dataset_rejects_sparse_class_labels():
     with pytest.raises(ValueError, match="dense"):
         LabeledDataset(np.zeros((2, 2)), np.array([0, 2]))
@@ -267,6 +281,13 @@ def test_pgm_class_directory_without_images_rejected(tmp_path):
     (tmp_path / "b" / "readme.txt").write_text(PGM_ASCII)
     (tmp_path / "c" / "x.pgm").write_text(PGM_ASCII)
     message = f"{tmp_path / 'b'}: class directory holds no .pgm image"
+    with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
+        load_pgm_dir(tmp_path)
+
+
+def test_pgm_root_without_class_directories_rejected(tmp_path):
+    (tmp_path / "x.pgm").write_text(PGM_ASCII)  # an image, but no class folder
+    message = f"{tmp_path}: no class subdirectories found"
     with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
         load_pgm_dir(tmp_path)
 

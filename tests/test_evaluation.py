@@ -263,6 +263,20 @@ def test_pair_scores_rejects_non_integer_indices(index_a, index_b, name, dtype):
         pair_scores(features, index_a, index_b)
 
 
+@pytest.mark.parametrize(
+    "features, index_a, index_b",
+    [
+        (np.ones(4), [0], [1]),  # one vector, not a matrix of rows
+        (np.ones((4, 3)), [0, 1], [1]),
+        (np.ones((4, 3)), [[0, 1]], [[1, 2]]),
+    ],
+)
+def test_pair_scores_rejects_arrays_of_the_wrong_shape(features, index_a, index_b):
+    message = "^pair_scores expects a feature matrix and two equal-length index vectors$"
+    with pytest.raises(ValueError, match=message):
+        pair_scores(features, index_a, index_b)
+
+
 def test_pair_scores_accepts_empty_and_unsigned_indices():
     features = np.random.default_rng(0).normal(size=(4, 3))
     assert pair_scores(features, [], []).shape == (0,)  # an empty list is float64
@@ -525,6 +539,27 @@ def test_identification_sweep_equals_per_d_nn_classify():
         assert np.array_equal(rep.per_split, expect)
 
 
+@pytest.mark.parametrize(
+    "d_values, splits, error, message",
+    [
+        ([], "rotations", ValueError, "^d_values must be positive integers$"),
+        ([0, 2], "rotations", ValueError, "^d_values must be positive integers$"),
+        ([2], [], ProtocolError, "^no gallery/probe splits supplied$"),
+        ([2], "no gallery", ProtocolError, "^split 0 has an empty gallery$"),
+    ],
+)
+def test_identification_rejects_sweeps_it_cannot_score(d_values, splits, error, message):
+    ds = generate_synthetic(SynthSpec(4, 2, 4, 8, seed=0))
+    if splits == "rotations":
+        splits = make_gallery_probe_splits(ds, 1)
+    elif splits == "no gallery":
+        splits = [SplitSpec(gallery=np.arange(0), probe=np.arange(ds.n))]
+    calls = []
+    with pytest.raises(error, match=message):
+        identification_sweep(lambda d: calls.append(d), ds, splits, d_values)
+    assert calls == []  # rejected before the extractor is asked for
+
+
 def test_identification_rejects_split_without_probes():
     ds = generate_synthetic(SynthSpec(4, 2, 4, 8, seed=0))
     splits = make_gallery_probe_splits(ds, 2)
@@ -606,6 +641,16 @@ def test_identification_training_factory_refuses_d_above_the_data_dimension():
     splits = make_gallery_probe_splits(ds, 1)
     with pytest.raises(ConfigError, match="^d=9 exceeds the data dimension 8$"):
         identification_sweep(train_factory(ds), ds, splits, [2, 9])
+
+
+def test_identification_refuses_d_above_the_data_dimension_of_a_wider_extractor():
+    # a fixed extractor may hold more columns than the data has dimensions
+    ds = generate_synthetic(SynthSpec(4, 2, 4, 8, seed=0))
+    wide = FeatureExtractor(np.eye(8, 10), ModelMeta("regularized", "kd", 2, "ts", 8, 4, 32))
+    splits = make_gallery_probe_splits(ds, 1)
+    with pytest.raises(ConfigError, match="^d=9 exceeds the data dimension 8$"):
+        identification_sweep(lambda d: wide, ds, splits, [2, 9])
+    assert identification_sweep(lambda d: wide, ds, splits, [2, 8]).per_split.shape == (1, 2)
 
 
 # ------------------------------------------------------------------ verification
@@ -707,6 +752,12 @@ def test_roc_identical_distributions_eer_half():
 def test_roc_needs_both_kinds():
     with pytest.raises(ProtocolError, match="same"):
         verification_roc([(0.5, True), (0.4, True)])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_roc_rejects_a_non_finite_score(bad):
+    with pytest.raises(ValueError, match="^pair scores must be finite$"):
+        verification_roc(np.array([0.9, bad, 0.1]), np.array([True, False, False]))
 
 
 def test_roc_resampled_grid():

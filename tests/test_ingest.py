@@ -25,7 +25,6 @@ from wssda import DataFormatError, LabeledDataset, load_csv
 from wssda.dataset import (
     _PGM_HEADER,
     _dense_subclasses,
-    _non_finite_cell,
     _read_pgm,
     load_pairs,
 )
@@ -66,10 +65,10 @@ def oracle_load_csv(path, with_subclasses=False):
     if not rows:
         raise DataFormatError(f"{path}: empty dataset file")
     samples = np.asarray(rows, dtype=np.float64)
-    bad = _non_finite_cell(samples)
-    if bad is not None:
+    bad = np.argwhere(~np.isfinite(samples))
+    if bad.size:
         raise DataFormatError(
-            f"{path}: non-finite value at row {linenos[bad[0]]}, column {bad[1] + lead}"
+            f"{path}: non-finite value at row {linenos[bad[0, 0]]}, column {bad[0, 1] + lead}"
         )
     _, dense = np.unique(np.asarray(raw_class, dtype=np.int64), return_inverse=True)
     sub = None
@@ -275,7 +274,7 @@ def pairs_files(draw):
     for _ in range(draw(st.integers(0, 2))):
         blank = str(rng.choice(["", "  ", "\t"]))
         text_lines.insert(int(rng.integers(len(text_lines) + 1)), blank)
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return "".join(line + newline for line in text_lines)
 
 

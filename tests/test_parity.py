@@ -1,5 +1,5 @@
-"""scripts/parity.py: the CLI matrix of the working tree against itself, and
-the verdicts on files that moved by one ulp and by 1e-3."""
+"""scripts/parity.py: the CLI matrix of the working tree against itself, the
+verdicts on files that moved by one ulp and by 1e-3, and on prefix runs."""
 
 import os
 import time
@@ -10,7 +10,7 @@ import parity
 import pytest
 from conftest import geometric_noise_dataset
 
-from wssda import TrainConfig, TreeParams, partition_dataset, save_model, train
+from wssda import TrainConfig, TreeParams, load_model, partition_dataset, save_model, train
 from wssda.dataset import FLOAT_FMT
 
 
@@ -25,6 +25,10 @@ def test_working_tree_against_itself_is_byte_identical():
     assert "out/train/dense/provided-bs-regularized/eval-verify-10/roc.csv" in paths
     assert "this:rerun/train/dense/kd-ts-regularized/model.wssda" in paths
     assert "logs/partition/dense/provided.log" in paths
+    # one prefix row per train config and side: 2 strategies x 2 stages
+    prefixes = [path for path, _, note in rows if note == "prefix"]
+    assert len(prefixes) == 8
+    assert "other:prefix/train/dense/provided-bs-regularized" in prefixes
 
 
 def moved(value: float, step: str) -> float:
@@ -78,3 +82,38 @@ def test_a_file_on_one_side_or_a_rerun_that_moved_is_different(tmp_path):
         ("this:rerun/model.wssda", parity.IDENTICAL),
         ("other:rerun/model.wssda", parity.DIFFERENT),
     ]
+
+
+def write_train_run(root, ds, part, d):
+    """What `train --d d` writes: model.wssda, partition.csv, spectrum.csv."""
+    os.makedirs(root)
+    save_model(train(ds, part, TrainConfig(d=d)), os.path.join(root, "model.wssda"))
+    for name in ("partition.csv", "spectrum.csv"):
+        with open(os.path.join(root, name), "w") as fh:
+            fh.write(name)
+
+
+@pytest.mark.parametrize("tamper", [None, "ulp", "h", "spectrum", "missing"])
+def test_a_prefix_run_is_byte_identical_only_as_the_leading_columns(tmp_path, tamper):
+    ds = geometric_noise_dataset(seed=0)
+    part = partition_dataset(ds, TreeParams(h=2), "kd")
+    full, prefix = (str(tmp_path / "this" / top / "train/set/run") for top in ("out", "prefix"))
+    write_train_run(full, ds, part, parity.TRAIN_D)
+    write_train_run(prefix, ds, part, parity.PREFIX_D)
+    model = os.path.join(prefix, "model.wssda")
+    fx = load_model(model)
+    if tamper == "ulp":
+        fx.projection[3, 5] = np.nextafter(fx.projection[3, 5], np.inf)
+    elif tamper == "h":
+        fx.meta = replace(fx.meta, h=4)
+    save_model(fx, model)
+    if tamper == "spectrum":
+        with open(os.path.join(prefix, "spectrum.csv"), "a") as fh:
+            fh.write("\n")
+    elif tamper == "missing":
+        os.unlink(model)
+    os.makedirs(tmp_path / "other")
+    rows = parity.compare_sides(str(tmp_path / "this"), str(tmp_path / "other"))
+    verdicts = {path: verdict for path, verdict, _ in rows}
+    want = parity.IDENTICAL if tamper is None else parity.DIFFERENT
+    assert verdicts["this:prefix/train/set/run"] == want

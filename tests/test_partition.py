@@ -30,6 +30,15 @@ ALL_TREES = list(TREE_STRATEGIES) + ["kmeans"]
 # ------------------------------------------------------------------ split rules
 
 
+@pytest.mark.parametrize(
+    "split", [split_kd, lambda points: split_rp(points, np.random.default_rng(0)), split_pca]
+)
+def test_splits_refuse_a_single_point(split):
+    # a median split of one point would leave an empty side
+    with pytest.raises(ValueError, match="^need at least two points to split$"):
+        split(np.ones((1, 3)))
+
+
 def test_kd_split_1d_median():
     pts = np.array([[1.0], [2.0], [3.0], [4.0]])
     left, right = split_kd(pts)
@@ -169,7 +178,77 @@ def test_kmeans_deterministic():
         assert np.array_equal(ga, gb)
 
 
+def test_kmeans_refuses_fewer_points_than_clusters():
+    with pytest.raises(ValueError, match="^cannot form 3 clusters from 2 points$"):
+        cluster_kmeans(np.ones((2, 3)), 3)
+
+
+def test_kmeans_repairs_the_empty_clusters_of_coinciding_rows():
+    # every row ties with the first centroid, so cluster 1 starts empty and
+    # takes a point from cluster 0
+    groups = cluster_kmeans(np.zeros((4, 3)), 2)
+    assert [g.tolist() for g in groups] == [[1, 2, 3], [0]]
+    ds = LabeledDataset(np.repeat(np.arange(3.0), 4)[:, None] * np.ones(3), np.repeat([0, 1, 2], 4))
+    part = partition_dataset(ds, TreeParams(h=2, seed=0), "kmeans")
+    assert [counts.tolist() for counts in part.subclass_counts] == [[3, 1]] * 3
+
+
+@st.composite
+def coinciding_rows(draw, h, dim):
+    """At least h rows of dimension dim drawn from fewer than h distinct rows:
+    farthest-point seeding then picks coinciding centroids, and some cluster
+    starts empty."""
+    distinct = draw(st.integers(1, h - 1))
+    size = distinct * dim
+    pool = draw(st.lists(st.floats(-4, 4, width=16), min_size=size, max_size=size))
+    picks = draw(st.lists(st.integers(0, distinct - 1), min_size=h, max_size=3 * h))
+    return np.reshape(pool, (distinct, dim))[picks]
+
+
+def assert_clusters_cover(groups, m, h):
+    """h non-empty, disjoint index sets covering range(m)."""
+    assert len(groups) == h and all(g.size for g in groups)
+    assert np.array_equal(np.sort(np.concatenate(groups)), np.arange(m))
+
+
+@given(st.integers(2, 6), st.integers(1, 3), st.data(), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_kmeans_clusters_of_coinciding_rows_are_non_empty_and_repeatable(h, dim, data, seed):
+    points = data.draw(coinciding_rows(h, dim))
+    groups = cluster_kmeans(points, h, seed)
+    assert_clusters_cover(groups, len(points), h)
+    again = cluster_kmeans(points, h, seed)
+    assert [g.tolist() for g in again] == [g.tolist() for g in groups]
+
+
+@given(st.integers(2, 5), st.integers(1, 3), st.data(), st.integers(0, 2**31))
+@settings(max_examples=50, deadline=None)
+def test_kmeans_partition_of_coinciding_rows_is_non_empty_and_repeatable(h, dim, data, seed):
+    classes = [data.draw(coinciding_rows(h, dim)) for _ in range(data.draw(st.integers(1, 3)))]
+    labels = np.repeat(np.arange(len(classes)), [len(rows) for rows in classes])
+    ds = LabeledDataset(np.vstack(classes), labels)
+    part = partition_dataset(ds, TreeParams(h=h, seed=seed), "kmeans")
+    assert part.deficient_classes == ()
+    for i in range(ds.class_count):
+        sub = part.subclass_labels[class_indices(ds, i)]
+        assert_clusters_cover([np.flatnonzero(sub == j) for j in range(h)], sub.size, h)
+    again = partition_dataset(ds, TreeParams(h=h, seed=seed), "kmeans")
+    assert np.array_equal(again.subclass_labels, part.subclass_labels)
+
+
 # ------------------------------------------------------------------ class partitioning
+
+
+@pytest.mark.parametrize(
+    "points, strategy, message",
+    [
+        (np.ones((4, 3)), "provided", "^'provided' partitions come from dataset subclass labels$"),
+        (np.ones((0, 3)), "kd", "^class must contain at least one sample$"),
+    ],
+)
+def test_partition_class_refuses_provided_and_an_empty_class(points, strategy, message):
+    with pytest.raises(ValueError, match=message):
+        partition_class(points, TreeParams(h=2), strategy)
 
 
 def test_partition_deficient_class_singletons():
@@ -300,6 +379,10 @@ def test_partition_group_ids_and_typed_errors():
         SubclassPartition(np.array([0, 1, 1]), np.array([0, 0, 2]), "provided")
     with pytest.raises(PartitionError, match="non-negative"):
         SubclassPartition(np.array([0, -1]), np.array([0, 0]), "provided")
+    with pytest.raises(
+        PartitionError, match="^class and subclass label arrays must have equal length$"
+    ):
+        SubclassPartition(np.array([0, 0, 1]), np.array([0, 1]), "provided")
 
 
 def test_partition_refuses_labels_the_int64_cast_would_truncate():

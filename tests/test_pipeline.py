@@ -214,6 +214,8 @@ def test_train_rejects_bad_config():
         train(ds, part, TrainConfig(d=17))  # above the data dimension
     with pytest.raises(ConfigError):
         train(ds, part, TrainConfig(d=2, mode="banana"))
+    with pytest.raises(ConfigError, match="^unknown second stage 'ws'$"):
+        train(ds, part, TrainConfig(d=2, second_stage="ws"))
 
 
 @pytest.mark.parametrize("d", [3.5, 3.0, True])
@@ -446,6 +448,24 @@ def test_extract_dimension_mismatch():
     _, _, fx, _ = trained(seed=0)
     with pytest.raises(ValueError):
         fx.extract(np.zeros(fx.dim + 1))
+    with pytest.raises(ValueError, match=f"^expected rows of dimension {fx.dim}, got {fx.dim + 1}$"):
+        fx.extract(np.zeros((2, fx.dim + 1)))
+    for x in (np.float64(1.0), np.zeros((1, 2, fx.dim))):
+        with pytest.raises(ValueError, match="^input must be a vector or a matrix of row vectors$"):
+            fx.extract(x)
+
+
+@pytest.mark.parametrize(
+    "projection, message",
+    [
+        (np.zeros(4), "projection must be a 2-D matrix"),
+        (np.zeros((5, 2)), "projection rows must match the training dimension"),
+    ],
+)
+def test_extractor_refuses_a_projection_of_the_wrong_shape(projection, message):
+    meta = ModelMeta("regularized", "kd", 1, "ts", 4, 2, 8)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        FeatureExtractor(projection, meta)
 
 
 # ------------------------------------------------------------------ model files
@@ -496,6 +516,29 @@ def test_model_version_bump_rejected(tmp_path):
     blob[6] = 99  # version field follows the 6-byte magic
     Path(path).write_bytes(bytes(blob))
     with pytest.raises(ModelFormatError, match="version"):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    "field, value, fault",
+    [
+        ("mode", 2, "unknown mode or strategy code"),
+        ("strategy", 5, "unknown mode or strategy code"),
+        ("d", 17, "inconsistent dimensions in header"),  # the model's dim is 16
+        ("d", 0, "inconsistent dimensions in header"),
+        ("dim", 0, "inconsistent dimensions in header"),
+    ],
+)
+def test_model_header_codes_and_dimensions_are_checked(tmp_path, field, value, fault):
+    _, _, fx, _ = trained(seed=11)
+    path = str(tmp_path / "m.bin")
+    save_model(fx, path)
+    blob = Path(path).read_bytes()
+    names = ("magic", "version", "dim", "d", "mode", "strategy", "h")
+    fields = dict(zip(names, _HEADER.unpack_from(blob)))
+    fields[field] = value
+    Path(path).write_bytes(_HEADER.pack(*fields.values()) + blob[_HEADER.size :])
+    with pytest.raises(ModelFormatError, match=f"^{re.escape(path)}: {fault}$"):
         load_model(path)
 
 

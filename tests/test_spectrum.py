@@ -99,6 +99,12 @@ def test_eig_matches_power_iteration_oracle():
         assert dot > 1.0 - 1e-6
 
 
+@pytest.mark.parametrize("matrix", [np.zeros((2, 3)), np.zeros(3), np.zeros((2, 2, 2))])
+def test_eig_rejects_a_matrix_that_is_not_square(matrix):
+    with pytest.raises(ValueError, match="^input must be a square matrix$"):
+        eig_symmetric_full(matrix)
+
+
 def test_eig_rejects_asymmetric():
     with pytest.raises(ValueError, match="symmetric"):
         eig_symmetric_full(np.array([[1.0, 2.0], [0.0, 1.0]]))
@@ -280,6 +286,14 @@ def test_fit_rejects_null_pivot():
         fit_model(es, 5)  # beyond the rank
 
 
+def test_fit_rejects_a_zero_pivot_eigenvalue_within_the_stated_rank():
+    # an Eigenspectrum built by hand may claim a rank its eigenvalues lack
+    es = Eigenspectrum(np.array([5.0, 4.0, 0.0, 0.0]), np.eye(4), 4)
+    message = "^pivot eigenvalue is zero: pivot sits in the null space$"
+    with pytest.raises(SpectrumError, match=message):
+        fit_model(es, 3)
+
+
 # ------------------------------------------------------------------ regularized spectrum
 
 
@@ -362,6 +376,12 @@ def test_fitted_model_just_short_of_flat_is_the_flat_model(eps, rank, dim):
     assert not pivot.flat
     fitted = regularize(es, pivot.m, *fit_model(es, pivot.m))
     np.testing.assert_allclose(fitted.weights, flat_model(es).weights, rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("model", [flat_model, short_tail_model])
+def test_fallback_models_refuse_an_all_zero_spectrum(model):
+    with pytest.raises(SpectrumError, match="^cannot model an all-zero spectrum$"):
+        model(spectrum_from([0.0, 0.0, 0.0]))
 
 
 def test_short_tail_model_extends_last_eigenvalue():
