@@ -21,7 +21,10 @@ side also reruns every train, and a rerun must be byte-identical.  Each side
 also trains every train config at --d 8, and that prefix run is
 byte-identical when its model header (but for d) and metadata, partition.csv
 and spectrum.csv equal the --d 24 run's and its projection equals the first
-8 columns of the --d 24 projection bit for bit.  The exit status is 1 if
+8 columns of the --d 24 projection bit for bit.  Each eval run that both
+sides completed adds an invariant row, byte-identical when the error cells of
+identification.csv, or the eer_percent cells of eer.csv, are equal as text on
+both sides, whatever the verdict on the file.  The exit status is 1 if
 anything is different.
 
 Usage:
@@ -62,6 +65,8 @@ DATA_SETS = {
     "dual-tied": dict(classes=6, subclasses=2, samples_per_subclass=5, dim=120),
     "pgm": None,
 }
+# the column of each eval output that its invariant row compares
+METRICS = {"identification.csv": "error", "eer.csv": "eer_percent"}
 # every train runs at TRAIN_D, and again at PREFIX_D for the prefix check
 TRAIN_D, PREFIX_D = 24, 8
 PARTITION_STRATEGIES = ("kd", "pca", "kmeans", "rp", "provided")
@@ -256,6 +261,25 @@ def prefix_verdict(full: str, prefix: str) -> tuple[str, str]:
     return IDENTICAL, "prefix"
 
 
+def _metric_cells(blob: bytes, column: str) -> list[list[str]] | None:
+    """The cell under column of each line of the CSV text blob (an empty list
+    for a short line); None if it has no such column."""
+    header, *lines = blob.decode(errors="replace").split("\n")
+    names = header.split(",")
+    if column not in names:
+        return None
+    at = names.index(column)
+    return [line.split(",")[at : at + 1] for line in lines]
+
+
+def metric_verdict(path: str, a: bytes, b: bytes) -> tuple[str, str]:
+    """The invariant verdict on two versions of the eval output path."""
+    column = METRICS[os.path.basename(path)]
+    cells = _metric_cells(a, column)
+    same = cells is not None and cells == _metric_cells(b, column)
+    return IDENTICAL if same else DIFFERENT, f"invariant {column}"
+
+
 def compare_bytes(path: str, a: bytes, b: bytes) -> tuple[str, str]:
     """The verdict on two versions a and b of the output file path, and a note."""
     if a == b:
@@ -277,7 +301,8 @@ def _read(*path: str) -> bytes:
 
 
 def compare_sides(this: str, other: str) -> list[tuple[str, str, str]]:
-    """(path, verdict, note) for every output of either side, then for each
+    """(path, verdict, note) for every output of either side, then for the
+    metric invariant of each eval run both sides completed, then for each
     side's reruns, which must be byte-identical to the first runs, and its
     prefix runs, one row per train config that wrote a model at either d."""
     rows = []
@@ -287,6 +312,10 @@ def compare_sides(this: str, other: str) -> list[tuple[str, str, str]]:
             rows.append((path, *compare_bytes(path, _read(this, path), _read(other, path))))
         else:
             rows.append((path, DIFFERENT, "only in " + ("this tree" if path in ours else "other")))
+    for path in sorted(ours & theirs):
+        if os.path.basename(path) in METRICS:
+            a, b = _read(this, path), _read(other, path)
+            rows.append((f"invariant:{path}", *metric_verdict(path, a, b)))
     for side, root in (("this", this), ("other", other)):
         for path in sorted(_files(root, "rerun")):
             first = os.path.join("out", os.path.relpath(path, "rerun"))
@@ -351,10 +380,12 @@ def main(argv=None) -> int:
     counts = Counter(verdict for _, verdict, _ in rows)
     reruns = sum(1 for _, _, note in rows if note == "rerun")
     prefixes = sum(1 for _, _, note in rows if note.startswith("prefix"))
-    files = len(rows) - reruns - prefixes
+    invariants = sum(1 for _, _, note in rows if note.startswith("invariant"))
+    files = len(rows) - reruns - prefixes - invariants
     print(
-        f"parity against {args.against}: {files} files, {reruns} reruns and {prefixes} "
-        "prefix runs; " + ", ".join(f"{counts[v]} {v}" for v in (IDENTICAL, ROUNDING, DIFFERENT))
+        f"parity against {args.against}: {files} files, {reruns} reruns, {prefixes} prefix "
+        f"runs and {invariants} invariants; "
+        + ", ".join(f"{counts[v]} {v}" for v in (IDENTICAL, ROUNDING, DIFFERENT))
     )
     return 1 if counts[DIFFERENT] else 0
 

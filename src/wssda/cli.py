@@ -4,12 +4,13 @@ Subcommands: synth, train, eval-id, eval-verify, partition.  synth is the
 only command that makes data: it writes a CSV, which the others read through
 --csv (--with-subclasses keeps its subclass column), as they read image
 folders through --pgm-dir.  Each flag's type and default are declared once,
-in its add_argument call.  Every value flag can also come from a flat
-key=value config file (--config): a key is the flag's long name with
-underscores, cast by the flag's type, and the values become the command's
-defaults, so explicit flags win.  Output files are written atomically (temp
-file, then rename), and a failing run removes the files and directories it
-made, so no output directory holds a partial result.
+in its add_argument call, and argparse alone reads every value.  An argument
+@FILE stands for the flags its lines name: a line key=value is the flag
+--key=value, with the key's underscores read as dashes, a bare key is the
+switch --key, and blank lines and # comments name none.  The flags stand
+where @FILE is written, so a flag after it wins.  Output files are written
+atomically (temp file, then rename), and a failing run removes the files and
+directories it made, so no output directory holds a partial result.
 
 Seeds are namespaced per purpose: the user-facing --seed of synth,
 partition and train is combined with the consumer name (synth, partition)
@@ -65,15 +66,6 @@ def _subseed(seed: int, name: str) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
-
-
 def _bounded(cast, accept, name: str):
     """A flag type: cast(raw), refused unless accept(value); argparse names it name."""
 
@@ -104,56 +96,6 @@ def _int_list(raw: str) -> list[int]:
 
 # argparse names a flag's type in its error
 _int_list.__name__ = "integer list"
-
-
-def load_config(path: str) -> dict[str, str]:
-    """Flat key=value lines; blank lines and # comments are ignored."""
-    cfg: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if "=" not in text:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key, _, val = text.partition("=")
-            key = key.strip()
-            if not key:
-                raise ConfigError(f"{path}:{lineno}: empty key")
-            if key in cfg:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            cfg[key] = val.strip()
-    return cfg
-
-
-def _config_defaults(parser: argparse.ArgumentParser, cfg: dict[str, str]) -> dict:
-    """The config values, each cast by the type of the flag its key names."""
-    flags = {
-        action.dest: action
-        for action in parser._actions
-        if action.option_strings and action.dest not in ("help", "config")
-    }
-    unknown = sorted(set(cfg) - set(flags))
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    values = {}
-    for key, raw in cfg.items():
-        action = flags[key]
-        # a switch (store_true) takes no value on the command line
-        cast = _parse_bool if action.nargs == 0 else action.type or str
-        try:
-            values[key] = cast(raw)
-        except ValueError as exc:
-            raise ConfigError(f"config key {key!r}: {exc}") from exc
-    return values
-
-
-def _require(args: argparse.Namespace, name: str):
-    val = getattr(args, name)
-    if val is None:
-        flag = "--" + name.replace("_", "-")
-        raise ConfigError(f"{flag} (or config key {name!r}) is required")
-    return val
 
 
 class OutputSet:
@@ -241,10 +183,7 @@ def _dataset_reader(args: argparse.Namespace) -> Callable[[], LabeledDataset]:
     if args.csv:
         return lambda: load_csv(args.csv, with_subclasses=args.with_subclasses)
     if args.with_subclasses:
-        raise ConfigError(
-            "--with-subclasses (config key 'with_subclasses') reads a CSV's subclass "
-            "column; --pgm-dir has none"
-        )
+        raise ConfigError("--with-subclasses reads a CSV's subclass column; --pgm-dir has none")
     return lambda: load_pgm_dir(args.pgm_dir)
 
 
@@ -254,9 +193,7 @@ def _tree_params(args: argparse.Namespace) -> TreeParams:
     try:
         params.validate(args.strategy)
     except ValueError as exc:
-        raise ConfigError(
-            f"--h {args.h} with --strategy {args.strategy} (config keys 'h' and 'strategy'): {exc}"
-        ) from exc
+        raise ConfigError(f"--h {args.h} with --strategy {args.strategy}: {exc}") from exc
     return params
 
 
@@ -265,8 +202,8 @@ def _out_dir(args: argparse.Namespace, out: OutputSet) -> str:
         inner, root = os.path.realpath(args.out_dir), os.path.realpath(args.pgm_dir)
         if inner != root and os.path.commonpath([inner, root]) == root:
             raise ConfigError(
-                f"--out-dir {args.out_dir} lies inside --pgm-dir {args.pgm_dir} "
-                "(config keys 'out_dir' and 'pgm_dir'); write the outputs outside the image tree"
+                f"--out-dir {args.out_dir} lies inside --pgm-dir {args.pgm_dir}; "
+                "write the outputs outside the image tree"
             )
     return out.make_dir(args.out_dir)
 
@@ -302,12 +239,8 @@ def _warn_rank(d: int, rank: int) -> None:
 
 
 def cmd_synth(args: argparse.Namespace, out: OutputSet) -> None:
-    out_path = _require(args, "out")
     if args.scale_min > args.scale_max:  # SynthSpec.validate would name scale_range
-        raise ConfigError(
-            f"--scale-min {args.scale_min:g} exceeds --scale-max {args.scale_max:g} "
-            "(config keys 'scale_min' and 'scale_max')"
-        )
+        raise ConfigError(f"--scale-min {args.scale_min:g} exceeds --scale-max {args.scale_max:g}")
     spec = SynthSpec(
         class_count=args.classes,
         subclasses_per_class=args.subclasses,
@@ -319,14 +252,14 @@ def cmd_synth(args: argparse.Namespace, out: OutputSet) -> None:
         seed=_subseed(args.seed, "synth"),
     )
     ds = generate_synthetic(spec)
-    out.write_file(out_path, lambda tmp: save_csv(ds, tmp))
-    # the settings that regenerate the file, as a --config file
+    out.write_file(args.out, lambda tmp: save_csv(ds, tmp))
+    # the settings that regenerate the file, as an @FILE argument file
     echo = [(key, "%d" if kind is _count else FLOAT_FMT) for key, kind, _, _ in SYNTH_FLAGS]
     echo.append(("seed", "%d"))
     out.write_text(
-        out_path + ".cfg", "".join(f"{key}={fmt % getattr(args, key)}\n" for key, fmt in echo)
+        args.out + ".cfg", "".join(f"{key}={fmt % getattr(args, key)}\n" for key, fmt in echo)
     )
-    print(f"wrote {out_path}: {ds.n} samples, {ds.class_count} classes, dim {ds.dim}")
+    print(f"wrote {args.out}: {ds.n} samples, {ds.class_count} classes, dim {ds.dim}")
 
 
 def cmd_partition(args: argparse.Namespace, out: OutputSet) -> None:
@@ -344,7 +277,7 @@ def cmd_train(args: argparse.Namespace, out: OutputSet) -> None:
     out_dir = _out_dir(args, out)
     params = _tree_params(args)
     config = TrainConfig(
-        d=_require(args, "d"),
+        d=args.d,
         mode=args.mode,
         second_stage=args.second_stage,
     )
@@ -379,9 +312,8 @@ def cmd_train(args: argparse.Namespace, out: OutputSet) -> None:
 
 
 def _load_eval_common(args: argparse.Namespace):
-    model_path = _require(args, "model")
     read = _dataset_reader(args)
-    fx = load_model(model_path)  # before the data, which may be far larger
+    fx = load_model(args.model)  # before the data, which may be far larger
     ds = read()
     if ds.dim != fx.dim:
         raise ConfigError(
@@ -406,10 +338,9 @@ def cmd_eval_id(args: argparse.Namespace, out: OutputSet) -> None:
 
 def cmd_eval_verify(args: argparse.Namespace, out: OutputSet) -> None:
     out_dir = _out_dir(args, out)
-    pairs_path = _require(args, "pairs")
     fx, ds = _load_eval_common(args)
 
-    index, same = load_pairs(pairs_path, ds.n)
+    index, same = load_pairs(args.pairs, ds.n)
     scores = pair_scores(ds.samples @ fx.projection, index[:, 0], index[:, 1])
 
     if args.folds == 1:
@@ -436,7 +367,7 @@ def cmd_eval_verify(args: argparse.Namespace, out: OutputSet) -> None:
 
 # ---------------------------------------------------------------- wiring
 
-# (config key, type, default, help) of each synthetic-data flag; `synth` echoes them
+# (key, type, default, help) of each synthetic-data flag; `synth` echoes them
 SYNTH_FLAGS = (
     ("classes", _count, 20, "number of classes"),
     ("subclasses", _count, 2, "subclasses per class"),
@@ -447,6 +378,16 @@ SYNTH_FLAGS = (
     ("scale_max", _scale, 1.5, "largest subclass noise scale"),
     ("class_spread", _spread, 6.0, "class center spread"),
 )
+
+
+class _Parser(argparse.ArgumentParser):
+    def convert_arg_line_to_args(self, arg_line: str) -> list[str]:
+        """One @FILE line as flags: key=value -> --key=value, key -> --key."""
+        text = arg_line.strip()
+        if not text or text.startswith("#"):
+            return []
+        key, eq, value = text.partition("=")
+        return ["--" + key.strip().replace("_", "-") + eq + value.strip()]
 
 
 class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
@@ -474,25 +415,24 @@ def _add_partition_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wssda",
         description="subclass discriminant analysis over the whole eigenspace",
+        fromfile_prefix_chars="@",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, help):
-        # a flag matches exactly, as a config key does: no abbreviations
+        # a flag matches exactly: no abbreviations
         p = sub.add_parser(name, help=help, formatter_class=_HelpFormatter, allow_abbrev=False)
-        p.add_argument("--config", help="flat key=value config file; flags override it")
-        # main() finds the flags a config file may set through `parser`
-        p.set_defaults(func=func, parser=p)
+        p.set_defaults(func=func)
         return p
 
     p = command("synth", cmd_synth, "write a synthetic dataset CSV; read it with --csv")
     p.add_argument("--seed", type=_seed, default=0, help="seed of the synthetic data")
     for key, kind, default, help in SYNTH_FLAGS:
         p.add_argument("--" + key.replace("_", "-"), type=kind, default=default, help=help)
-    p.add_argument("--out", help="output CSV path")
+    p.add_argument("--out", required=True, help="output CSV path")
 
     p = command("partition", cmd_partition, "partition classes into subclasses")
     _add_io_flags(p)
@@ -501,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("train", cmd_train, "train a feature extractor")
     _add_io_flags(p)
     _add_partition_flags(p)
-    p.add_argument("--d", type=_count, help="feature dimension")
+    p.add_argument("--d", type=_count, required=True, help="feature dimension")
     p.add_argument(
         "--mode", choices=(REGULARIZED, TRUNCATED), default=REGULARIZED, help="spectrum model"
     )
@@ -509,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("eval-id", cmd_eval_id, "closed-set identification error vs d")
     _add_io_flags(p)
-    p.add_argument("--model", help="trained model file")
+    p.add_argument("--model", required=True, help="trained model file")
     p.add_argument("--rotations", type=_count, default=1, help="gallery/probe rotations")
     p.add_argument(
         "--d-sweep",
@@ -519,23 +459,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("eval-verify", cmd_eval_verify, "pairwise verification ROC and EER")
     _add_io_flags(p)
-    p.add_argument("--model", help="trained model file")
-    p.add_argument("--pairs", help="pairs file: index_a,index_b,same|diff per line")
+    p.add_argument("--model", required=True, help="trained model file")
+    p.add_argument("--pairs", required=True, help="pairs file: index_a,index_b,same|diff per line")
     p.add_argument("--folds", type=_count, default=1, help="folds; 1 writes the exact ROC")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     out = OutputSet()
     try:
-        if args.config is not None:
-            # config values become the command's defaults, so explicit flags win
-            cfg = load_config(args.config)
-            args.parser.set_defaults(**_config_defaults(args.parser, cfg))
-            args = parser.parse_args(argv)
+        # in the try: an @FILE that is not UTF-8 text fails as it is read
+        args = build_parser().parse_args(argv)
         args.func(args, out)
     except BaseException as exc:
         out.discard()

@@ -173,7 +173,7 @@ def load_csv(path: str | os.PathLike, with_subclasses: bool = False) -> LabeledD
     """
     lead = 2 if with_subclasses else 1
     try:
-        with open(path, newline="") as fh, warnings.catch_warnings():
+        with open(path, encoding="utf-8", newline="") as fh, warnings.catch_warnings():
             # an empty file gets its own error from _csv_fault
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             table = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
@@ -193,8 +193,11 @@ def _csv_fault(path: str | os.PathLike, lead: int) -> DataFormatError:
     0 and include blank lines."""
     width: int | None = None
     non_finite: tuple[int, int] | None = None
-    with open(path, newline="") as fh:
+    # a byte that is not UTF-8 reads as a lone surrogate, which encode() refuses
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh)):
+            if not _is_utf8(",".join(row)):
+                return DataFormatError(f"{path}: row {lineno} is not UTF-8 text")
             if not row:
                 continue
             if width is None:
@@ -225,6 +228,15 @@ def _csv_fault(path: str | os.PathLike, lead: int) -> DataFormatError:
             f"{path}: non-finite value at row {non_finite[0]}, column {non_finite[1]}"
         )
     return DataFormatError(f"{path}: unreadable dataset file")
+
+
+def _is_utf8(text: str) -> bool:
+    """False if text holds a byte that surrogateescape could not decode."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _plain_cell(cell: str) -> str:
@@ -264,7 +276,7 @@ def load_pairs(path: str | os.PathLike, n: int) -> tuple[np.ndarray, np.ndarray]
     """(P, 2) int64 sample indices in [0, n) and (P,) same-class flags of a
     pairs file, parsed as one table of two integer columns and a label
     column; a file that is rejected is scanned only to name the faulty line."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         text = fh.read()
     try:
         table = _pair_table(text)
@@ -286,6 +298,8 @@ def _pairs_fault(path: str | os.PathLike, text: str, n: int) -> DataFormatError:
     universal newlines, so its lines split at "\n" are the file's lines."""
     found = False
     for lineno, line in enumerate(text.split("\n"), start=1):
+        if not _is_utf8(line):
+            return DataFormatError(f"{path}:{lineno}: not UTF-8 text")
         line = line.strip()
         if not line:
             continue

@@ -149,6 +149,8 @@ class FeatureExtractor:
             raise ValueError("projection must be a 2-D matrix")
         if self.projection.shape[0] != self.meta.dim:
             raise ValueError("projection rows must match the training dimension")
+        if not 1 <= self.d <= self.dim:  # the model file holds only such a projection
+            raise ValueError(f"projection shape {self.projection.shape} needs 1 <= d <= dim")
         if not np.isfinite(self.projection).all():
             raise ValueError("projection contains non-finite entries")
 

@@ -7,13 +7,17 @@ prove the module entry point is wired.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
-import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import wssda
 import wssda.cli
@@ -22,19 +26,27 @@ from wssda.cli import (
     _subseed,
     _table,
     build_parser,
-    load_config,
     main,
 )
 from wssda.dataset import FLOAT_FMT, load_csv, make_gallery_probe_splits, save_csv, subset
-from wssda.errors import ConfigError
 from wssda.evaluation import _grid_readout, identification_sweep
 from wssda.pipeline import load_model
 
 
 def run_cli(argv, capsys):
-    code = main([str(a) for a in argv])
+    try:
+        code = main([str(a) for a in argv])
+    except SystemExit as exc:  # argparse exits 2 on a usage error
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def arg_file(tmp_path, text, name="run.args"):
+    """The argument @FILE of a file that holds text."""
+    path = tmp_path / name
+    path.write_text(text)
+    return f"@{path}"
 
 
 def synth_args(out_path, seed=3, **over):
@@ -87,10 +99,18 @@ def test_synth_writes_csv_and_sidecar(tmp_path, capsys):
     assert ds.dim == 12
     assert ds.class_count == 6
 
-    sidecar = load_config(path + ".cfg")
-    assert sidecar["classes"] == "6"
-    assert sidecar["seed"] == "3"
-    assert sidecar["scale_min"] == "0.5"
+    with open(path + ".cfg") as fh:
+        assert fh.read() == (
+            "classes=6\nsubclasses=2\nsamples_per_subclass=4\ndim=12\nspread=3\n"
+            "scale_min=0.5\nscale_max=1.5\nclass_spread=6\nseed=3\n"
+        )
+    # the sidecar is an @FILE that regenerates the data
+    again = tmp_path / "again.csv"
+    code, _, err = run_cli(["synth", f"@{path}.cfg", "--out", again], capsys)
+    assert (code, err) == (0, "")
+    with open(path, "rb") as fh:
+        assert again.read_bytes() == fh.read()
+    assert (tmp_path / "again.csv.cfg").read_text() == (tmp_path / "data.csv.cfg").read_text()
 
 
 def test_synth_rerun_is_byte_identical(tmp_path, capsys):
@@ -109,8 +129,8 @@ def test_synth_seed_changes_output(tmp_path, capsys):
 
 def test_synth_requires_out(tmp_path, capsys):
     code, _, err = run_cli(["synth", "--seed", 1], capsys)
-    assert code == 1
-    assert "--out" in err
+    assert code == 2
+    assert err.endswith("wssda synth: error: the following arguments are required: --out\n")
 
 
 def test_synth_has_no_out_dir(tmp_path, capsys):
@@ -119,11 +139,10 @@ def test_synth_has_no_out_dir(tmp_path, capsys):
         main(["synth", "--out", str(tmp_path / "d.csv"), "--out-dir", str(tmp_path / "x")])
     assert exc.value.code == 2
     assert "unrecognized arguments: --out-dir" in capsys.readouterr().err
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"out_dir={tmp_path / 'x'}\n")
-    code, _, err = run_cli(["synth", "--out", tmp_path / "d.csv", "--config", cfg], capsys)
-    assert code == 1
-    assert err == "error: unknown config keys: out_dir\n"
+    args = arg_file(tmp_path, f"out_dir={tmp_path / 'x'}\n")
+    code, _, err = run_cli(["synth", "--out", tmp_path / "d.csv", args], capsys)
+    assert code == 2
+    assert f"unrecognized arguments: --out-dir={tmp_path / 'x'}" in err
     assert not (tmp_path / "d.csv").exists() and not (tmp_path / "x").exists()
 
 
@@ -133,135 +152,219 @@ def test_subseed_streams_are_independent():
     assert _subseed(0, "synth") == _subseed(0, "synth")
 
 
-# ---------------------------------------------------------------- config
+# ---------------------------------------------------------------- argument files
 
 
-def test_config_file_supplies_values(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(
+def test_argument_file_supplies_values(tmp_path, capsys):
+    args = arg_file(
+        tmp_path,
         "# synth settings\n"
         "classes=4\n"
         "subclasses=2\n"
-        "samples_per_subclass=3\n"
+        "\n"
+        "  samples_per_subclass = 3  \n"
         "dim=8\n"
-        "seed=5\n"
+        "seed=5\n",
     )
     path = str(tmp_path / "data.csv")
-    code, out, _ = run_cli(["synth", "--config", str(cfg), "--out", path], capsys)
+    code, out, _ = run_cli(["synth", args, "--out", path], capsys)
     assert code == 0
     assert "24 samples, 4 classes, dim 8" in out
 
 
-def test_cli_flag_overrides_config(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("classes=4\ndim=8\n")
+def test_a_flag_after_an_argument_file_wins_and_one_before_it_loses(tmp_path, capsys):
+    args = arg_file(tmp_path, "classes=4\ndim=8\n")
     path = str(tmp_path / "data.csv")
-    code, out, _ = run_cli(
-        ["synth", "--config", str(cfg), "--out", path, "--classes", "9"], capsys
-    )
+    code, out, _ = run_cli(["synth", args, "--out", path, "--classes", "9"], capsys)
     assert code == 0
     assert "9 classes, dim 8" in out
-
-
-def test_unknown_config_key_rejected(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("classes=4\nbanana=1\n")
-    code, _, err = run_cli(
-        ["synth", "--config", str(cfg), "--out", str(tmp_path / "x.csv")], capsys
-    )
-    assert code == 1
-    assert "unknown config keys: banana" in err
-    assert not (tmp_path / "x.csv").exists()
-
-
-def test_config_parse_errors(tmp_path):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("classes\n")
-    with pytest.raises(Exception, match="key=value"):
-        load_config(str(bad))
-    bad.write_text("a=1\na=2\n")
-    with pytest.raises(Exception, match="duplicate"):
-        load_config(str(bad))
-    bad.write_text("a=1\n = 2\n")
-    with pytest.raises(ConfigError, match=f"^{re.escape(str(bad))}:2: empty key$"):
-        load_config(str(bad))
-
-
-def test_config_bad_value_names_key(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("classes=many\n")
-    code, _, err = run_cli(
-        ["synth", "--config", str(cfg), "--out", str(tmp_path / "x.csv")], capsys
-    )
-    assert code == 1
-    assert "classes" in err
+    code, out, _ = run_cli(["synth", "--classes", "9", args, "--out", path], capsys)
+    assert code == 0
+    assert "4 classes, dim 8" in out
 
 
 @pytest.mark.parametrize(
-    "spelling, reads_subclasses",
-    [(s, True) for s in ("1", "true", "Yes", "ON")]
-    + [(s, False) for s in ("0", "False", "no", "OFF")],
+    "text, outcome",
+    [
+        ("classes=4\nclasses=5\n", "5 classes"),  # the last value wins, as on the command line
+        ("classes\n", "argument --classes: expected one argument"),
+        ("classes=many\n", "argument --classes: invalid positive integer value: 'many'"),
+        ("classes=4\nbanana=1\n", "unrecognized arguments: --banana=1"),
+        ("= 4\n", "unrecognized arguments: --=4"),
+        ("--classes=4\n", "unrecognized arguments: ----classes=4"),
+    ],
 )
-def test_config_switch_takes_each_boolean_spelling(tmp_path, capsys, spelling, reads_subclasses):
+def test_argument_file_lines_are_read_as_flags(tmp_path, capsys, text, outcome):
+    path = tmp_path / "x.csv"
+    code, out, err = run_cli(["synth", arg_file(tmp_path, text), "--out", path], capsys)
+    if outcome.endswith("classes"):
+        assert (code, err) == (0, "")
+        assert outcome in out
+        return
+    assert code == 2
+    assert err.endswith(f"error: {outcome}\n")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("spelling", ["1", "true", "0", "no", ""])
+def test_a_switch_in_an_argument_file_is_a_bare_key(tmp_path, capsys, spelling):
     # only a CSV read with its subclass column has labels for "provided"
     csv_path = make_dataset_csv(tmp_path, capsys)
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"with_subclasses={spelling}\nstrategy=provided\n")
     out_dir = tmp_path / "out"
+    argv = ["partition", "--csv", csv_path, "--out-dir", out_dir]
+    args = arg_file(tmp_path, "  with_subclasses  \nstrategy=provided\n")
+    assert run_cli([*argv, args], capsys)[::2] == (0, "")
+    args = arg_file(tmp_path, f"with_subclasses={spelling}\nstrategy=provided\n")
+    code, _, err = run_cli([*argv, args], capsys)
+    assert code == 2
+    assert err.endswith(f"argument --with-subclasses: ignored explicit argument '{spelling}'\n")
+
+
+def test_an_argument_that_starts_with_at_names_an_argument_file(tmp_path, capsys, monkeypatch):
+    # a data path that starts with @ is written ./@x.csv
+    monkeypatch.chdir(tmp_path)
+    os.rename(make_dataset_csv(tmp_path, capsys), "@x.csv")
+    argv = ["partition", "--with-subclasses", "--out-dir", "part", "--csv"]
+    code, _, err = run_cli([*argv, "@x.csv"], capsys)
+    assert code == 2
+    assert err.endswith("error: [Errno 2] No such file or directory: 'x.csv'\n")
+    assert not os.path.exists("part")
+    code, _, err = run_cli([*argv, "./@x.csv"], capsys)
+    assert (code, err) == (0, "")
+
+
+def test_an_argument_file_that_is_not_utf8_is_one_error_line(tmp_path, capsys):
+    # the bad byte lies past the first 8 KiB, where a chunked decode starts its second chunk
+    csv_path = make_dataset_csv(tmp_path, capsys)
+    args = tmp_path / "run.args"
+    args.write_bytes(b"# padding\n" * 1000 + b"csv=\xff.csv\n")
+    out_dir = tmp_path / "out"
+    argv = ["partition", "--csv", csv_path, f"@{args}", "--out-dir", out_dir]
+    code, out, err = run_cli(argv, capsys)
+    assert code in (1, 2) and out == ""
+    assert len([line for line in err.splitlines() if "error: " in line]) == 1
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("banana=1", "unrecognized arguments: --banana=1"),
+        ("h=two", "argument --h: invalid positive integer value: 'two'"),
+        ("with_subclasses=maybe", "argument --with-subclasses: ignored explicit argument 'maybe'"),
+    ],
+)
+def test_argument_file_faults_are_reported_before_any_input_is_read(
+    tmp_path, capsys, line, message
+):
+    out_dir = tmp_path / "out"
+    missing = tmp_path / "missing.csv"
+    args = arg_file(tmp_path, line + "\n")
     code, _, err = run_cli(
-        ["partition", "--config", cfg, "--csv", csv_path, "--out-dir", out_dir], capsys
+        ["train", args, "--csv", missing, "--d", 2, "--out-dir", out_dir], capsys
     )
-    if reads_subclasses:
-        assert (code, err) == (0, "")
-    else:
-        assert code == 1
-        assert err == "error: dataset carries no subclass labels for the 'provided' strategy\n"
-        assert not out_dir.exists()
+    assert code == 2
+    assert err.endswith(f": error: {message}\n")
+    assert not out_dir.exists()
 
 
-def config_text(argv):
-    """argv's flags as config lines: --flag value -> flag=value, a bare switch -> flag=1."""
-    lines, i = [], 0
-    while i < len(argv):
-        key = str(argv[i]).removeprefix("--").replace("-", "_")
-        switch = i + 1 == len(argv) or str(argv[i + 1]).startswith("--")
-        lines.append(f"{key}={1 if switch else argv[i + 1]}\n")
-        i += 1 if switch else 2
-    return "".join(lines)
+# each command's inputs, named as in its working directory, and the flags
+# that run it on them; the flags a draw adds come after, so they win
+PROPERTY_BASE = {
+    "synth": ["--out", "d.csv", "--classes", "3", "--samples-per-subclass", "3", "--dim", "4"],
+    "partition": ["--csv", "data.csv"],
+    "train": ["--csv", "data.csv", "--d", "2", "--out-dir", "run"],
+    "eval-id": ["--csv", "data.csv", "--model", "model.wssda", "--out-dir", "run"],
+    "eval-verify": [
+        "--csv", "data.csv", "--model", "model.wssda", "--pairs", "pairs.csv", "--out-dir", "run",
+    ],
+}
+# no newline and no surrounding space, which an @FILE line could not carry
+HOSTILE_VALUES = [
+    "-1", "-2.5", "0", "1", "2", "2.5", "1e400", "nan", "", "true", "\u0663", "\uff11\uff12",
+    "12345678901234567890", "1,2", "kmeans", "provided", "truncated", "bs",
+]
+COMMAND_PARSERS = next(a for a in build_parser()._actions if a.dest == "command").choices
 
 
-@pytest.mark.parametrize("command", ["train", "eval-verify"])
-def test_config_keys_and_flags_write_the_same_bytes(tmp_path, capsys, command):
-    if command == "train":
-        csv_path = make_dataset_csv(
-            tmp_path, capsys, classes=5, subclasses=3, samples_per_subclass=4, dim=10,
-            spread=2.5, scale_min=0.25, scale_max=2, class_spread=4, seed=9,
-        )
-        flags = [
-            "--csv", csv_path, "--with-subclasses", "--strategy", "kmeans", "--h", 3,
-            "--seed", 9, "--d", 6, "--mode", "truncated", "--second-stage", "bs",
-        ]
-        outputs = ("model.wssda", "partition.csv", "spectrum.csv")
-    else:
-        csv_path = make_dataset_csv(tmp_path, capsys)
-        model_dir, _ = train_small(tmp_path, capsys, csv_path, d=4)
-        ds = load_csv(csv_path, with_subclasses=True)
-        flags = [
-            "--csv", csv_path, "--with-subclasses",
-            "--model", os.path.join(model_dir, "model.wssda"),
-            "--pairs", write_pairs(tmp_path / "pairs.csv", ds), "--folds", 3,
-        ]
-        outputs = ("roc.csv", "eer.csv")
-    by_flags, by_config = tmp_path / "flags", tmp_path / "config"
-    code, out_flags, err = run_cli([command, *flags, "--out-dir", by_flags], capsys)
-    assert code == 0, err
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(config_text([*flags, "--out-dir", by_config]))
-    code, out_config, err = run_cli([command, "--config", cfg], capsys)
-    assert code == 0, err
-    assert out_config == out_flags.replace(str(by_flags), str(by_config))
-    for name in outputs:
-        assert (by_config / name).read_bytes() == (by_flags / name).read_bytes(), name
+@st.composite
+def command_draws(draw):
+    """A command and (key, value) pairs of its flags; a switch's value is None."""
+    command = draw(st.sampled_from(sorted(COMMAND_PARSERS)))
+    actions = [a for a in COMMAND_PARSERS[command]._actions if a.dest != "help"]
+    chosen = draw(st.lists(st.sampled_from(actions), unique_by=lambda a: a.dest, max_size=4))
+    values = st.sampled_from(HOSTILE_VALUES)
+    return command, [(a.dest, None if a.nargs == 0 else draw(values)) for a in chosen]
+
+
+@pytest.fixture(scope="module")
+def property_inputs(tmp_path_factory):
+    """The bytes of data.csv, model.wssda and pairs.csv for every command."""
+    root = tmp_path_factory.mktemp("inputs")
+    data = str(root / "data.csv")
+    argv = ["synth", "--out", data, "--classes", "3", "--samples-per-subclass", "3", "--dim", "4"]
+    assert main(argv) == 0
+    argv = ["train", "--csv", data, "--with-subclasses", "--d", "2", "--out-dir", str(root)]
+    assert main(argv) == 0
+    (root / "pairs.csv").write_text("0,1,same\n0,6,diff\n7,8,same\n3,12,diff\n")
+    return {name: (root / name).read_bytes() for name in ("data.csv", "model.wssda", "pairs.csv")}
+
+
+def run_in(work, argv):
+    """main(argv) with work as the working directory: the exit code, stdout,
+    stderr and every file under work."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    home = os.getcwd()
+    os.chdir(work)
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        os.chdir(home)
+    files = {}
+    for folder, _, names in os.walk(work):
+        for name in names:
+            path = os.path.join(folder, name)
+            with open(path, "rb") as fh:
+                files[os.path.relpath(path, work)] = fh.read()
+    return code, stdout.getvalue(), stderr.getvalue(), files
+
+
+@settings(max_examples=100, deadline=None)
+@given(command_draws())
+def test_an_argument_file_runs_as_its_flags_do(property_inputs, draw):
+    command, pairs = draw
+    flags, lines = [], []
+    for key, value in pairs:
+        flag = "--" + key.replace("_", "-")
+        flags += [flag] if value is None else [flag, value]
+        lines.append(key if value is None else f"{key}={value}")
+    with tempfile.TemporaryDirectory() as top:
+        runs = []
+        for name in ("flags", "file"):
+            work = os.path.join(top, name)
+            os.mkdir(work)
+            for input_name, blob in property_inputs.items():
+                with open(os.path.join(work, input_name), "wb") as fh:
+                    fh.write(blob)
+            extra = flags
+            if name == "file":
+                args = os.path.join(top, "run.args")
+                with open(args, "w", encoding="utf-8") as fh:
+                    fh.write("".join(line + "\n" for line in lines))
+                extra = ["@" + args]
+            runs.append(run_in(work, [command, *PROPERTY_BASE[command], *extra]))
+    assert runs[0] == runs[1]
+    code, _, err, files = runs[0]
+    event(f"{command} exits {code}")
+    assert code in (0, 1, 2), err
+    if code == 1:  # one error line, the last
+        lines = err.splitlines()
+        assert lines[-1].startswith("error: ") and sum("error:" in l for l in lines) == 1, err
+    if code:
+        assert files == property_inputs, err
 
 
 def test_config_key_of_a_synth_flag_is_refused_where_data_is_read(tmp_path, capsys):
@@ -269,27 +372,6 @@ def test_config_key_of_a_synth_flag_is_refused_where_data_is_read(tmp_path, caps
     csv_path = make_dataset_csv(tmp_path, capsys)
     args = ["--csv", csv_path, "--with-subclasses", "--out-dir", "{out}"]
     assert_unrecognized_by_flag_and_key(tmp_path, capsys, "partition", args, "classes", "99")
-
-
-@pytest.mark.parametrize(
-    "line, message",
-    [
-        ("banana=1", "unknown config keys: banana"),
-        ("h=two", "config key 'h': invalid literal for int() with base 10: 'two'"),
-        ("with_subclasses=maybe", "config key 'with_subclasses': expected a boolean, got 'maybe'"),
-    ],
-)
-def test_config_faults_are_reported_before_any_input_is_read(tmp_path, capsys, line, message):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(line + "\n")
-    out_dir = tmp_path / "out"
-    missing = tmp_path / "missing.csv"
-    code, _, err = run_cli(
-        ["train", "--config", cfg, "--csv", missing, "--d", 2, "--out-dir", out_dir], capsys
-    )
-    assert code == 1
-    assert err == f"error: {message}\n"
-    assert not out_dir.exists()
 
 
 def test_each_command_takes_exactly_its_flags():
@@ -300,11 +382,11 @@ def test_each_command_takes_exactly_its_flags():
         name: {flag for a in p._actions for flag in a.option_strings} - {"-h", "--help"}
         for name, p in commands.items()
     }
-    reads = {"--config", "--out-dir", "--csv", "--with-subclasses", "--pgm-dir"}
+    reads = {"--out-dir", "--csv", "--with-subclasses", "--pgm-dir"}
     partitions = {"--seed", "--strategy", "--h"}
     assert taken == {
         "synth": {
-            "--config", "--seed", "--classes", "--subclasses", "--samples-per-subclass",
+            "--seed", "--classes", "--subclasses", "--samples-per-subclass",
             "--dim", "--spread", "--scale-min", "--scale-max", "--class-spread", "--out",
         },
         "partition": reads | partitions,
@@ -312,7 +394,7 @@ def test_each_command_takes_exactly_its_flags():
         "eval-id": reads | {"--model", "--rotations", "--d-sweep"},
         "eval-verify": reads | {"--model", "--pairs", "--folds"},
     }
-    assert sum(map(len, taken.values())) == 46
+    assert sum(map(len, taken.values())) == 41
 
 
 def test_help_shows_each_flag_default(capsys):
@@ -376,11 +458,9 @@ def test_partition_tree_depth_is_not_an_option(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--max-depth", "3"])
     assert exc.value.code == 2
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("max_depth=3\n")
-    code, _, err = run_cli(argv + ["--config", cfg], capsys)
-    assert code == 1
-    assert "unknown config keys: max_depth" in err
+    code, _, err = run_cli(argv + [arg_file(tmp_path, "max_depth=3\n")], capsys)
+    assert code == 2
+    assert "unrecognized arguments: --max-depth=3" in err
     # tree depth is log2 h, capped at 8: h=256 is accepted (8 rows per class
     # fall back to singletons), h=512 is not
     code, _, err = run_cli(argv + ["--h", 256], capsys)
@@ -397,14 +477,13 @@ def test_tree_rule_is_refused_by_its_flags_before_any_input_is_read(
     tmp_path, capsys, strategy, h, command
 ):
     # the CSV is missing: the binary-split rule on h, which names neither
-    # flag in the library, comes first, by flag and by config key alike
+    # flag in the library, comes first, by flag and by @FILE key alike
     argv, out_dir = command_argv(tmp_path, command, COMMAND_ARGS[command])
-    want = f"error: --h {h} with --strategy {strategy} (config keys 'h' and 'strategy'): h={h} "
+    want = f"error: --h {h} with --strategy {strategy}: h={h} "
     code, _, err = run_cli(argv + ["--strategy", strategy, "--h", h], capsys)
     assert code == 1 and err.startswith(want), err
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"strategy={strategy}\nh={h}\n")
-    code, _, err = run_cli(argv + ["--config", cfg], capsys)
+    args = arg_file(tmp_path, f"strategy={strategy}\nh={h}\n")
+    code, _, err = run_cli(argv + [args], capsys)
     assert code == 1 and err.startswith(want), err
     assert not out_dir.exists()
 
@@ -419,17 +498,15 @@ def test_non_tree_strategies_take_any_h_past_the_tree_rule(tmp_path, capsys, str
     assert not out_dir.exists()
 
 
-def test_config_unknown_strategy_rejected(tmp_path, capsys):
+def test_unknown_strategy_in_an_argument_file_is_refused_by_its_flag(tmp_path, capsys):
     csv_path = make_dataset_csv(tmp_path, capsys)
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("strategy=octree\n")
+    args = arg_file(tmp_path, "strategy=octree\n")
     code, _, err = run_cli(
-        ["partition", "--config", cfg, "--csv", csv_path, "--out-dir", tmp_path / "part"],
-        capsys,
+        ["partition", args, "--csv", csv_path, "--out-dir", tmp_path / "part"], capsys
     )
-    assert code == 1
-    assert "unknown strategy 'octree'" in err
-    assert not (tmp_path / "part" / "partition.csv").exists()
+    assert code == 2
+    assert "argument --strategy: invalid choice: 'octree'" in err
+    assert not (tmp_path / "part").exists()
 
 
 # ---------------------------------------------------------------- train
@@ -528,14 +605,23 @@ def test_synth_then_train_on_its_csv_writes_the_library_model(
     assert written == (tmp_path / "library.wssda").read_bytes()
 
 
-def test_train_requires_d(tmp_path, capsys):
-    csv_path = make_dataset_csv(tmp_path, capsys)
-    code, _, err = run_cli(
-        ["train", "--csv", csv_path, "--with-subclasses", "--out-dir", str(tmp_path)],
-        capsys,
-    )
-    assert code == 1
-    assert "--d" in err
+@pytest.mark.parametrize(
+    "command, args, missing",
+    [
+        ("train", ["--csv", "{missing}.csv"], "--d"),
+        ("eval-id", ["--csv", "{missing}.csv"], "--model"),
+        ("eval-verify", ["--csv", "{missing}.csv"], "--model, --pairs"),
+        ("eval-verify", ["--csv", "{missing}.csv", "--model", "{missing}.wssda"], "--pairs"),
+    ],
+)
+def test_a_missing_required_flag_exits_2_before_the_out_dir_is_made(
+    tmp_path, capsys, command, args, missing
+):
+    argv, out_dir = command_argv(tmp_path, command, [*args, "--out-dir", "{out}"])
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.endswith(f"error: the following arguments are required: {missing}\n")
+    assert not out_dir.exists()
 
 
 def test_train_truncated_mode(tmp_path, capsys):
@@ -598,7 +684,7 @@ def test_train_warns_when_d_exceeds_the_second_stage_rank_dense(tmp_path, capsys
 def test_out_dir_defaults_to_the_working_directory_whatever_the_environment(
     tmp_path, capsys, monkeypatch
 ):
-    # --out-dir and its config key are the only ways to move the outputs
+    # --out-dir, as a flag or an @FILE key, is the only way to move the outputs
     csv_path = make_dataset_csv(tmp_path, capsys)
     env_dir = tmp_path / "envout"
     monkeypatch.setenv("WSSDA_OUT_DIR", str(env_dir))
@@ -640,14 +726,13 @@ def test_out_dir_inside_pgm_dir_is_refused_before_anything_is_read(
     write_pgm_tree(faces)
     run_dir = faces / "run" / "sub"
     want = (
-        f"error: --out-dir {run_dir} lies inside --pgm-dir {faces} (config keys 'out_dir' "
-        "and 'pgm_dir'); write the outputs outside the image tree\n"
+        f"error: --out-dir {run_dir} lies inside --pgm-dir {faces}; "
+        "write the outputs outside the image tree\n"
     )
     code, _, err = run_cli([command, "--pgm-dir", faces, "--out-dir", run_dir, *args], capsys)
     assert (code, err) == (1, want)
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"pgm_dir={faces}\nout_dir={run_dir}\n")
-    code, _, err = run_cli([command, "--config", cfg, *args], capsys)
+    at = arg_file(tmp_path, f"pgm_dir={faces}\nout_dir={run_dir}\n")
+    code, _, err = run_cli([command, at, *args], capsys)
     assert (code, err) == (1, want)
     assert sorted(p.name for p in faces.iterdir()) == ["class0", "class1"]
 
@@ -662,8 +747,7 @@ def test_out_dir_inside_pgm_dir_is_refused_before_anything_is_read(
         ),
         (
             ["--pgm-dir", "{missing}", "--with-subclasses"],
-            "--with-subclasses (config key 'with_subclasses') reads a CSV's subclass column; "
-            "--pgm-dir has none",
+            "--with-subclasses reads a CSV's subclass column; --pgm-dir has none",
         ),
     ],
     ids=["no source", "both sources", "pgm-dir with subclasses"],
@@ -726,15 +810,10 @@ def test_with_subclasses_is_refused_with_a_pgm_dir(tmp_path, capsys, command):
     }[command]
     out_dir = tmp_path / "out"
     argv = [command, "--pgm-dir", faces, "--out-dir", out_dir, *args]
-    want = (
-        "error: --with-subclasses (config key 'with_subclasses') reads a CSV's subclass "
-        "column; --pgm-dir has none\n"
-    )
+    want = "error: --with-subclasses reads a CSV's subclass column; --pgm-dir has none\n"
     code, _, err = run_cli(argv + ["--with-subclasses"], capsys)
     assert (code, err) == (1, want)
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("with_subclasses=1\n")
-    code, _, err = run_cli(argv + ["--config", cfg], capsys)
+    code, _, err = run_cli(argv + [arg_file(tmp_path, "with_subclasses\n")], capsys)
     assert (code, err) == (1, want)
     assert not out_dir.exists()
 
@@ -812,23 +891,19 @@ def test_eval_id_empty_sweep_is_refused_by_its_flag_and_config_key(tmp_path, cap
         main([str(a) for a in argv + ["--d-sweep", sweep]])
     assert exc.value.code == 2
     assert f"argument --d-sweep: invalid integer list value: '{sweep}'" in capsys.readouterr().err
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"d_sweep={sweep}\n")
-    code, _, err = run_cli(argv + ["--config", cfg], capsys)
-    assert code == 1
-    assert err == f"error: config key 'd_sweep': expected positive integers, got '{sweep}'\n"
+    code, _, err = run_cli(argv + [arg_file(tmp_path, f"d_sweep={sweep}\n")], capsys)
+    assert code == 2
+    assert f"argument --d-sweep: invalid integer list value: '{sweep}'" in err
     assert not (tmp_path / "out").exists()
 
 
 def test_bad_d_sweep_is_reported_before_the_model_is_read(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("d_sweep=1,x\n")
     missing = tmp_path / "missing.wssda"
     argv = ["eval-id", "--csv", tmp_path / "missing.csv", "--model", missing]
     argv += ["--out-dir", tmp_path / "out"]
-    code, _, err = run_cli(argv + ["--config", cfg], capsys)
-    assert code == 1
-    assert err == "error: config key 'd_sweep': invalid literal for int() with base 10: 'x'\n"
+    code, _, err = run_cli(argv + [arg_file(tmp_path, "d_sweep=1,x\n")], capsys)
+    assert code == 2
+    assert "argument --d-sweep: invalid integer list value: '1,x'" in err
     with pytest.raises(SystemExit) as exc:
         main([str(a) for a in argv + ["--d-sweep", "1,x"]])
     assert exc.value.code == 2
@@ -846,11 +921,9 @@ def test_d_sweep_below_one_is_refused_by_its_flag_and_config_key(tmp_path, capsy
         main([str(a) for a in argv + ["--d-sweep", sweep]])
     assert exc.value.code == 2
     assert f"argument --d-sweep: invalid integer list value: '{sweep}'" in capsys.readouterr().err
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"d_sweep={sweep}\n")
-    code, _, err = run_cli(argv + ["--config", cfg], capsys)
-    assert code == 1
-    assert err == f"error: config key 'd_sweep': expected positive integers, got '{sweep}'\n"
+    code, _, err = run_cli(argv + [arg_file(tmp_path, f"d_sweep={sweep}\n")], capsys)
+    assert code == 2
+    assert f"argument --d-sweep: invalid integer list value: '{sweep}'" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -874,36 +947,29 @@ def command_argv(tmp_path, command, args):
     return [command, *(a.format(out=out_dir, missing=tmp_path / "missing") for a in args)], out_dir
 
 
-def assert_refused_by_flag_and_key(tmp_path, capsys, command, args, key, raw, kind, value):
-    """--key raw exits 2 naming the flag and kind, key=raw in --config exits 1
-    naming the key and value, and neither writes anything."""
+def assert_refused_by_flag_and_key(tmp_path, capsys, command, args, key, raw, kind):
+    """--key raw, and key=raw in an @FILE, exit 2 naming the flag, kind and
+    value, and neither writes anything."""
     argv, out_dir = command_argv(tmp_path, command, args)
     flag = "--" + key.replace("_", "-")
-    with pytest.raises(SystemExit) as exc:
-        main([str(a) for a in argv + [flag, raw]])
-    assert exc.value.code == 2
-    assert f"argument {flag}: invalid {kind} value: '{raw}'" in capsys.readouterr().err
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"{key}={raw}\n")
-    code, _, err = run_cli(argv + ["--config", cfg], capsys)
-    assert code == 1
-    assert err == f"error: config key '{key}': expected a {kind}, got {value}\n"
+    want = f"error: argument {flag}: invalid {kind} value: '{raw}'\n"
+    for supplied in ([flag, raw], [arg_file(tmp_path, f"{key}={raw}\n")]):
+        code, _, err = run_cli(argv + supplied, capsys)
+        assert code == 2 and err.endswith(want), supplied
     assert not out_dir.exists()
 
 
 def assert_unrecognized_by_flag_and_key(tmp_path, capsys, command, args, key, raw):
-    """--key raw exits 2 as an unrecognized argument, key=raw in --config exits 1
-    as an unknown key, and neither writes anything."""
+    """--key raw, and key=raw in an @FILE, exit 2 as unrecognized arguments,
+    and neither writes anything."""
     argv, out_dir = command_argv(tmp_path, command, args)
     flag = "--" + key.replace("_", "-")
-    with pytest.raises(SystemExit) as exc:
-        main([str(a) for a in argv + [flag, raw]])
-    assert exc.value.code == 2
-    assert f"unrecognized arguments: {flag} {raw}" in capsys.readouterr().err
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"{key}={raw}\n")
-    code, _, err = run_cli(argv + ["--config", cfg], capsys)
-    assert (code, err) == (1, f"error: unknown config keys: {key}\n")
+    code, _, err = run_cli(argv + [flag, raw], capsys)
+    assert code == 2
+    assert f"unrecognized arguments: {flag} {raw}" in err
+    code, _, err = run_cli(argv + [arg_file(tmp_path, f"{key}={raw}\n")], capsys)
+    assert code == 2
+    assert f"unrecognized arguments: {flag}={raw}" in err
     assert not out_dir.exists()
 
 
@@ -914,14 +980,14 @@ def test_negative_seed_is_refused_by_its_flag_and_config_key(tmp_path, capsys, c
         return
     # SeedSequence would refuse it later, with a message that names no flag
     assert_refused_by_flag_and_key(
-        tmp_path, capsys, command, args, "seed", "-1", "non-negative integer", -1
+        tmp_path, capsys, command, args, "seed", "-1", "non-negative integer"
     )
 
 
 @COMMANDS
 def test_abbreviated_flags_are_refused(tmp_path, capsys, command, args):
-    # a flag matches exactly, as a config key does: a long flag cut by one
-    # letter is unrecognized, never taken for the flag it abbreviates
+    # a flag matches exactly: a long flag cut by one letter is unrecognized,
+    # never taken for the flag it abbreviates
     argv, out_dir = command_argv(tmp_path, command, args)
     parser = next(a for a in build_parser()._actions if a.dest == "command").choices[command]
     flags = {flag for a in parser._actions for flag in a.option_strings}
@@ -937,27 +1003,27 @@ def test_abbreviated_flags_are_refused(tmp_path, capsys, command, args):
 
 @COMMANDS
 @pytest.mark.parametrize(
-    "key, raw, kind, value",
+    "key, raw, kind",
     [
-        ("classes", "-1", "positive integer", -1),
-        ("subclasses", "0", "positive integer", 0),
-        ("samples_per_subclass", "0", "positive integer", 0),
-        ("dim", "0", "positive integer", 0),
-        ("spread", "-1", "finite non-negative number", -1.0),
-        ("spread", "nan", "finite non-negative number", "nan"),
-        ("scale_min", "0", "finite positive number", 0.0),
-        ("scale_max", "inf", "finite positive number", "inf"),
-        ("class_spread", "-2", "finite non-negative number", -2.0),
+        ("classes", "-1", "positive integer"),
+        ("subclasses", "0", "positive integer"),
+        ("samples_per_subclass", "0", "positive integer"),
+        ("dim", "0", "positive integer"),
+        ("spread", "-1", "finite non-negative number"),
+        ("spread", "nan", "finite non-negative number"),
+        ("scale_min", "0", "finite positive number"),
+        ("scale_max", "inf", "finite positive number"),
+        ("class_spread", "-2", "finite non-negative number"),
     ],
 )
 def test_bad_synth_knob_is_refused_by_its_flag_and_config_key(
-    tmp_path, capsys, command, args, key, raw, kind, value
+    tmp_path, capsys, command, args, key, raw, kind
 ):
     if command != "synth":  # only synth makes data
         assert_unrecognized_by_flag_and_key(tmp_path, capsys, command, args, key, raw)
         return
     # SynthSpec.validate would refuse it later, naming its field, not the flag
-    assert_refused_by_flag_and_key(tmp_path, capsys, command, args, key, raw, kind, value)
+    assert_refused_by_flag_and_key(tmp_path, capsys, command, args, key, raw, kind)
 
 
 @pytest.mark.parametrize(
@@ -968,7 +1034,7 @@ def test_bad_synth_knob_is_refused_by_its_flag_and_config_key(
 def test_count_below_one_is_refused_by_its_flag_and_config_key(tmp_path, capsys, command, key):
     # the library would refuse it only after the data and the model are read
     assert_refused_by_flag_and_key(
-        tmp_path, capsys, command, COMMAND_ARGS[command], key, "0", "positive integer", 0
+        tmp_path, capsys, command, COMMAND_ARGS[command], key, "0", "positive integer"
     )
 
 
@@ -976,23 +1042,23 @@ def test_count_below_one_is_refused_by_its_flag_and_config_key(tmp_path, capsys,
 def test_scale_min_above_scale_max_names_both_flags_and_keys(tmp_path, capsys, command):
     out = tmp_path / "out"
     flags = ["--scale-min", 3, "--scale-max", 2]
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("scale_min=3\nscale_max=2\n")
+    args = arg_file(tmp_path, "scale_min=3\nscale_max=2\n")
     if command == "train":  # only synth makes data
         argv = ["train", "--csv", tmp_path / "missing.csv", "--d", 2, "--out-dir", out]
         with pytest.raises(SystemExit) as exc:
             main([str(a) for a in argv + flags])
         assert exc.value.code == 2
         assert "unrecognized arguments: --scale-min 3 --scale-max 2" in capsys.readouterr().err
-        code, _, err = run_cli(argv + ["--config", cfg], capsys)
-        assert (code, err) == (1, "error: unknown config keys: scale_max, scale_min\n")
+        code, _, err = run_cli(argv + [args], capsys)
+        assert code == 2
+        assert "unrecognized arguments: --scale-min=3 --scale-max=2" in err
         assert not out.exists()
         return
     argv = ["synth", "--out", out / "d.csv"]
-    want = "error: --scale-min 3 exceeds --scale-max 2 (config keys 'scale_min' and 'scale_max')\n"
+    want = "error: --scale-min 3 exceeds --scale-max 2\n"
     code, _, err = run_cli(argv + flags, capsys)
     assert (code, err) == (1, want)
-    code, _, err = run_cli(argv + ["--config", cfg], capsys)
+    code, _, err = run_cli(argv + [args], capsys)
     assert (code, err) == (1, want)
     assert not out.exists()
 
@@ -1006,10 +1072,9 @@ def test_allow_flat_spectrum_is_neither_a_flag_nor_a_config_key(tmp_path, capsys
         main([str(a) for a in argv + ["--allow-flat-spectrum"]])
     assert exc.value.code == 2
     assert "unrecognized arguments: --allow-flat-spectrum" in capsys.readouterr().err
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("allow_flat_spectrum=1\n")
-    code, _, err = run_cli(argv + ["--config", cfg], capsys)
-    assert (code, err) == (1, "error: unknown config keys: allow_flat_spectrum\n")
+    code, _, err = run_cli(argv + [arg_file(tmp_path, "allow_flat_spectrum\n")], capsys)
+    assert code == 2
+    assert "unrecognized arguments: --allow-flat-spectrum" in err
     assert not out.exists()
 
 
@@ -1120,18 +1185,8 @@ def test_eval_verify_kfold_rows(tmp_path, capsys):
 )
 def test_the_pivot_threshold_and_far_grid_are_not_settable(tmp_path, capsys, command, key, value):
     # the pivot sits at the median and fold averaging reads FAR 0, 0.01, ..., 1
-    flag = "--" + key.replace("_", "-")
-    with pytest.raises(SystemExit) as exc:
-        main([command, flag, value])
-    assert exc.value.code == 2
-    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"{key}={value}\n")
-    out_dir = tmp_path / "out"
-    code, _, err = run_cli([command, "--config", cfg, "--out-dir", out_dir], capsys)
-    assert code == 1
-    assert err == f"error: unknown config keys: {key}\n"
-    assert not out_dir.exists()
+    args = COMMAND_ARGS[command]
+    assert_unrecognized_by_flag_and_key(tmp_path, capsys, command, args, key, value)
 
 
 def test_eval_verify_folds_average_on_the_far_grid_of_101_points(tmp_path, capsys):
@@ -1249,6 +1304,30 @@ def test_pairs_file_errors_name_the_line(tmp_path, capsys):
     assert code == 1
     assert "pairs.csv:2" in err
     assert "same or diff" in err
+
+
+def test_data_files_that_are_not_utf8_are_one_error_line_naming_the_line(tmp_path, capsys):
+    csv_path = make_dataset_csv(tmp_path, capsys)
+    out_dir, _ = train_small(tmp_path, capsys, csv_path, d=4)
+    with open(csv_path, "rb") as fh:
+        rows = fh.read().split(b"\n")
+    rows[5] = rows[5].replace(b".", b"\xff", 1)
+    bad_csv = tmp_path / "bad.csv"
+    bad_csv.write_bytes(b"\n".join(rows))
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_bytes(b"0,1,same\n2,3,d\xe9ff\n")
+    model = os.path.join(out_dir, "model.wssda")
+    for argv, want in (
+        (["eval-id", "--csv", bad_csv, "--model", model], f"{bad_csv}: row 5 is not UTF-8 text"),
+        (
+            ["eval-verify", "--csv", csv_path, "--model", model, "--pairs", pairs],
+            f"{pairs}:2: not UTF-8 text",
+        ),
+    ):
+        new = tmp_path / "new"
+        code, out, err = run_cli([*argv, "--with-subclasses", "--out-dir", new], capsys)
+        assert (code, out, err) == (1, "", f"error: {want}\n")
+        assert not new.exists()
 
 
 def test_pairs_zero_feature_vector_names_the_pair_and_sample(tmp_path, capsys):

@@ -643,10 +643,10 @@ def test_identification_training_factory_refuses_d_above_the_data_dimension():
         identification_sweep(train_factory(ds), ds, splits, [2, 9])
 
 
-def test_identification_refuses_d_above_the_data_dimension_of_a_wider_extractor():
-    # a fixed extractor may hold more columns than the data has dimensions
+def test_identification_refuses_d_above_the_data_dimension_of_a_fixed_extractor():
+    # a fixed extractor's check names the data dimension, which bounds its columns
     ds = generate_synthetic(SynthSpec(4, 2, 4, 8, seed=0))
-    wide = FeatureExtractor(np.eye(8, 10), ModelMeta("regularized", "kd", 2, "ts", 8, 4, 32))
+    wide = FeatureExtractor(np.eye(8), ModelMeta("regularized", "kd", 2, "ts", 8, 4, 32))
     splits = make_gallery_probe_splits(ds, 1)
     with pytest.raises(ConfigError, match="^d=9 exceeds the data dimension 8$"):
         identification_sweep(lambda d: wide, ds, splits, [2, 9])

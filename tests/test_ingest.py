@@ -366,6 +366,28 @@ def test_underscore_digits_are_a_located_error(tmp_path):
         load_pairs(str(pairs), 20)
 
 
+@pytest.mark.parametrize("bad", [b"\xff", b"\xc3(", b"\xe2\x82"])
+def test_bytes_that_are_not_utf8_name_the_file_and_line(tmp_path, bad):
+    # the bad bytes lie past the first 8 KiB, where a chunked decode starts
+    # its second chunk; a blank line counts as a CSV row and a pairs line
+    lines = [b"%d,1.25,%d" % (i % 3, i) for i in range(1500)]
+    lines[40] = b""
+    lines[1200] = b"1,2" + bad + b",3"
+    data = tmp_path / "data.csv"
+    data.write_bytes(b"\n".join(lines) + b"\n")
+    assert len(b"\n".join(lines[:1200])) > 8192
+    with pytest.raises(DataFormatError, match=f"^{re.escape(str(data))}: row 1200 is not UTF-8"):
+        load_csv(data)
+    lines = [b"%d,%d,same" % (i, i + 1) for i in range(1000)]
+    lines[40] = b""
+    lines[900] = b"3,4,diff" + bad
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_bytes(b"\r\n".join(lines) + b"\r\n")
+    assert len(b"\n".join(lines[:900])) > 8192
+    with pytest.raises(DataFormatError, match=f"^{re.escape(str(pairs))}:901: not UTF-8 text$"):
+        load_pairs(str(pairs), 2000)
+
+
 @pytest.mark.parametrize("value", [b"-5", b"+5", b"1_0", b"-0"])
 def test_pgm_gray_values_are_plain_decimal_digits(tmp_path, value):
     # int() reads each of these (-5 scaled to -0.0196, 1_0 to 10); no PGM holds them

@@ -29,6 +29,11 @@ def test_working_tree_against_itself_is_byte_identical():
     prefixes = [path for path, _, note in rows if note == "prefix"]
     assert len(prefixes) == 8
     assert "other:prefix/train/dense/provided-bs-regularized" in prefixes
+    # one invariant row per eval run: 4 train configs x eval-id and two eval-verify
+    invariants = [path for path, _, note in rows if note.startswith("invariant")]
+    assert len(invariants) == 12
+    assert "invariant:out/train/dense/kd-bs-regularized/eval-id/identification.csv" in invariants
+    assert "invariant:out/train/dense/kd-bs-regularized/eval-verify-10/eer.csv" in invariants
 
 
 def moved(value: float, step: str) -> float:
@@ -117,3 +122,35 @@ def test_a_prefix_run_is_byte_identical_only_as_the_leading_columns(tmp_path, ta
     verdicts = {path: verdict for path, verdict, _ in rows}
     want = parity.IDENTICAL if tamper is None else parity.DIFFERENT
     assert verdicts["this:prefix/train/set/run"] == want
+
+
+
+@pytest.mark.parametrize(
+    "name, tamper, file_verdict, invariant_verdict",
+    [
+        ("identification.csv", None, parity.IDENTICAL, parity.IDENTICAL),
+        ("identification.csv", ("3,0.125", "3,0.25"), parity.DIFFERENT, parity.DIFFERENT),
+        ("identification.csv", ("3,0.125", "4,0.125"), parity.DIFFERENT, parity.IDENTICAL),
+        ("eer.csv", ("mean,12.50", "mean,12.51"), parity.DIFFERENT, parity.DIFFERENT),
+        ("eer.csv", ("mean,12.50", "mean,12.5"), parity.ROUNDING, parity.DIFFERENT),
+        ("eer.csv", ("fold,eer_percent", "fold,eer"), parity.DIFFERENT, parity.DIFFERENT),
+    ],
+)
+def test_an_eval_run_adds_an_invariant_row_on_its_metric_cells(
+    tmp_path, name, tamper, file_verdict, invariant_verdict
+):
+    # the metric cells are compared as text, whatever the verdict on the file
+    text = {
+        "identification.csv": "d,error\n1,0.25\n3,0.125\n",
+        "eer.csv": "fold,eer_percent\n0,12.50\nmean,12.50\nstd,0.00\n",
+    }[name]
+    path = f"out/train/set/run/eval/{name}"
+    tampered = text if tamper is None else text.replace(*tamper)
+    for side, body in (("this", text), ("other", tampered)):
+        os.makedirs(tmp_path / side / os.path.dirname(path))
+        (tmp_path / side / path).write_text(body)
+    rows = parity.compare_sides(str(tmp_path / "this"), str(tmp_path / "other"))
+    assert [(path, verdict) for path, verdict, _ in rows] == [
+        (path, file_verdict),
+        (f"invariant:{path}", invariant_verdict),
+    ]

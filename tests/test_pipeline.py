@@ -4,6 +4,7 @@ import re
 import struct
 import subprocess
 import sys
+import tempfile
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -11,6 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import ZERO_SCATTER, geometric_noise_dataset
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import wssda
 from wssda import (
@@ -31,6 +35,7 @@ from wssda import (
     train,
     train_detailed,
 )
+from wssda.partition import MAX_TREE_DEPTH, STRATEGIES, TREE_STRATEGIES
 from wssda.pipeline import _HEADER, SECOND_STAGES
 from wssda.scatter import (
     between_subclass_scatter,
@@ -468,6 +473,15 @@ def test_extractor_refuses_a_projection_of_the_wrong_shape(projection, message):
         FeatureExtractor(projection, meta)
 
 
+@pytest.mark.parametrize("shape", [(4, 5), (4, 0), (0, 0), (0, 1)])
+def test_extractor_refuses_d_outside_one_to_dim(shape):
+    # save_model wrote such a projection, and load_model refused the file
+    meta = ModelMeta("regularized", "kd", 1, "ts", shape[0], 2, 8)
+    message = re.escape(f"projection shape {shape} needs 1 <= d <= dim")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        FeatureExtractor(np.zeros(shape), meta)
+
+
 # ------------------------------------------------------------------ model files
 
 
@@ -477,6 +491,44 @@ def test_model_round_trip_bitwise(tmp_path):
     save_model(fx, path)
     back = load_model(path)
     assert np.array_equal(back.projection, fx.projection)
+    assert back.meta == fx.meta
+
+
+@st.composite
+def extractors(draw):
+    """A FeatureExtractor of 1 <= d <= dim <= 12 with finite entries and
+    metadata that load_model accepts."""
+    dim = draw(st.integers(1, 12))
+    d = draw(st.integers(1, dim))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    projection = draw(arrays(np.float64, (dim, d), elements=finite))
+    strategy = draw(st.sampled_from(STRATEGIES))
+    if strategy in TREE_STRATEGIES:
+        h = 2 ** draw(st.integers(0, MAX_TREE_DEPTH))
+    else:
+        h = draw(st.integers(1, 2**32 - 1))
+    class_count = draw(st.integers(1, 10**12))
+    meta = ModelMeta(
+        mode=draw(st.sampled_from(["regularized", "truncated"])),
+        strategy=strategy,
+        h=h,
+        second_stage=draw(st.sampled_from(SECOND_STAGES)),
+        dim=dim,
+        class_count=class_count,
+        sample_count=draw(st.integers(max(class_count, h), 10**15)),
+    )
+    return FeatureExtractor(projection, meta)
+
+
+@settings(max_examples=150, deadline=None)
+@given(extractors())
+def test_every_extractor_that_saves_loads_back_bit_for_bit(fx):
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "m.wssda")
+        save_model(fx, path)
+        back = load_model(path)
+    assert back.projection.tobytes() == fx.projection.tobytes()
+    assert back.projection.shape == fx.projection.shape
     assert back.meta == fx.meta
 
 
