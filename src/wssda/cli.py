@@ -83,6 +83,7 @@ _seed = _bounded(int, lambda value: value >= 0, "non-negative integer")
 _count = _bounded(int, lambda value: value >= 1, "positive integer")
 _spread = _bounded(float, lambda value: 0 <= value < np.inf, "finite non-negative number")
 _scale = _bounded(float, lambda value: 0 < value < np.inf, "finite positive number")
+_path = _bounded(str, bool, "non-empty path")
 
 
 def _int_list(raw: str) -> list[int]:
@@ -398,14 +399,14 @@ class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
 
 
 def _add_io_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out-dir", default=".", help="output directory")
-    p.add_argument("--csv", help="dataset CSV (class[,subclass],v1,...)")
+    p.add_argument("--out-dir", type=_path, default=".", help="output directory")
+    p.add_argument("--csv", type=_path, help="dataset CSV (class[,subclass],v1,...)")
     p.add_argument(
         "--with-subclasses",
         action="store_true",
         help="the CSV's second column is a subclass label, as in a synth CSV",
     )
-    p.add_argument("--pgm-dir", help="directory of per-class PGM image folders")
+    p.add_argument("--pgm-dir", type=_path, help="directory of per-class PGM image folders")
 
 
 def _add_partition_flags(p: argparse.ArgumentParser) -> None:
@@ -432,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=0, help="seed of the synthetic data")
     for key, kind, default, help in SYNTH_FLAGS:
         p.add_argument("--" + key.replace("_", "-"), type=kind, default=default, help=help)
-    p.add_argument("--out", required=True, help="output CSV path")
+    p.add_argument("--out", type=_path, required=True, help="output CSV path")
 
     p = command("partition", cmd_partition, "partition classes into subclasses")
     _add_io_flags(p)
@@ -449,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("eval-id", cmd_eval_id, "closed-set identification error vs d")
     _add_io_flags(p)
-    p.add_argument("--model", required=True, help="trained model file")
+    p.add_argument("--model", type=_path, required=True, help="trained model file")
     p.add_argument("--rotations", type=_count, default=1, help="gallery/probe rotations")
     p.add_argument(
         "--d-sweep",
@@ -459,8 +460,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("eval-verify", cmd_eval_verify, "pairwise verification ROC and EER")
     _add_io_flags(p)
-    p.add_argument("--model", required=True, help="trained model file")
-    p.add_argument("--pairs", required=True, help="pairs file: index_a,index_b,same|diff per line")
+    p.add_argument("--model", type=_path, required=True, help="trained model file")
+    p.add_argument(
+        "--pairs", type=_path, required=True, help="pairs file: index_a,index_b,same|diff per line"
+    )
     p.add_argument("--folds", type=_count, default=1, help="folds; 1 writes the exact ROC")
 
     return parser

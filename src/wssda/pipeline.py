@@ -43,6 +43,16 @@ extractor equal the extractor trained directly at d', bit for bit.  Each
 block is signed before the cut by one rule, each column's largest-magnitude
 entry positive (the first on ties): no column depends on an eigensolver's basis.
 
+Working memory.  Each stage forms its scatter or Gram matrix by one product
+of one rows buffer: the contrasts R for stage 1, the second-stage builder's
+rows for stage 2.  The dense path drops each dim x dim temporary once it is
+used: stage 1's scatter once its eigensystem is solved, stage 2's raw
+scatter S once W^T S is formed, and W^T S W once its symmetrized copy is.
+So besides the eigensolver's own arrays, the first eigendecomposition holds
+only its input, and the second three dim x dim matrices: the stage-1
+eigenvectors (kept in the training details), W, and its input, which lives
+to the end of the stage.
+
 Each stage is solved on its rows scaled by a power of two, prescale_rows,
 and its results are scaled back with np.ldexp, so training is exact at any
 power-of-two scale of the data and no solve leaves float64.  Only the rows
@@ -225,23 +235,30 @@ def _second_stage(
 
 def _dense(ds: LabeledDataset, part: SubclassPartition, config: TrainConfig):
     """Both stages as dim x dim eigendecompositions (n >= dim)."""
+    # dim x dim temporaries are dropped once used, but for the last (module docstring)
     scatter = within_subclass_scatter(ds, part)
+    k1 = scatter.exponent
     es = eig_symmetric_full(scatter.unit)
+    del scatter
     model = _spectrum_model(es, config)
 
     # the second stage by linearity (module docstring): W^T S W, S of the raw samples
     whitener = es.eigenvectors * model.weights
     second = _second_stage(ds, part, config, total_subclass_scatter, between_subclass_scatter)
-    product = whitener.T @ second.unit @ whitener
-    es2 = eig_symmetric_full((product + product.T) / 2.0)  # mixed operands: inexactly symmetric
+    k2 = second.exponent
+    product = whitener.T @ second.unit
+    del second
+    product = product @ whitener
+    sym = product + product.T  # mixed operands: inexactly symmetric
+    del product
+    sym /= 2.0
+    es2 = eig_symmetric_full(sym)
 
     def block_columns(start: int, stop: int, out: np.ndarray) -> None:
         np.matmul(whitener, es2.eigenvectors[:, start:stop], out=out)
 
     projection = _columns_in_blocks(ds.dim, config.d, es2.rank, block_columns)
-    return _raw_units(
-        scatter.exponent, second.exponent, es, model, projection, es2.eigenvalues, es2.rank
-    )
+    return _raw_units(k1, k2, es, model, projection, es2.eigenvalues, es2.rank)
 
 
 def _raw_units(k1: int, k2: int, es, model, projection, second_values, second_rank):

@@ -1038,6 +1038,25 @@ def test_count_below_one_is_refused_by_its_flag_and_config_key(tmp_path, capsys,
     )
 
 
+@pytest.mark.parametrize(
+    "command, key",
+    [("synth", "out"), ("train", "out_dir"), ("partition", "csv"), ("partition", "pgm_dir"),
+     ("eval-id", "model"), ("eval-verify", "pairs")],
+)
+def test_an_empty_path_is_refused_by_its_flag_and_config_key(
+    tmp_path, capsys, monkeypatch, command, key
+):
+    # past the parse, an empty path named no flag, and synth's error named
+    # its temporary file '.part'; the refusal writes nothing, here either
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert_refused_by_flag_and_key(
+        tmp_path, capsys, command, COMMAND_ARGS[command], key, "", "non-empty path"
+    )
+    assert not any(work.iterdir())
+
+
 @pytest.mark.parametrize("command", ["synth", "train"])
 def test_scale_min_above_scale_max_names_both_flags_and_keys(tmp_path, capsys, command):
     out = tmp_path / "out"

@@ -122,22 +122,46 @@ def test_dense_second_stage_by_linearity_matches_the_whitening_oracle(case):
     assert_second_stage_close(got, want, scaled=False)
 
 
+def traced_train_peak(ds, part, config) -> int:
+    """The tracemalloc peak of train_detailed, in bytes."""
+    tracemalloc.start()
+    try:
+        fx, _ = train_detailed(ds, part, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fx.projection.shape == (ds.dim, config.d)
+    return peak
+
+
+def blocked_classes(seed, classes, rows, dim):
+    """classes x rows samples about well-separated class centres, kd with h=2."""
+    rng = np.random.default_rng(seed)
+    labels = np.repeat(np.arange(classes), rows)
+    samples = 3.0 * rng.normal(size=(classes, dim))[labels] + rng.normal(size=(labels.size, dim))
+    ds = LabeledDataset(samples, labels)
+    return ds, partition_dataset(ds, TreeParams(h=2, seed=0), "kd")
+
+
 @pytest.mark.parametrize("stage", SECOND_STAGES)
 def test_dense_makes_no_whitened_copy_of_the_samples(stage):
     # 100 classes x 10 rows at dim 256: whitening a copy of the samples, then
     # centring that copy for the scatter, took the traced peak to 3.2-3.3
-    # n x dim blocks; by linearity it stays near 2.3
-    rng = np.random.default_rng(2)
-    classes = np.repeat(np.arange(100), 10)
-    dim = 256
-    samples = 3.0 * rng.normal(size=(100, dim))[classes] + rng.normal(size=(1000, dim))
-    ds = LabeledDataset(samples, classes)
-    part = partition_dataset(ds, TreeParams(h=2, seed=0), "kd")
-    tracemalloc.start()
-    try:
-        fx, _ = train_detailed(ds, part, TrainConfig(d=64, second_stage=stage))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert fx.projection.shape == (dim, 64)
-    assert peak <= 2.75 * samples.nbytes, peak / samples.nbytes
+    # n x dim blocks; by linearity, with each dim x dim temporary dropped once
+    # used, it reads 1.96 (ts and bs)
+    ds, part = blocked_classes(2, 100, 10, 256)
+    peak = traced_train_peak(ds, part, TrainConfig(d=64, second_stage=stage))
+    assert peak <= 2.25 * ds.samples.nbytes, peak / ds.samples.nbytes
+
+
+@pytest.mark.parametrize("stage", SECOND_STAGES)
+def test_dense_holds_few_dim_by_dim_matrices_at_once(stage):
+    # 60 classes x 10 rows at dim 512, where dim x dim matrices outweigh the
+    # samples: stage 1's scatter, stage 2's and its rotated copies, all alive
+    # into the second eigendecomposition, took the traced peak to one n x dim
+    # block plus 6.84 dim x dim matrices; dropping each once used leaves 3.84
+    ds, part = blocked_classes(3, 60, 10, 512)
+    assert ds.n >= ds.dim
+    peak = traced_train_peak(ds, part, TrainConfig(d=64, second_stage=stage))
+    square = 8 * ds.dim**2
+    assert peak <= ds.samples.nbytes + 4.5 * square, (peak - ds.samples.nbytes) / square
