@@ -381,14 +381,38 @@ SYNTH_FLAGS = (
 )
 
 
+def _line_flags(line: str) -> list[str]:
+    """One @FILE line as flags: key=value -> --key=value, key -> --key."""
+    text = line.strip()
+    if not text or text.startswith("#"):
+        return []
+    key, eq, value = text.partition("=")
+    return ["--" + key.strip().replace("_", "-") + eq + value.strip()]
+
+
 class _Parser(argparse.ArgumentParser):
-    def convert_arg_line_to_args(self, arg_line: str) -> list[str]:
-        """One @FILE line as flags: key=value -> --key=value, key -> --key."""
-        text = arg_line.strip()
-        if not text or text.startswith("#"):
-            return []
-        key, eq, value = text.partition("=")
-        return ["--" + key.strip().replace("_", "-") + eq + value.strip()]
+    """argparse, where each argument @FILE stands for the flags of FILE's lines.
+    FILE is read here as UTF-8 text on every Python, not by argparse, whose
+    encoding depends on the version (the locale's before 3.12)."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else args
+        return super().parse_known_args([f for arg in args for f in self._expand(arg)], namespace)
+
+    def _expand(self, arg: str) -> list[str]:
+        if not arg.startswith("@"):
+            return [arg]
+        path = arg[1:]
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+            text = data.decode("utf-8")
+        except OSError as exc:
+            self.error(str(exc))
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            self.error(f"{path}:{line}: not UTF-8 text")
+        return [flag for line in text.splitlines() for flag in _line_flags(line)]
 
 
 class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
@@ -419,9 +443,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="wssda",
         description="subclass discriminant analysis over the whole eigenspace",
-        fromfile_prefix_chars="@",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # the subcommands parse arguments the top level has already expanded
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=argparse.ArgumentParser
+    )
 
     def command(name, func, help):
         # a flag matches exactly: no abbreviations
@@ -470,10 +496,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     out = OutputSet()
     try:
-        # in the try: an @FILE that is not UTF-8 text fails as it is read
-        args = build_parser().parse_args(argv)
         args.func(args, out)
     except BaseException as exc:
         out.discard()

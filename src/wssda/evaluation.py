@@ -163,7 +163,10 @@ def _nearest(
     bounds = [*range(0, max(count - 1, 1), _block_rows(gn.shape[0])), count]
     for start, stop in zip(bounds, bounds[1:]):
         dist = scratch[2][: (stop - start) * gn.shape[0]].reshape(stop - start, gn.shape[0])
-        np.matmul(pn[start:stop], gn.T, out=dist)
+        if gn.shape[1] == 1:  # NumPy's matmul takes a slow non-BLAS loop at one column
+            np.multiply(pn[start:stop], gn.T, out=dist)  # the same one product a cell
+        else:
+            np.matmul(pn[start:stop], gn.T, out=dist)
         np.subtract(1.0, dist, out=dist)
         # argmin takes the first hit, so exact ties go to the lowest gallery index
         np.argmin(dist, axis=1, out=nearest[start:stop])

@@ -48,10 +48,12 @@ of one rows buffer: the contrasts R for stage 1, the second-stage builder's
 rows for stage 2.  The dense path drops each dim x dim temporary once it is
 used: stage 1's scatter once its eigensystem is solved, stage 2's raw
 scatter S once W^T S is formed, and W^T S W once its symmetrized copy is.
+W itself is formed only after S is built and dropped once W^T S W exists;
+the column blocks form it again, an elementwise product of the same bits.
 So besides the eigensolver's own arrays, the first eigendecomposition holds
-only its input, and the second three dim x dim matrices: the stage-1
-eigenvectors (kept in the training details), W, and its input, which lives
-to the end of the stage.
+only its input, and the second two dim x dim matrices: its input, which
+lives to the end of the stage, and the stage-1 eigenvectors U (kept in the
+training details).
 
 Each stage is solved on its rows scaled by a power of two, prescale_rows,
 and its results are scaled back with np.ldexp, so training is exact at any
@@ -243,16 +245,18 @@ def _dense(ds: LabeledDataset, part: SubclassPartition, config: TrainConfig):
     model = _spectrum_model(es, config)
 
     # the second stage by linearity (module docstring): W^T S W, S of the raw samples
-    whitener = es.eigenvectors * model.weights
     second = _second_stage(ds, part, config, total_subclass_scatter, between_subclass_scatter)
     k2 = second.exponent
+    whitener = es.eigenvectors * model.weights
     product = whitener.T @ second.unit
     del second
     product = product @ whitener
+    del whitener  # formed again, to the same bits, once the second solve is done
     sym = product + product.T  # mixed operands: inexactly symmetric
     del product
     sym /= 2.0
     es2 = eig_symmetric_full(sym)
+    whitener = es.eigenvectors * model.weights
 
     def block_columns(start: int, stop: int, out: np.ndarray) -> None:
         np.matmul(whitener, es2.eigenvectors[:, start:stop], out=out)

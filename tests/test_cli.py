@@ -233,17 +233,31 @@ def test_an_argument_that_starts_with_at_names_an_argument_file(tmp_path, capsys
     assert (code, err) == (0, "")
 
 
-def test_an_argument_file_that_is_not_utf8_is_one_error_line(tmp_path, capsys):
-    # the bad byte lies past the first 8 KiB, where a chunked decode starts its second chunk
+def test_an_argument_file_that_is_not_utf8_is_one_error_line_naming_the_line(tmp_path, capsys):
+    # the bad byte lies past the first 8 KiB, where a chunked decode starts its second
+    # chunk; the file is read as UTF-8 on every Python, so the byte never reaches --csv
     csv_path = make_dataset_csv(tmp_path, capsys)
     args = tmp_path / "run.args"
-    args.write_bytes(b"# padding\n" * 1000 + b"csv=\xff.csv\n")
+    args.write_bytes(b"# padding\r\n" * 1000 + b"csv=\xff.csv\n")
     out_dir = tmp_path / "out"
     argv = ["partition", "--csv", csv_path, f"@{args}", "--out-dir", out_dir]
     code, out, err = run_cli(argv, capsys)
-    assert code in (1, 2) and out == ""
-    assert len([line for line in err.splitlines() if "error: " in line]) == 1
+    assert (code, out) == (2, "")
+    assert [line for line in err.splitlines() if "error: " in line] == [
+        f"wssda: error: {args}:1001: not UTF-8 text"
+    ]
     assert not out_dir.exists()
+
+
+def test_an_argument_file_is_read_as_utf8_text(tmp_path, capsys, monkeypatch):
+    # a non-ASCII value reaches its flag as the same text on every Python and locale
+    monkeypatch.chdir(tmp_path)
+    os.rename(make_dataset_csv(tmp_path, capsys), "données.csv")
+    args = tmp_path / "run.args"
+    args.write_bytes("csv=données.csv\nwith_subclasses\n".encode("utf-8"))
+    code, out, err = run_cli(["partition", f"@{args}", "--out-dir", "part"], capsys)
+    assert (code, err) == (0, "")
+    assert os.path.exists(os.path.join("part", "partition.csv"))
 
 
 @pytest.mark.parametrize(

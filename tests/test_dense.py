@@ -159,9 +159,10 @@ def test_dense_holds_few_dim_by_dim_matrices_at_once(stage):
     # 60 classes x 10 rows at dim 512, where dim x dim matrices outweigh the
     # samples: stage 1's scatter, stage 2's and its rotated copies, all alive
     # into the second eigendecomposition, took the traced peak to one n x dim
-    # block plus 6.84 dim x dim matrices; dropping each once used leaves 3.84
+    # block plus 6.84 dim x dim matrices; dropping each once used left 3.84,
+    # and forming the whitener only where it is read leaves 3.0
     ds, part = blocked_classes(3, 60, 10, 512)
     assert ds.n >= ds.dim
     peak = traced_train_peak(ds, part, TrainConfig(d=64, second_stage=stage))
     square = 8 * ds.dim**2
-    assert peak <= ds.samples.nbytes + 4.5 * square, (peak - ds.samples.nbytes) / square
+    assert peak <= ds.samples.nbytes + 3.5 * square, (peak - ds.samples.nbytes) / square

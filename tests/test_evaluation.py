@@ -447,6 +447,23 @@ def test_nn_tie_takes_lowest_index():
     assert nn_classify(gallery, labels, np.array([[2.0, 0.0]])).tolist() == [3]
 
 
+@pytest.mark.parametrize("gallery_signs", ["mixed", "all positive"])
+def test_nearest_at_one_column_equals_the_matmul_path(gallery_signs):
+    # at d=1 every unit row is +1 or -1, so all gallery rows of a probe's sign
+    # tie exactly and the lowest index wins; with no row of its sign, index 0
+    rng = np.random.default_rng(5)
+    gallery = rng.normal(size=(900, 1))
+    if gallery_signs == "all positive":
+        gallery = np.abs(gallery)
+    probes = rng.normal(size=(2001, 1))
+    probes[::7] = 0.5 * gallery[: probes[::7].shape[0]]
+    got = evaluation._nearest(gallery, probes, evaluation._scratch(900, 2001, 1))
+    nearest, _ = oracle_distances(gallery, probes, 1)
+    assert np.array_equal(got, nearest)
+    same_sign = np.sign(probes) == np.sign(gallery.T)
+    assert np.array_equal(got, np.where(same_sign.any(axis=1), same_sign.argmax(axis=1), 0))
+
+
 def test_nn_rejects_bad_input():
     gallery = np.array([[1.0, 0.0], [0.0, 1.0]])
     labels = np.array([0, 1])
